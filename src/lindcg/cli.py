@@ -16,6 +16,7 @@ from .core import QueryGroup
 from .equivalence import brute_force_oracle, verify_multipartite_identity
 from .errors import LindcgError, TooLargeError
 from .io import parse_svmlight, parse_tsv
+from .metrics import MAX_CLASSIC_GRADE
 from .pairwise import pairwise_loss_fast, threshold_decomposition
 from .report import build_aggregate_report, render_csv, render_json, render_text
 
@@ -54,6 +55,8 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
         else:
             dataset = parse_svmlight(input_path, scores=scores_path,
                                      num_grades=num_grades)
+        # Before any per-query work, so a huge grade costs no more than a small one.
+        dataset.check_grade_cap(MAX_CLASSIC_GRADE)
         groups = dataset.query_groups()
     except LindcgError as exc:
         click.echo(f"error: {exc}", err=True)

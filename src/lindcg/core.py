@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError
@@ -115,6 +116,81 @@ class RankedSequence:
 
     def __len__(self) -> int:
         return len(self.grades)
+
+
+@dataclass(frozen=True, slots=True)
+class RankedView:
+    """One query ranked once, with the per-grade totals every metric and check reads.
+
+    ``grades`` lists the grades best-scored position first.  ``counts[g]``
+    is the number of items of grade g and ``discount_mass[g]`` the sum of
+    their linear discounts |S| - i at 1-based rank i.  ``threshold_losses[k]``
+    is the unweighted bipartite loss at threshold k: the number of pairs
+    with grades a <= k < b whose grade-b item scores strictly below the
+    grade-a item.  The group has already validated every value, so the view
+    does not validate again.
+    """
+
+    grades: tuple[int, ...]
+    counts: tuple[int, ...]
+    discount_mass: tuple[int, ...]
+    has_score_ties: bool
+    threshold_losses: tuple[int, ...]
+
+    @property
+    def num_grades(self) -> int:
+        return len(self.counts)
+
+    def __len__(self) -> int:
+        return len(self.grades)
+
+
+_score = attrgetter("score")
+
+
+def rank_view(group: QueryGroup) -> RankedView:
+    """Rank the group with one stable sort and sweep the ranking once.
+
+    The sort is the one rank_by_score makes.  The sweep keeps a histogram
+    of the grades already passed; equal-score items form a batch that
+    enters the histogram only after each of its items has been scored
+    against it, so tied pairs are never misranked.  An item of grade g is
+    misranked at every threshold k < g against each strictly higher-scored
+    item of grade <= k, which is the cumulative histogram at k.
+    """
+    ranked = sorted(group.items, key=_score, reverse=True)
+    counts = [0] * group.num_grades
+    mass = [0] * group.num_grades
+    losses = [0] * (group.num_grades - 1)
+    ties = False
+    batch: list[int] = []  # grades of the current equal-score run, not yet counted
+    score = None
+    discount = len(ranked)
+    for item in ranked:
+        if item.score == score:
+            ties = True
+        else:
+            for g in batch:
+                counts[g] += 1
+            batch = []
+            score = item.score
+        g = item.grade
+        below = 0
+        for k in range(g):
+            below += counts[k]
+            losses[k] += below
+        batch.append(g)
+        discount -= 1
+        mass[g] += discount
+    for g in batch:
+        counts[g] += 1
+    return RankedView(
+        grades=tuple(item.grade for item in ranked),
+        counts=tuple(counts),
+        discount_mass=tuple(mass),
+        has_score_ties=ties,
+        threshold_losses=tuple(losses),
+    )
 
 
 def rank_by_score(group: QueryGroup) -> RankedSequence:

@@ -18,16 +18,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
-from .core import QueryGroup, RankedSequence, rank_by_score
+from .core import QueryGroup, RankedSequence, RankedView, rank_view
 from .errors import (
     EmptyGroupError,
     InvalidGradeError,
     NonBipartiteError,
     TooLargeError,
 )
-from .metrics import dcg_error_linear, dcg_linear
-from .pairwise import binarize, binarize_sequence, pairwise_loss_fast
+from .metrics import (
+    bipartite_ideal_dcg,
+    dcg_error_linear,
+    view_dcg_linear,
+    view_ideal_dcg_linear,
+)
+from .pairwise import pairwise_loss_fast
 
 # 8! = 40_320 permutations, exhaustive in well under a second.
 ORACLE_SIZE_CAP = 8
@@ -145,23 +151,38 @@ def verify_bipartite_identity(group: QueryGroup) -> VerificationRecord:
     )
 
 
-def verify_multipartite_identity(group: QueryGroup) -> VerificationRecord:
+def verify_multipartite_identity(
+    group: QueryGroup, view: RankedView | None = None
+) -> VerificationRecord:
     """Check DCG error == weighted pairwise loss for any grade alphabet.
 
-    Detail records cover the per-threshold identity (the binarized group's
-    DCG error against its unweighted loss) and the DCG split (the observed
-    sequence's DCG against the sum over thresholds of its binarized DCGs).
+    Detail records cover the per-threshold identity and the DCG split.  At
+    threshold k the m items of grade > k form a bipartite group whose DCG
+    error, the closed-form ideal minus their discount mass, must equal the
+    swept loss at k.  The split compares the observed DCG, summed over
+    positions, with the sum over thresholds of the above-k discount masses.
+    ``view`` is the group's rank_view when the caller already holds it.
     """
-    observed = rank_by_score(group)
-    ties = group.has_score_ties()
-    lhs = dcg_error_linear(group)
-    rhs = pairwise_loss_fast(group).unnormalized
+    if view is None:
+        view = rank_view(group)
+    n = len(view)
+    ties = view.has_score_ties
+    lhs = view_ideal_dcg_linear(view) - view_dcg_linear(view)
+    rhs = sum(view.threshold_losses)
+
+    # (items, discount mass) of grade > k, for k = L-2 down to 0
+    above = []
+    m = mass = 0
+    for g in range(view.num_grades - 1, 0, -1):
+        m += view.counts[g]
+        mass += view.discount_mass[g]
+        above.append((m, mass))
+    above.reverse()
 
     details = []
-    for k in range(group.num_grades - 1):
-        sub = binarize(group, k)
-        sub_lhs = dcg_error_linear(sub)
-        sub_rhs = pairwise_loss_fast(sub).unnormalized
+    for k, (m, mass) in enumerate(above):
+        sub_lhs = bipartite_ideal_dcg(m, n - m) - mass
+        sub_rhs = view.threshold_losses[k]
         details.append(
             VerificationRecord(
                 instance_id=f"{group.query_id}[k={k}]",
@@ -172,11 +193,8 @@ def verify_multipartite_identity(group: QueryGroup) -> VerificationRecord:
                 tie_afflicted=ties,
             )
         )
-    split_lhs = dcg_linear(observed)
-    split_rhs = sum(
-        dcg_linear(binarize_sequence(observed, k))
-        for k in range(group.num_grades - 1)
-    )
+    split_lhs = sum(map(mul, view.grades, range(n - 1, -1, -1)))
+    split_rhs = sum(mass for _, mass in above)
     details.append(
         VerificationRecord(
             instance_id=f"{group.query_id}[split]",

@@ -2,8 +2,10 @@
 
 TSV grammar: one record per line, ``query_id <TAB> grade <TAB> score``.
 LETOR grammar: ``grade qid:ID feat:val ...`` with feature vectors ignored;
-scores come either from a trailing ``# score=V`` comment on each line or
-from a companion predictions file with exactly one score per data row.
+scores come either from a trailing ``# score=V`` comment on each line, where
+``score`` must start a token, or from a companion predictions file with
+exactly one score per data row.  Grades and scores are ASCII: Python's
+``_`` digit separators and non-ASCII digits are rejected.
 In both formats lines whose first non-blank character is ``#`` and blank
 lines are skipped, input is UTF-8, and file order defines the tie-break
 index within each query.
@@ -21,9 +23,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import QueryGroup, RatedItem
-from .errors import EmptyFileError, ParseError, ScoreCountMismatchError
+from .errors import (
+    EmptyFileError,
+    GradeTooLargeError,
+    ParseError,
+    ScoreCountMismatchError,
+)
 
-_SCORE_COMMENT = re.compile(r"score\s*=\s*(\S+)")
+_SCORE_COMMENT = re.compile(r"(?<!\S)score\s*=\s*(\S+)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,6 +59,15 @@ class DatasetFile:
         if self.declared_num_grades is not None:
             return self.declared_num_grades
         return max(2, max(r.grade for r in self.records) + 1)
+
+    def check_grade_cap(self, cap: int) -> None:
+        """Raise GradeTooLargeError naming the first record whose grade exceeds cap."""
+        for rec in self.records:
+            if rec.grade > cap:
+                raise GradeTooLargeError(
+                    f"query {rec.query_id!r}: grade {rec.grade} exceeds "
+                    f"the classical-gain cap of {cap}"
+                )
 
     def query_groups(self) -> list[QueryGroup]:
         """Assemble one QueryGroup per query id, sorted by query id.
@@ -86,6 +102,9 @@ def _skippable(line: str) -> bool:
 
 def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | None]:
     try:
+        # int() would also read '_' digit separators and non-ASCII digits.
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         grade = int(text)
     except ValueError:
         return None, f"grade {text!r} is not an integer"
@@ -98,6 +117,9 @@ def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | Non
 
 def _parse_score(text: str) -> tuple[float | None, str | None]:
     try:
+        # float() would also read '_' digit separators and non-ASCII digits.
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         score = float(text)
     except ValueError:
         return None, f"score {text!r} is not a number"

@@ -16,10 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import truediv
+from typing import Sequence
 
-from .core import QueryGroup, RankedSequence, ideal_sequence, rank_by_score
+from .core import (
+    QueryGroup,
+    RankedSequence,
+    RankedView,
+    ideal_sequence,
+    rank_by_score,
+    rank_view,
+)
 from .errors import GradeTooLargeError
-from .pairwise import pairwise_loss_fast
+from .pairwise import loss_from_view
 
 # 2**grade must stay exactly representable in a double.
 MAX_CLASSIC_GRADE = 30
@@ -39,6 +48,27 @@ def ideal_dcg_linear(group: QueryGroup) -> int:
     return dcg_linear(ideal_sequence(group))
 
 
+def view_dcg_linear(view: RankedView) -> int:
+    """Linear DCG of a ranked view: each grade times its discount mass."""
+    return sum(g * mass for g, mass in enumerate(view.discount_mass))
+
+
+def view_ideal_dcg_linear(view: RankedView) -> int:
+    """Ideal linear DCG from the view's grade counts.
+
+    In non-increasing grade order, the c items of each grade fill one block
+    of positions f+1..f+c below the f items of higher grades; that block's
+    discounts sum to c*(|S| - f) - c*(c + 1)/2.
+    """
+    n = len(view)
+    total = filled = 0
+    for g in range(view.num_grades - 1, 0, -1):
+        c = view.counts[g]
+        total += g * (c * (n - filled) - c * (c + 1) // 2)
+        filled += c
+    return total
+
+
 def bipartite_ideal_dcg(m: int, n: int) -> int:
     """Closed form for the ideal linear DCG of m positives and n negatives:
     m*n + m*(m - 1)/2."""
@@ -56,13 +86,26 @@ def ndcg_linear(group: QueryGroup) -> float:
     return dcg_linear(rank_by_score(group)) / ideal
 
 
+def _check_classic_cap(grades: Sequence[int]) -> None:
+    top = max(grades)
+    if top > MAX_CLASSIC_GRADE:
+        raise GradeTooLargeError(
+            f"grade {top} exceeds the classical-gain cap of {MAX_CLASSIC_GRADE}"
+        )
+
+
+_GAINS = tuple(2**g - 1 for g in range(MAX_CLASSIC_GRADE + 1))
+
+
+def _classic_sum(grades: Sequence[int]) -> float:
+    """dcg_classic's sum, term for term and in the same order, for capped grades."""
+    discounts = map(math.log2, range(2, len(grades) + 2))
+    return sum(map(truediv, map(_GAINS.__getitem__, grades), discounts), 0.0)
+
+
 def dcg_classic(seq: RankedSequence) -> float:
     """Classical DCG: sum of (2**r_i - 1) / log2(i + 1) over 1-based ranks i."""
-    for g in seq.grades:
-        if g > MAX_CLASSIC_GRADE:
-            raise GradeTooLargeError(
-                f"grade {g} exceeds the exponential-gain cap of {MAX_CLASSIC_GRADE}"
-            )
+    _check_classic_cap(seq.grades)
     return sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(seq.grades, start=1))
 
 
@@ -113,20 +156,28 @@ class MetricReport:
     degenerate_classic: bool
 
 
-def compute_report(group: QueryGroup) -> MetricReport:
-    """Evaluate both DCG families and the pairwise loss for one group."""
-    observed = rank_by_score(group)
-    ideal = ideal_sequence(group)
+def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricReport:
+    """Evaluate both DCG families and the pairwise loss for one group.
 
-    lin = dcg_linear(observed)
-    lin_ideal = dcg_linear(ideal)
-    cls = dcg_classic(observed)
-    cls_ideal = dcg_classic(ideal)
-    loss = pairwise_loss_fast(group)
+    ``view`` is the group's rank_view when the caller already holds it.
+    """
+    if view is None:
+        view = rank_view(group)
+    _check_classic_cap(view.grades)
+    # Zero grades add nothing and sort last, so the ideal list can stop before them.
+    ideal_grades = [
+        g for g in range(view.num_grades - 1, 0, -1) for _ in range(view.counts[g])
+    ]
+
+    lin = view_dcg_linear(view)
+    lin_ideal = view_ideal_dcg_linear(view)
+    cls = _classic_sum(view.grades)
+    cls_ideal = _classic_sum(ideal_grades)
+    loss = loss_from_view(view)
 
     return MetricReport(
         query_id=group.query_id,
-        num_items=len(group),
+        num_items=len(view),
         dcg_linear=lin,
         ideal_dcg_linear=lin_ideal,
         ndcg_linear=lin / lin_ideal if lin_ideal else 1.0,

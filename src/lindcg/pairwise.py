@@ -11,16 +11,18 @@ weights.  The normalized loss can therefore exceed 1; its true ceiling is
 (L - 1).  This asymmetry is kept on purpose rather than "fixed".
 
 Two counters are provided: a naive double loop over all item pairs, kept
-permanently as the test oracle, and a histogram sweep that produces
-identical integers in O(|S|*L + |S| log |S|).
+permanently as the test oracle, and the histogram sweep of
+core.rank_view, which produces identical integers in
+O(|S|*L + |S| log |S|).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import QueryGroup, RankedSequence, RatedItem
+from .core import QueryGroup, RankedSequence, RankedView, RatedItem, rank_view
 from .errors import ThresholdOutOfRangeError
 
 
@@ -51,14 +53,9 @@ class ThresholdLossVector:
         return sum(self.per_threshold)
 
 
-def _normalizer(group: QueryGroup) -> int:
-    counts = group.grade_counts()
-    total = len(group)
-    return (total * total - sum(c * c for c in counts)) // 2
-
-
-def _as_loss_value(unnormalized: int, group: QueryGroup) -> PairwiseLossValue:
-    z = _normalizer(group)
+def _as_loss_value(unnormalized: int, counts: Sequence[int]) -> PairwiseLossValue:
+    total = sum(counts)
+    z = (total * total - sum(c * c for c in counts)) // 2
     return PairwiseLossValue(
         unnormalized=unnormalized,
         normalizer_z=z,
@@ -82,40 +79,26 @@ def pairwise_loss_naive(group: QueryGroup) -> PairwiseLossValue:
         elif grade_b < grade_a:
             if score_a < score_b:
                 loss += grade_a - grade_b
-    return _as_loss_value(loss, group)
+    return _as_loss_value(loss, group.grade_counts())
+
+
+def loss_from_view(view: RankedView) -> PairwiseLossValue:
+    """The weighted loss of a ranked view: the sum of its threshold losses.
+
+    A pair with grade gap (b - a) is misranked at exactly (b - a)
+    thresholds, so the unweighted per-threshold counts add up to the
+    weighted loss.
+    """
+    return _as_loss_value(sum(view.threshold_losses), view.counts)
 
 
 def pairwise_loss_fast(group: QueryGroup) -> PairwiseLossValue:
-    """Count misranked pairs with a grade-histogram sweep.
+    """Count misranked pairs with the histogram sweep of rank_view.
 
-    Items are swept in descending score order; equal-score items form an
-    atomic batch that only enters the histogram once the whole batch has
-    been scored against it, so ties never count.  For a swept item of
-    grade g, every already-seen (strictly higher-scored) item of grade
-    g' < g is a misranked pair costing g - g'.  Output is identical to
-    pairwise_loss_naive on every input.
+    Equal-score items are swept as one batch, so ties never count.
+    Output is identical to pairwise_loss_naive on every input.
     """
-    ordered = sorted(group.items, key=lambda item: item.score, reverse=True)
-    hist = [0] * group.num_grades
-    loss = 0
-    n = len(ordered)
-    i = 0
-    while i < n:
-        j = i
-        score = ordered[i].score
-        while j < n and ordered[j].score == score:
-            j += 1
-        batch = ordered[i:j]
-        for item in batch:
-            g = item.grade
-            for lower in range(g):
-                count = hist[lower]
-                if count:
-                    loss += count * (g - lower)
-        for item in batch:
-            hist[item.grade] += 1
-        i = j
-    return _as_loss_value(loss, group)
+    return loss_from_view(rank_view(group))
 
 
 def binarize(group: QueryGroup, k: int) -> QueryGroup:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import QueryGroup
+from .core import QueryGroup, rank_view
 from .equivalence import VerificationRecord, verify_multipartite_identity
 from .metrics import MetricReport, compute_report
 
@@ -49,10 +49,15 @@ def _record_ok(record: VerificationRecord) -> bool:
 
 
 def build_aggregate_report(groups: Sequence[QueryGroup]) -> AggregateReport:
-    """Evaluate metrics and identity checks for every group, sorted by query id."""
-    ordered = sorted(groups, key=lambda g: g.query_id)
-    per_query = tuple(compute_report(g) for g in ordered)
-    verifications = tuple(verify_multipartite_identity(g) for g in ordered)
+    """Evaluate metrics and identity checks for every group, sorted by query id.
+
+    Each group is ranked once; its view serves both the report and the check.
+    """
+    per_query, verifications = [], []
+    for group in sorted(groups, key=lambda g: g.query_id):
+        view = rank_view(group)
+        per_query.append(compute_report(group, view))
+        verifications.append(verify_multipartite_identity(group, view))
 
     n = len(per_query)
     passed = failed = tie_flagged = 0
@@ -64,8 +69,8 @@ def build_aggregate_report(groups: Sequence[QueryGroup]) -> AggregateReport:
         else:
             failed += 1
     return AggregateReport(
-        per_query=per_query,
-        verifications=verifications,
+        per_query=tuple(per_query),
+        verifications=tuple(verifications),
         mean_ndcg_linear=sum(r.ndcg_linear for r in per_query) / n if n else 0.0,
         mean_ndcg_classic=sum(r.ndcg_classic for r in per_query) / n if n else 0.0,
         total_pairwise_loss=sum(r.pairwise_loss for r in per_query),

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
-from lindcg.core import QueryGroup
+from lindcg.core import QueryGroup, rank_by_score
+from lindcg.equivalence import VerificationRecord
+from lindcg.metrics import dcg_error_linear, dcg_linear
+from lindcg.pairwise import binarize, binarize_sequence, pairwise_loss_fast
 
 
 def make_group(grades, scores, query_id="q", num_grades=None):
@@ -36,3 +39,36 @@ def random_group(rng: random.Random, max_items=50, max_grades=5,
                 seen.add(s)
                 scores.append(s)
     return make_group(grades, scores, query_id, num_grades)
+
+
+def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
+    """The multipartite check assembled from binarized copies of the group.
+
+    Each threshold check builds the group binarized at k and ranks it
+    again; the split binarizes the observed sequence once per threshold.
+    An oracle for the ranked-view check, which reads one sweep of the
+    full grades instead.
+    """
+    observed = rank_by_score(group)
+    ties = group.has_score_ties()
+    details = []
+    for k in range(group.num_grades - 1):
+        sub = binarize(group, k)
+        sub_lhs = dcg_error_linear(sub)
+        sub_rhs = pairwise_loss_fast(sub).unnormalized
+        details.append(VerificationRecord(
+            f"{group.query_id}[k={k}]", "threshold_identity",
+            sub_lhs, sub_rhs, sub_lhs == sub_rhs, ties,
+        ))
+    split_lhs = dcg_linear(observed)
+    split_rhs = sum(
+        dcg_linear(binarize_sequence(observed, k)) for k in range(group.num_grades - 1)
+    )
+    details.append(VerificationRecord(
+        f"{group.query_id}[split]", "dcg_split", split_lhs, split_rhs, split_lhs == split_rhs,
+    ))
+    lhs = dcg_error_linear(group)
+    rhs = pairwise_loss_fast(group).unnormalized
+    return VerificationRecord(
+        group.query_id, "multipartite_identity", lhs, rhs, lhs == rhs, ties, tuple(details),
+    )

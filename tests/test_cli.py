@@ -1,9 +1,13 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from lindcg.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 GOLDEN_TSV = (
     "g\t1\t6\n"
@@ -147,6 +151,40 @@ def test_metrics_flags_tie_afflicted_queries(runner, tmp_path):
     payload = json.loads(result.output)
     assert payload["verification"]["tie_flagged"] == 1
     assert payload["queries"][0]["identity"] == "tie_flagged"
+
+
+def test_metrics_json_matches_the_golden_report(runner):
+    # Tied groups, an all-zero group, a single item and sparse grades up to 30.
+    result = runner.invoke(
+        main, ["metrics", "--input", str(DATA / "metrics_mixed.tsv"), "--output", "json"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == (DATA / "metrics_mixed.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("grade", [31, 1000])
+def test_metrics_rejects_a_grade_above_the_classical_cap(runner, tmp_path, grade):
+    data = tmp_path / "big.tsv"
+    data.write_text(f"q0\t1\t0.1\nq1\t{grade}\t0.5\nq1\t0\t0.2\n", encoding="utf-8")
+    result = runner.invoke(main, ["metrics", "--input", str(data)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == (
+        f"error: query 'q1': grade {grade} exceeds the classical-gain cap of 30\n"
+    )
+
+
+def test_metrics_never_rebuilds_or_re_ranks_a_group(runner, golden_file, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rebuild path was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "lindcg" or name.startswith("lindcg."):
+            for attr in ("binarize", "binarize_sequence", "rank_by_score", "ideal_sequence"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", "json"])
+    assert result.exit_code == 0, result.output
 
 
 VERIFY_ARGS = [

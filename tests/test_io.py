@@ -118,6 +118,18 @@ GOOD_SVMLIGHT = """\
 """
 
 
+@pytest.mark.parametrize("grade, score", [
+    ("1_0", "0.5"),    # int() reads 10
+    ("\u0661", "0.5"),  # Arabic-Indic digit one
+    ("1", "0_1.5"),    # float() reads 1.5
+    ("1", "\u0661.5"),
+])
+def test_tsv_rejects_digit_separators_and_non_ascii_digits(grade, score):
+    with pytest.raises(ParseError) as info:
+        parse_tsv(io.StringIO(f"q\t0\t0.1\nq\t{grade}\t{score}\n"))
+    assert [n for n, _ in info.value.errors] == [2]
+
+
 def test_parse_svmlight_with_inline_scores():
     dataset = parse_svmlight(io.StringIO(GOOD_SVMLIGHT))
     assert dataset.records == (
@@ -167,6 +179,28 @@ def test_svmlight_short_line_is_an_error():
 def test_svmlight_empty_after_comments():
     with pytest.raises(EmptyFileError):
         parse_svmlight(io.StringIO("# just a comment\n"))
+
+
+def test_svmlight_rejects_digit_separators_and_non_ascii_digits():
+    text = "1_0 qid:1 1:0.5 # score=0.5\n\u0661 qid:1 # score=0.5\n1 qid:1 # score=0_1.5\n"
+    with pytest.raises(ParseError) as info:
+        parse_svmlight(io.StringIO(text))
+    assert [n for n, _ in info.value.errors] == [1, 2, 3]
+
+
+def test_score_file_rejects_digit_separators_and_non_ascii_digits():
+    data = io.StringIO("1 qid:1\n0 qid:1\n0 qid:2\n")
+    with pytest.raises(ParseError) as info:
+        parse_svmlight(data, scores=io.StringIO("0.5\n0_1.5\n\u0661\n"))
+    assert [n for n, _ in info.value.errors] == [2, 3]
+    assert all(reason.startswith("score file:") for _, reason in info.value.errors)
+
+
+def test_score_comment_key_must_be_a_whole_token():
+    dataset = parse_svmlight(io.StringIO("1 qid:1 1:0.5 # myscore=9 score=0.1\n"))
+    assert dataset.records[0].score == 0.1
+    with pytest.raises(ParseError):
+        parse_svmlight(io.StringIO("1 qid:1 # myscore=9\n"))
 
 
 def test_svmlight_score_file_path(tmp_path):

@@ -1,0 +1,103 @@
+"""The ranked view against the rebuild path it replaced and the naive oracles."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lindcg.report
+from helpers import group_from_ranking, make_group, rebuilt_multipartite_record
+from lindcg.core import rank_by_score, rank_view
+from lindcg.equivalence import verify_multipartite_identity
+from lindcg.metrics import (
+    compute_report,
+    dcg_classic,
+    dcg_error_linear,
+    dcg_linear,
+    ideal_dcg_classic,
+    ideal_dcg_linear,
+    ndcg_classic,
+    ndcg_linear,
+)
+from lindcg.pairwise import pairwise_loss_naive, threshold_decomposition
+
+
+@st.composite
+def tied_groups(draw):
+    """Groups of up to 40 items and 8 grades; a narrow score range forces ties."""
+    num_grades = draw(st.integers(2, 8))
+    size = draw(st.integers(1, 40))
+    spread = draw(st.integers(0, size))
+    grades = draw(st.lists(st.integers(0, num_grades - 1), min_size=size, max_size=size))
+    scores = draw(st.lists(st.integers(0, spread), min_size=size, max_size=size))
+    return make_group(grades, [s / 2 for s in scores], num_grades=num_grades)
+
+
+def test_view_of_the_golden_group():
+    view = rank_view(group_from_ranking([1, 0, 0, 1, 1, 0]))
+    assert view.grades == (1, 0, 0, 1, 1, 0)
+    assert view.counts == (3, 3)
+    # discounts 5..0 by rank; the ones sit at ranks 1, 4 and 5
+    assert view.discount_mass == (4 + 3 + 0, 5 + 2 + 1)
+    assert view.threshold_losses == (4,)
+    assert not view.has_score_ties
+
+
+def test_view_keeps_input_order_among_tied_scores_and_skips_tied_pairs():
+    view = rank_view(make_group([0, 1, 2, 0], [0.5, 0.5, 0.9, 0.5]))
+    assert view.grades == (2, 0, 1, 0)
+    assert view.has_score_ties
+    # Only the strictly ordered pair (2 over 0, 1) could misrank, and it does not.
+    assert view.threshold_losses == (0, 0)
+
+
+@settings(max_examples=200)
+@given(tied_groups())
+def test_identity_check_equals_the_rebuild_path_record_by_record(group):
+    record = verify_multipartite_identity(group)
+    assert record == rebuilt_multipartite_record(group)
+    assert record.rhs == pairwise_loss_naive(group).unnormalized
+    per_threshold = tuple(d.rhs for d in record.details[:-1])
+    assert per_threshold == threshold_decomposition(group).per_threshold
+
+
+@settings(max_examples=200)
+@given(tied_groups())
+def test_report_equals_the_single_purpose_helpers(group):
+    report = compute_report(group)
+    observed = rank_by_score(group)
+    naive = pairwise_loss_naive(group)
+    assert report.query_id == group.query_id
+    assert report.num_items == len(group)
+    assert report.dcg_linear == dcg_linear(observed)
+    assert report.ideal_dcg_linear == ideal_dcg_linear(group)
+    assert report.ndcg_linear == ndcg_linear(group)
+    assert report.dcg_classic == dcg_classic(observed)
+    assert report.ideal_dcg_classic == ideal_dcg_classic(group)
+    assert report.ndcg_classic == ndcg_classic(group)
+    assert report.dcg_error_linear == dcg_error_linear(group)
+    assert report.pairwise_loss == naive.unnormalized
+    assert report.normalizer_z == naive.normalizer_z
+    assert report.normalized_pairwise_loss == naive.normalized
+    assert report.degenerate_linear == (ideal_dcg_linear(group) == 0)
+    assert report.degenerate_classic == (ideal_dcg_classic(group) == 0.0)
+
+
+def test_classical_dcg_keeps_the_rank_order_float_sum():
+    grades = [3, 0, 30, 1, 0, 2, 17]
+    report = compute_report(group_from_ranking(grades, num_grades=31))
+    expected = sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(grades, start=1))
+    assert report.dcg_classic == expected
+
+
+def test_aggregate_ranks_each_group_once(monkeypatch):
+    built = []
+
+    def counted(group):
+        built.append(group.query_id)
+        return rank_view(group)
+
+    monkeypatch.setattr(lindcg.report, "rank_view", counted)
+    groups = [make_group([1, 0, 2], [0.3, 0.2, 0.1], query_id=q) for q in ("b", "a")]
+    lindcg.report.build_aggregate_report(groups)
+    assert built == ["a", "b"]
