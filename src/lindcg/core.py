@@ -11,48 +11,50 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError
 
 
-@dataclass(frozen=True, slots=True)
-class RatedItem:
-    """One rated instance: an integer relevance grade plus a model score."""
-
-    grade: int
-    score: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.grade, int) or self.grade < 0:
-            raise InvalidGradeError(f"grade must be a non-negative integer, got {self.grade!r}")
-        if not math.isfinite(self.score):
-            raise InvalidScoreError(f"score must be finite, got {self.score!r}")
+# isinstance(value, int) as a one-argument function, for map().
+_is_int = int.__instancecheck__
 
 
 @dataclass(frozen=True, slots=True)
 class QueryGroup:
-    """All rated items retrieved for one query, plus the grade-alphabet size L."""
+    """One query's items as parallel grade and score columns in input order, plus L."""
 
     query_id: str
-    items: tuple[RatedItem, ...]
+    grades: tuple[int, ...]
+    scores: tuple[float, ...]
     num_grades: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        if not self.items:
+        object.__setattr__(self, "grades", grades := tuple(self.grades))
+        object.__setattr__(self, "scores", scores := tuple(self.scores))
+        if len(grades) != len(scores):
+            raise ValueError(
+                f"{len(grades)} grades vs {len(scores)} scores for query {self.query_id!r}"
+            )
+        if not grades:
             raise EmptyGroupError(f"query {self.query_id!r} has no items")
         if self.num_grades < 2:
             raise InvalidGradeError(
                 f"num_grades must be at least 2, got {self.num_grades}"
             )
-        for item in self.items:
-            if item.grade >= self.num_grades:
-                raise InvalidGradeError(
-                    f"query {self.query_id!r}: grade {item.grade} outside "
-                    f"alphabet {{0..{self.num_grades - 1}}}"
-                )
+        # Whole-column passes; the offending value is looked up only on failure.
+        if not all(map(_is_int, grades)) or min(grades) < 0:
+            bad = next(g for g in grades if not _is_int(g) or g < 0)
+            raise InvalidGradeError(f"grade must be a non-negative integer, got {bad!r}")
+        if max(grades) >= self.num_grades:
+            bad = next(g for g in grades if g >= self.num_grades)
+            raise InvalidGradeError(
+                f"query {self.query_id!r}: grade {bad} outside "
+                f"alphabet {{0..{self.num_grades - 1}}}"
+            )
+        if not all(map(math.isfinite, scores)):
+            bad = next(s for s in scores if not math.isfinite(s))
+            raise InvalidScoreError(f"score must be finite, got {bad!r}")
 
     @classmethod
     def build(
@@ -67,28 +69,23 @@ class QueryGroup:
         When ``num_grades`` is omitted the alphabet is inferred as
         max(grade) + 1, floored at 2 so all-zero groups stay valid.
         """
-        if len(grades) != len(scores):
-            raise ValueError(
-                f"{len(grades)} grades vs {len(scores)} scores for query {query_id!r}"
-            )
         if num_grades is None:
             num_grades = max(2, max(grades, default=0) + 1)
-        items = tuple(RatedItem(g, float(s)) for g, s in zip(grades, scores))
-        return cls(query_id, items, num_grades)
+        return cls(query_id, tuple(grades), tuple(map(float, scores)), num_grades)
 
     def grade_counts(self) -> tuple[int, ...]:
         """Per-grade item counts, indexed by grade value."""
         counts = [0] * self.num_grades
-        for item in self.items:
-            counts[item.grade] += 1
+        for g in self.grades:
+            counts[g] += 1
         return tuple(counts)
 
     def has_score_ties(self) -> bool:
         """True when any two items share exactly the same score."""
-        return len({item.score for item in self.items}) < len(self.items)
+        return len(set(self.scores)) < len(self.scores)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.grades)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +142,10 @@ class RankedView:
         return len(self.grades)
 
 
-_score = attrgetter("score")
+def _score_order(group: QueryGroup) -> list[int]:
+    """Item indices by descending score; the sort is stable, so tied items keep input order."""
+    scores = group.scores
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
 
 def rank_view(group: QueryGroup) -> RankedView:
@@ -158,23 +158,23 @@ def rank_view(group: QueryGroup) -> RankedView:
     misranked at every threshold k < g against each strictly higher-scored
     item of grade <= k, which is the cumulative histogram at k.
     """
-    ranked = sorted(group.items, key=_score, reverse=True)
+    order = _score_order(group)
+    grades = tuple(map(group.grades.__getitem__, order))
     counts = [0] * group.num_grades
     mass = [0] * group.num_grades
     losses = [0] * (group.num_grades - 1)
     ties = False
     batch: list[int] = []  # grades of the current equal-score run, not yet counted
     score = None
-    discount = len(ranked)
-    for item in ranked:
-        if item.score == score:
+    discount = len(grades)
+    for g, item_score in zip(grades, map(group.scores.__getitem__, order)):
+        if item_score == score:
             ties = True
         else:
-            for g in batch:
-                counts[g] += 1
+            for b in batch:
+                counts[b] += 1
             batch = []
-            score = item.score
-        g = item.grade
+            score = item_score
         below = 0
         for k in range(g):
             below += counts[k]
@@ -185,7 +185,7 @@ def rank_view(group: QueryGroup) -> RankedView:
     for g in batch:
         counts[g] += 1
     return RankedView(
-        grades=tuple(item.grade for item in ranked),
+        grades=grades,
         counts=tuple(counts),
         discount_mass=tuple(mass),
         has_score_ties=ties,
@@ -199,13 +199,12 @@ def rank_by_score(group: QueryGroup) -> RankedSequence:
     Equal scores keep their input order (stable tie-break), so repeated
     evaluation of the same group always yields the same sequence.
     """
-    ranked = sorted(group.items, key=lambda item: item.score, reverse=True)
-    return RankedSequence(tuple(item.grade for item in ranked))
+    return RankedSequence(tuple(map(group.grades.__getitem__, _score_order(group))))
 
 
 def ideal_sequence(group: QueryGroup) -> RankedSequence:
     """Grades in non-increasing order: the arrangement maximizing linear DCG."""
-    return RankedSequence(tuple(sorted((item.grade for item in group.items), reverse=True)))
+    return RankedSequence(tuple(sorted(group.grades, reverse=True)))
 
 
 def sequence_from_grades(grades: Iterable[int]) -> RankedSequence:

@@ -6,13 +6,16 @@ scores come either from a trailing ``# score=V`` comment on each line, where
 ``score`` must start a token, or from a companion predictions file with
 exactly one score per data row.  Grades and scores are ASCII: Python's
 ``_`` digit separators and non-ASCII digits are rejected.
-In both formats lines whose first non-blank character is ``#`` and blank
-lines are skipped, input is UTF-8, and file order defines the tie-break
-index within each query.
+In both formats lines end where ``str.splitlines`` ends them, lines whose
+first non-blank character is ``#`` and blank lines are skipped, input is
+UTF-8 with an optional leading byte-order mark, and file order defines the
+tie-break index within each query.  Input is read in blocks, never whole,
+straight into three parallel columns: query id, grade and score.
 
-Every malformed line is collected with its line number and reason; the
-parse fails at the end if any line was rejected, so accepted + rejected
-always accounts for every non-comment, non-blank line.
+Every malformed line, including a data line that is not valid UTF-8, is
+collected with its line number and reason; the parse fails at the end if any
+line was rejected, so accepted + rejected always accounts for every
+non-comment, non-blank line.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
-from .core import QueryGroup, RatedItem
+from .core import QueryGroup
 from .errors import (
     EmptyFileError,
     GradeTooLargeError,
@@ -31,22 +33,18 @@ from .errors import (
 )
 
 _SCORE_COMMENT = re.compile(r"(?<!\S)score\s*=\s*(\S+)")
-
-
-@dataclass(frozen=True, slots=True)
-class DatasetRecord:
-    """One parsed line: query id, integer grade, model score."""
-
-    query_id: str
-    grade: int
-    score: float
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # those of str.splitlines
+_UNDECODABLE = re.compile("[\udc80-\udcff]")  # bytes that errors="surrogateescape" kept
+_BLOCK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
 class DatasetFile:
-    """Parsed records in file order plus the optional declared alphabet size."""
+    """Parsed rows as parallel columns in file order, plus the declared alphabet size."""
 
-    records: tuple[DatasetRecord, ...]
+    query_ids: tuple[str, ...]
+    grades: tuple[int, ...]
+    scores: tuple[float, ...]
     declared_num_grades: int | None = None
 
     def num_grades(self) -> int:
@@ -58,16 +56,16 @@ class DatasetFile:
         """
         if self.declared_num_grades is not None:
             return self.declared_num_grades
-        return max(2, max(r.grade for r in self.records) + 1)
+        return max(2, max(self.grades) + 1)
 
     def check_grade_cap(self, cap: int) -> None:
-        """Raise GradeTooLargeError naming the first record whose grade exceeds cap."""
-        for rec in self.records:
-            if rec.grade > cap:
-                raise GradeTooLargeError(
-                    f"query {rec.query_id!r}: grade {rec.grade} exceeds "
-                    f"the classical-gain cap of {cap}"
-                )
+        """Raise GradeTooLargeError naming the first row whose grade exceeds cap."""
+        if max(self.grades, default=0) > cap:
+            row = next(i for i, grade in enumerate(self.grades) if grade > cap)
+            raise GradeTooLargeError(
+                f"query {self.query_ids[row]!r}: grade {self.grades[row]} exceeds "
+                f"the classical-gain cap of {cap}"
+            )
 
     def query_groups(self) -> list[QueryGroup]:
         """Assemble one QueryGroup per query id, sorted by query id.
@@ -76,28 +74,44 @@ class DatasetFile:
         score-tie-break index.
         """
         num_grades = self.num_grades()
-        by_query: dict[str, list[RatedItem]] = {}
-        for rec in self.records:
-            by_query.setdefault(rec.query_id, []).append(
-                RatedItem(rec.grade, rec.score)
-            )
+        by_query: dict[str, tuple[list[int], list[float]]] = {}
+        for query_id, grade, score in zip(self.query_ids, self.grades, self.scores, strict=True):
+            columns = by_query.get(query_id) or by_query.setdefault(query_id, ([], []))
+            columns[0].append(grade)
+            columns[1].append(score)
         return [
-            QueryGroup(query_id, tuple(items), num_grades)
-            for query_id, items in sorted(by_query.items())
+            QueryGroup(query_id, tuple(grades), tuple(scores), num_grades)
+            for query_id, (grades, scores) in sorted(by_query.items())
         ]
 
 
-def _read_lines(source) -> list[str]:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    return text.splitlines()
+def _read_lines(source, errors: list[tuple[int, str]]):
+    """Yield (line number, line) for each non-blank, non-comment line of a path or stream.
 
-
-def _skippable(line: str) -> bool:
-    stripped = line.strip()
-    return not stripped or stripped.startswith("#")
+    A line that is not valid UTF-8 goes to ``errors`` instead.
+    """
+    stream = source if hasattr(source, "read") else open(
+        source, encoding="utf-8", errors="surrogateescape", newline="")
+    try:
+        lineno, pending = 0, ""
+        block = stream.read(_BLOCK_CHARS).removeprefix("\ufeff")
+        while text := pending + block:
+            lines = text.splitlines()
+            block = stream.read(_BLOCK_CHARS)
+            pending = ""
+            if block:  # the last line may go on, and a final "\r" may pair with a "\n"
+                pending = lines.pop() + (text[-1] if text[-1] in _LINE_BREAKS else "")
+            for lineno, line in enumerate(lines, lineno + 1):
+                stripped = line.lstrip()
+                if not stripped or stripped[0] == "#":
+                    continue
+                if not line.isascii() and _UNDECODABLE.search(line):
+                    errors.append((lineno, "invalid UTF-8"))
+                else:
+                    yield lineno, line
+    finally:
+        if stream is not source:
+            stream.close()
 
 
 def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | None]:
@@ -130,11 +144,9 @@ def _parse_score(text: str) -> tuple[float | None, str | None]:
 
 def parse_tsv(source, num_grades: int | None = None) -> DatasetFile:
     """Parse ``query_id <TAB> grade <TAB> score`` lines from a path or stream."""
-    records = []
+    query_ids, grades, scores = [], [], []
     errors: list[tuple[int, str]] = []
-    for lineno, line in enumerate(_read_lines(source), start=1):
-        if _skippable(line):
-            continue
+    for lineno, line in _read_lines(source, errors):
         fields = line.split("\t")
         if len(fields) != 3:
             errors.append((lineno, f"expected 3 tab-separated fields, got {len(fields)}"))
@@ -151,26 +163,27 @@ def parse_tsv(source, num_grades: int | None = None) -> DatasetFile:
         if reason:
             errors.append((lineno, reason))
             continue
-        records.append(DatasetRecord(query_id, grade, score))
+        query_ids.append(query_id)
+        grades.append(grade)
+        scores.append(score)
     if errors:
-        raise ParseError(errors, accepted_count=len(records))
-    if not records:
+        raise ParseError(errors, accepted_count=len(grades))
+    if not grades:
         raise EmptyFileError("no records after discarding comments and blank lines")
-    return DatasetFile(tuple(records), num_grades)
+    return DatasetFile(tuple(query_ids), tuple(grades), tuple(scores), num_grades)
 
 
 def _read_score_file(source) -> list[float]:
     scores = []
     errors: list[tuple[int, str]] = []
-    for lineno, line in enumerate(_read_lines(source), start=1):
-        if _skippable(line):
-            continue
+    for lineno, line in _read_lines(source, errors):
         score, reason = _parse_score(line.strip())
         if reason:
-            errors.append((lineno, f"score file: {reason}"))
+            errors.append((lineno, reason))
             continue
         scores.append(score)
     if errors:
+        errors = [(lineno, f"score file: {reason}") for lineno, reason in errors]
         raise ParseError(errors, accepted_count=len(scores))
     return scores
 
@@ -187,25 +200,12 @@ def parse_svmlight(
     match the data-row count exactly; otherwise each line must carry a
     trailing ``# score=V`` comment.
     """
-    lines = _read_lines(source)
-    score_list = _read_score_file(scores) if scores is not None else None
-
-    data_rows = sum(1 for line in lines if not _skippable(line))
-    if score_list is not None and len(score_list) != data_rows:
-        raise ScoreCountMismatchError(
-            f"{data_rows} data rows but {len(score_list)} scores in the companion file"
-        )
-
-    records = []
+    row_scores = _read_score_file(scores) if scores is not None else []
+    query_ids, grades = [], []
     errors: list[tuple[int, str]] = []
-    row_index = 0
-    for lineno, line in enumerate(lines, start=1):
-        if _skippable(line):
-            continue
+    for lineno, line in _read_lines(source, errors):
         body, _, comment = line.partition("#")
-        row = row_index
-        row_index += 1
-        tokens = body.split()
+        tokens = body.split(None, 2)  # the features are never read
         if len(tokens) < 2:
             errors.append((lineno, "expected 'grade qid:ID ...'"))
             continue
@@ -216,10 +216,7 @@ def parse_svmlight(
         if not tokens[1].startswith("qid:") or len(tokens[1]) == 4:
             errors.append((lineno, f"second token {tokens[1]!r} is not 'qid:ID'"))
             continue
-        query_id = tokens[1][4:]
-        if score_list is not None:
-            score = score_list[row]
-        else:
+        if scores is None:
             match = _SCORE_COMMENT.search(comment)
             if not match:
                 errors.append((lineno, "missing score (no companion file and no '# score=V')"))
@@ -228,9 +225,17 @@ def parse_svmlight(
             if reason:
                 errors.append((lineno, reason))
                 continue
-        records.append(DatasetRecord(query_id, grade, score))
+            row_scores.append(score)
+        query_ids.append(tokens[1][4:])
+        grades.append(grade)
+    # Every data row was either accepted or rejected.
+    data_rows = len(grades) + len(errors)
+    if scores is not None and len(row_scores) != data_rows:
+        raise ScoreCountMismatchError(
+            f"{data_rows} data rows but {len(row_scores)} scores in the companion file"
+        )
     if errors:
-        raise ParseError(errors, accepted_count=len(records))
-    if not records:
+        raise ParseError(errors, accepted_count=len(grades))
+    if not grades:
         raise EmptyFileError("no records after discarding comments and blank lines")
-    return DatasetFile(tuple(records), num_grades)
+    return DatasetFile(tuple(query_ids), tuple(grades), tuple(row_scores), num_grades)

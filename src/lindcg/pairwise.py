@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import QueryGroup, RankedSequence, RankedView, RatedItem, rank_view
+from .core import QueryGroup, RankedSequence, RankedView, rank_view
 from .errors import ThresholdOutOfRangeError
 
 
@@ -70,7 +70,7 @@ def pairwise_loss_naive(group: QueryGroup) -> PairwiseLossValue:
     Quadratic in |S|; retained as the oracle the fast counter is checked
     against.
     """
-    pairs = [(item.grade, item.score) for item in group.items]
+    pairs = list(zip(group.grades, group.scores))
     loss = 0
     for (grade_a, score_a), (grade_b, score_b) in itertools.combinations(pairs, 2):
         if grade_a < grade_b:
@@ -110,10 +110,8 @@ def binarize(group: QueryGroup, k: int) -> QueryGroup:
         raise ThresholdOutOfRangeError(
             f"threshold {k} outside {{0..{group.num_grades - 2}}}"
         )
-    items = tuple(
-        RatedItem(1 if item.grade > k else 0, item.score) for item in group.items
-    )
-    return QueryGroup(group.query_id, items, 2)
+    grades = tuple(1 if g > k else 0 for g in group.grades)
+    return QueryGroup(group.query_id, grades, group.scores, 2)
 
 
 def binarize_sequence(seq: RankedSequence, k: int) -> RankedSequence:

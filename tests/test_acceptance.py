@@ -7,10 +7,12 @@ budgets.
 """
 
 import itertools
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -259,8 +261,12 @@ def test_criterion_9_cli_verify_determinism():
         "--seed", "42", "--trials", "500",
         "--max-items", "100", "--max-grades", "5",
     ]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # The child does not see pytest's pythonpath setting; give it the same src.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
 
     clean = (
         first.returncode == 0

@@ -162,6 +162,43 @@ def test_metrics_json_matches_the_golden_report(runner):
     assert result.output == (DATA / "metrics_mixed.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name, scores", [
+    ("metrics_inline", None),
+    ("metrics_scored", "metrics_scored.scores"),
+])
+def test_metrics_svmlight_json_matches_the_golden_report(runner, name, scores):
+    # Tied groups, an all-zero group and, inline, a single item.
+    args = ["metrics", "--input", str(DATA / f"{name}.svmlight"), "--format", "svmlight",
+            "--output", "json"]
+    if scores:
+        args += ["--scores", str(DATA / scores)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.output == (DATA / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt, data, scores, reason", [
+    ("tsv", b"# caf\xe9\nq1\t1\t0.5\nq1\t0\t0.\xff2\n", None,
+     "line 3: invalid UTF-8"),
+    ("svmlight", b"1 qid:1 # score=0.5\n0 qid:\xff1 # score=0.2\n", None,
+     "line 2: invalid UTF-8"),
+    ("svmlight", b"1 qid:1\n0 qid:1\n", b"0.5\n\xff0.2\n",
+     "line 2: score file: invalid UTF-8"),
+], ids=["tsv", "svmlight", "scores"])
+def test_metrics_reports_invalid_utf8_as_a_malformed_line(runner, tmp_path, fmt, data,
+                                                         scores, reason):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    args = ["metrics", "--input", str(path), "--format", fmt]
+    if scores is not None:
+        (tmp_path / "bad.scores").write_bytes(scores)
+        args += ["--scores", str(tmp_path / "bad.scores")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == f"error: 1 malformed line(s): {reason}\n"
+
+
 @pytest.mark.parametrize("grade", [31, 1000])
 def test_metrics_rejects_a_grade_above_the_classical_cap(runner, tmp_path, grade):
     data = tmp_path / "big.tsv"

@@ -10,7 +10,6 @@ from helpers import make_group
 from lindcg.core import (
     QueryGroup,
     RankedSequence,
-    RatedItem,
     ideal_sequence,
     rank_by_score,
 )
@@ -75,7 +74,14 @@ def test_ideal_sequence_maximizes_linear_dcg_at_size_seven():
 
 def test_empty_group_is_rejected():
     with pytest.raises(EmptyGroupError):
-        QueryGroup("q", (), 2)
+        QueryGroup("q", (), (), 2)
+
+
+def test_grade_and_score_columns_must_have_equal_length():
+    with pytest.raises(ValueError):
+        QueryGroup("q", (1, 0), (0.5,), 2)
+    with pytest.raises(ValueError):
+        make_group([1], [0.5, 0.2])
 
 
 def test_empty_sequence_is_rejected():
@@ -85,16 +91,20 @@ def test_empty_sequence_is_rejected():
 
 def test_non_finite_scores_are_rejected():
     with pytest.raises(InvalidScoreError):
-        RatedItem(1, math.nan)
+        make_group([1], [math.nan])
     with pytest.raises(InvalidScoreError):
-        RatedItem(1, math.inf)
+        make_group([1], [math.inf])
 
 
 def test_bad_grades_are_rejected():
     with pytest.raises(InvalidGradeError):
-        RatedItem(-1, 0.5)
+        make_group([-1], [0.5])
     with pytest.raises(InvalidGradeError):
         make_group([2], [0.5], num_grades=2)  # grade outside alphabet
+    with pytest.raises(InvalidGradeError, match="got 1.5"):
+        make_group([1, 1.5], [0.5, 0.2], num_grades=3)  # not an integer
+    with pytest.raises(InvalidGradeError, match="grade 3 outside"):
+        make_group([0, 3, 5], [0.5, 0.2, 0.1], num_grades=3)  # the first offender is named
     with pytest.raises(InvalidGradeError):
         make_group([0], [0.5], num_grades=1)  # alphabet too small
 

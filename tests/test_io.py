@@ -1,9 +1,10 @@
 import io
+import random
 
 import pytest
 
 from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
-from lindcg.io import DatasetFile, DatasetRecord, parse_svmlight, parse_tsv
+from lindcg.io import _BLOCK_CHARS, DatasetFile, _read_lines, parse_svmlight, parse_tsv
 
 GOOD_TSV = """\
 # comment line
@@ -18,19 +19,16 @@ q2\t0\t0.75
 
 def test_parse_tsv_reads_records_in_file_order():
     dataset = parse_tsv(io.StringIO(GOOD_TSV))
-    assert dataset.records == (
-        DatasetRecord("q2", 1, 0.25),
-        DatasetRecord("q1", 0, 0.9),
-        DatasetRecord("q1", 2, 0.1),
-        DatasetRecord("q2", 0, 0.75),
-    )
+    assert dataset.query_ids == ("q2", "q1", "q1", "q2")
+    assert dataset.grades == (1, 0, 2, 0)
+    assert dataset.scores == (0.25, 0.9, 0.1, 0.75)
 
 
 def test_query_groups_sorted_by_id_with_file_order_items():
     groups = parse_tsv(io.StringIO(GOOD_TSV)).query_groups()
     assert [g.query_id for g in groups] == ["q1", "q2"]
-    assert [item.grade for item in groups[0].items] == [0, 2]
-    assert [item.score for item in groups[1].items] == [0.25, 0.75]
+    assert list(groups[0].grades) == [0, 2]
+    assert list(groups[1].scores) == [0.25, 0.75]
 
 
 def test_grade_alphabet_is_inferred_globally():
@@ -60,8 +58,8 @@ def test_declared_alphabet_rejects_grades_outside_it():
 def test_path_and_stream_sources_agree(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_text(GOOD_TSV, encoding="utf-8")
-    assert parse_tsv(path).records == parse_tsv(io.StringIO(GOOD_TSV)).records
-    assert parse_tsv(str(path)).records == parse_tsv(path).records
+    assert parse_tsv(path) == parse_tsv(io.StringIO(GOOD_TSV))
+    assert parse_tsv(str(path)) == parse_tsv(path)
 
 
 def test_every_malformed_line_is_reported_with_its_number():
@@ -106,7 +104,7 @@ def test_comment_only_input_is_empty():
 def test_score_ties_keep_file_order():
     text = "q\t1\t0.5\nq\t0\t0.5\nq\t2\t0.5\n"
     (group,) = parse_tsv(io.StringIO(text)).query_groups()
-    assert [item.grade for item in group.items] == [1, 0, 2]
+    assert list(group.grades) == [1, 0, 2]
     assert group.has_score_ties()
 
 
@@ -132,25 +130,23 @@ def test_tsv_rejects_digit_separators_and_non_ascii_digits(grade, score):
 
 def test_parse_svmlight_with_inline_scores():
     dataset = parse_svmlight(io.StringIO(GOOD_SVMLIGHT))
-    assert dataset.records == (
-        DatasetRecord("7", 2, 0.9),
-        DatasetRecord("7", 0, 0.2),
-        DatasetRecord("3", 1, 0.7),
-    )
+    assert dataset.query_ids == ("7", "7", "3")
+    assert dataset.grades == (2, 0, 1)
+    assert dataset.scores == (0.9, 0.2, 0.7)
     assert [g.query_id for g in dataset.query_groups()] == ["3", "7"]
 
 
 def test_parse_svmlight_feature_vectors_are_ignored():
     a = parse_svmlight(io.StringIO("1 qid:1 1:9.9 2:8.8 3:7.7 # score=0.5\n"))
     b = parse_svmlight(io.StringIO("1 qid:1 # score=0.5\n"))
-    assert a.records == b.records
+    assert a == b
 
 
 def test_companion_score_file_wins_over_inline_comments():
     dataset = parse_svmlight(
         io.StringIO(GOOD_SVMLIGHT), scores=io.StringIO("0.1\n0.2\n0.3\n")
     )
-    assert [r.score for r in dataset.records] == [0.1, 0.2, 0.3]
+    assert list(dataset.scores) == [0.1, 0.2, 0.3]
 
 
 def test_companion_score_file_must_match_row_count():
@@ -198,7 +194,7 @@ def test_score_file_rejects_digit_separators_and_non_ascii_digits():
 
 def test_score_comment_key_must_be_a_whole_token():
     dataset = parse_svmlight(io.StringIO("1 qid:1 1:0.5 # myscore=9 score=0.1\n"))
-    assert dataset.records[0].score == 0.1
+    assert dataset.scores[0] == 0.1
     with pytest.raises(ParseError):
         parse_svmlight(io.StringIO("1 qid:1 # myscore=9\n"))
 
@@ -209,17 +205,95 @@ def test_svmlight_score_file_path(tmp_path):
     preds = tmp_path / "preds.txt"
     preds.write_text("0.8\n0.6\n", encoding="utf-8")
     dataset = parse_svmlight(data, scores=preds)
-    assert [r.score for r in dataset.records] == [0.8, 0.6]
+    assert list(dataset.scores) == [0.8, 0.6]
 
 
 def test_dataset_file_roundtrips_into_groups():
     dataset = DatasetFile(
-        records=(
-            DatasetRecord("b", 1, 0.5),
-            DatasetRecord("a", 0, 0.1),
-            DatasetRecord("b", 0, 0.4),
-        )
+        query_ids=("b", "a", "b"),
+        grades=(1, 0, 0),
+        scores=(0.5, 0.1, 0.4),
     )
     groups = dataset.query_groups()
     assert [g.query_id for g in groups] == ["a", "b"]
     assert len(groups[1]) == 2
+
+
+@pytest.mark.parametrize("scores", ["0.1\n", "0.1\n0.2\n0.3\n0.4\n"])
+def test_score_count_mismatch_outranks_malformed_data_lines(scores):
+    data = io.StringIO("1 qid:1\nnot a row\n0 qid:2\n")
+    with pytest.raises(ScoreCountMismatchError) as info:
+        parse_svmlight(data, scores=io.StringIO(scores))
+    assert str(info.value).startswith("3 data rows but ")
+
+
+BREAKS_TSV = "q\t1\t0.5\x0cq\t0\t0.2\u2028q\t2\t0.1\r\nq\t0\t0.3\rq\t1\t0.4\n"
+
+
+def test_lines_end_where_str_splitlines_ends_them(tmp_path):
+    path = tmp_path / "breaks.tsv"
+    path.write_bytes(BREAKS_TSV.encode("utf-8"))
+    for dataset in (parse_tsv(path), parse_tsv(io.StringIO(BREAKS_TSV))):
+        assert dataset.grades == (1, 0, 2, 0, 1)
+    bad = BREAKS_TSV + "q\tx\t0.6\n"
+    path.write_bytes(bad.encode("utf-8"))
+    for source in (path, io.StringIO(bad)):
+        with pytest.raises(ParseError) as info:
+            parse_tsv(source)
+        assert [n for n, _ in info.value.errors] == [len(bad.splitlines())] == [6]
+
+
+def _splitlines_data(text):
+    return [
+        (n, line) for n, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+
+
+@pytest.mark.parametrize("source", ["path", "stream"])
+def test_reader_matches_splitlines_across_block_boundaries(tmp_path, source):
+    rng = random.Random(5)
+    breaks = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+    # Blocks end inside "\r\n", after a lone "\r" and after a form feed.
+    block = _BLOCK_CHARS
+    pieces = ["a" * (block - 1) + "\r", "\n" + "b" * (block - 2) + "\r",
+              "c" + "d" * (block - 2) + "\x0c", "e\n"]
+    for _ in range(block // 10):
+        body = rng.choice(["", " ", "# note", "x" * rng.randrange(1, 40), "\u00e9t\u00e9"])
+        pieces.append(body + rng.choice(breaks))
+    text = "".join(pieces)
+    errors = []
+    if source == "path":
+        path = tmp_path / "blocks.txt"
+        path.write_bytes(text.encode("utf-8"))
+        lines = list(_read_lines(path, errors))
+    else:
+        lines = list(_read_lines(io.StringIO(text), errors))
+    assert lines == _splitlines_data(text)
+    assert errors == []
+
+
+def _source(tmp_path, name, text, kind):
+    if kind == "stream":
+        return io.StringIO(text)
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["path", "stream"])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, kind):
+    tsv = parse_tsv(_source(tmp_path, "bom.tsv", "\ufeffq1\t1\t0.5\nq1\t0\t0.2\n", kind))
+    assert tsv.query_ids == ("q1", "q1")
+    svm = parse_svmlight(_source(tmp_path, "bom.txt", "\ufeff1 qid:1 # score=0.5\n", kind))
+    assert (svm.query_ids, svm.grades, svm.scores) == (("1",), (1,), (0.5,))
+    scored = parse_svmlight(
+        io.StringIO("1 qid:1\n0 qid:1\n"),
+        scores=_source(tmp_path, "bom.scores", "\ufeff0.5\n0.2\n", kind),
+    )
+    assert scored.scores == (0.5, 0.2)
+
+
+def test_only_the_first_byte_order_mark_is_dropped():
+    dataset = parse_tsv(io.StringIO("\ufeff\ufeffq1\t1\t0.5\n"))
+    assert dataset.query_ids == ("\ufeffq1",)

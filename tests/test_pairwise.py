@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import group_from_ranking, make_group, random_group
-from lindcg.core import QueryGroup, RatedItem
+from lindcg.core import QueryGroup
 from lindcg.errors import ThresholdOutOfRangeError
 from lindcg.pairwise import (
     binarize,
@@ -69,7 +69,8 @@ def test_fast_matches_naive_on_random_groups():
 def test_fast_matches_naive_with_heavy_integer_score_ties(pairs):
     group = QueryGroup(
         query_id="q",
-        items=tuple(RatedItem(grade=g, score=float(s)) for g, s in pairs),
+        grades=tuple(g for g, _ in pairs),
+        scores=tuple(float(s) for _, s in pairs),
         num_grades=5,
     )
     assert pairwise_loss_fast(group) == pairwise_loss_naive(group)
@@ -93,9 +94,8 @@ def test_monotone_score_transforms_preserve_loss():
         base = pairwise_loss_fast(group).unnormalized
         shifted = QueryGroup(
             query_id=group.query_id,
-            items=tuple(
-                RatedItem(grade=it.grade, score=3.0 * it.score + 7.0) for it in group.items
-            ),
+            grades=group.grades,
+            scores=tuple(3.0 * s + 7.0 for s in group.scores),
             num_grades=group.num_grades,
         )
         assert pairwise_loss_fast(shifted).unnormalized == base
@@ -119,11 +119,11 @@ def test_reversed_bipartite_ranking_inverts_every_pair():
 def test_binarize_thresholds_a_three_grade_group():
     group = group_from_ranking([2, 1, 0])
     low = binarize(group, 0)
-    assert tuple(item.grade for item in low.items) == (1, 1, 0)
+    assert low.grades == (1, 1, 0)
     assert low.num_grades == 2
     high = binarize(group, 1)
-    assert tuple(item.grade for item in high.items) == (1, 0, 0)
-    assert [item.score for item in high.items] == [item.score for item in group.items]
+    assert high.grades == (1, 0, 0)
+    assert high.scores == group.scores
 
 
 def test_binarize_rejects_out_of_range_thresholds():
