@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError
@@ -117,26 +118,34 @@ class RankedSequence:
 
 @dataclass(frozen=True, slots=True)
 class RankedView:
-    """One query ranked once, with the per-grade totals every metric and check reads.
+    """One query ranked once, with the per-level totals every metric and check reads.
 
-    ``grades`` lists the grades best-scored position first.  ``counts[g]``
-    is the number of items of grade g and ``discount_mass[g]`` the sum of
-    their linear discounts |S| - i at 1-based rank i.  ``threshold_losses[k]``
-    is the unweighted bipartite loss at threshold k: the number of pairs
-    with grades a <= k < b whose grade-b item scores strictly below the
-    grade-a item.  The group has already validated every value, so the view
-    does not validate again.
+    ``grades`` lists the grades best-scored position first.  ``levels`` are
+    the distinct grades of the query in increasing order, with 0 always
+    included, so the view's size follows the grades present and never the
+    alphabet L.  ``counts[j]`` is the number of items of grade ``levels[j]``
+    and ``discount_mass[j]`` the sum of their linear discounts |S| - i at
+    1-based rank i.  Every threshold k of the run
+    ``levels[j] <= k < levels[j + 1]`` binarizes the query alike, so
+    ``threshold_losses[j]`` is the unweighted bipartite loss at each of them:
+    the number of pairs with grades a <= k < b whose grade-b item scores
+    strictly below the grade-a item.  Thresholds at or above the top grade
+    have no item above them and a loss of 0, so they have no entry.  The
+    group has already validated every value, so the view does not validate
+    again.
     """
 
     grades: tuple[int, ...]
+    levels: tuple[int, ...]
     counts: tuple[int, ...]
     discount_mass: tuple[int, ...]
     has_score_ties: bool
     threshold_losses: tuple[int, ...]
 
     @property
-    def num_grades(self) -> int:
-        return len(self.counts)
+    def run_widths(self) -> tuple[int, ...]:
+        """The number of thresholds in each run: ``levels[j + 1] - levels[j]``."""
+        return tuple(map(sub, self.levels[1:], self.levels))
 
     def __len__(self) -> int:
         return len(self.grades)
@@ -152,41 +161,54 @@ def rank_view(group: QueryGroup) -> RankedView:
     """Rank the group with one stable sort and sweep the ranking once.
 
     The sort is the one rank_by_score makes.  The sweep keeps a histogram
-    of the grades already passed; equal-score items form a batch that
-    enters the histogram only after each of its items has been scored
-    against it, so tied pairs are never misranked.  An item of grade g is
-    misranked at every threshold k < g against each strictly higher-scored
-    item of grade <= k, which is the cumulative histogram at k.
+    over the levels already passed.  An item enters it only once an item of
+    a lower score arrives, so each item of an equal-score run is scored
+    against the histogram of strictly higher scores and tied pairs are never
+    misranked.  An item of level J is misranked in every run j < J against
+    each strictly higher-scored item of level <= j, which is the cumulative
+    histogram at j.  The cost is O(|S| log |S| + |S| * d) for d distinct
+    grades, whatever the alphabet size L.
     """
     order = _score_order(group)
     grades = tuple(map(group.grades.__getitem__, order))
-    counts = [0] * group.num_grades
-    mass = [0] * group.num_grades
-    losses = [0] * (group.num_grades - 1)
+    levels = tuple(sorted({0, *grades}))
+    level_of = {g: j for j, g in enumerate(levels)}
+    d = len(levels)
+    counts = [0] * (d + 1)  # slot d counts the absent item before the first one
+    mass = [0] * d
+    losses = [0] * (d - 1)
     ties = False
-    batch: list[int] = []  # grades of the current equal-score run, not yet counted
+    tied: list[int] = []  # earlier levels of the current equal-score run, not yet counted
+    last = d  # level of the previous item, not yet counted
     score = None
     discount = len(grades)
-    for g, item_score in zip(grades, map(group.scores.__getitem__, order)):
+    for j, item_score in zip(map(level_of.__getitem__, grades),
+                             map(group.scores.__getitem__, order)):
         if item_score == score:
             ties = True
+            tied.append(last)
         else:
-            for b in batch:
-                counts[b] += 1
-            batch = []
+            counts[last] += 1
+            if tied:
+                for b in tied:
+                    counts[b] += 1
+                tied = []
             score = item_score
-        below = 0
-        for k in range(g):
-            below += counts[k]
-            losses[k] += below
-        batch.append(g)
+        if j:
+            below = 0
+            for i in range(j):
+                below += counts[i]
+                losses[i] += below
+        last = j
         discount -= 1
-        mass[g] += discount
-    for g in batch:
-        counts[g] += 1
+        mass[j] += discount
+    counts[last] += 1
+    for b in tied:
+        counts[b] += 1
     return RankedView(
         grades=grades,
-        counts=tuple(counts),
+        levels=levels,
+        counts=tuple(counts[:d]),
         discount_mass=tuple(mass),
         has_score_ties=ties,
         threshold_losses=tuple(losses),

@@ -156,45 +156,52 @@ def verify_multipartite_identity(
 ) -> VerificationRecord:
     """Check DCG error == weighted pairwise loss for any grade alphabet.
 
-    Detail records cover the per-threshold identity and the DCG split.  At
-    threshold k the m items of grade > k form a bipartite group whose DCG
-    error, the closed-form ideal minus their discount mass, must equal the
-    swept loss at k.  The split compares the observed DCG, summed over
-    positions, with the sum over thresholds of the above-k discount masses.
+    Detail records cover the per-threshold identity and the DCG split.
+    Every threshold k of the run ``levels[j] <= k < levels[j + 1]`` between
+    two consecutive grades of the query splits it alike: the m items of
+    grade > k form a bipartite group whose DCG error, the closed-form ideal
+    minus their discount mass, must equal the swept loss of the run.  One
+    ``threshold_identity`` record stands for the whole run, so it passes
+    exactly when each per-k check would; it is named ``q[k=K]`` for a run
+    of one threshold and ``q[k=A..B]`` for a wider one.  Thresholds at or
+    above the top grade have no item above them (0 = 0) and no record, so
+    a query of d distinct grades costs O(|S|*d + |S| log |S|) and at most
+    d + 1 detail records, whatever the alphabet size L.  The split compares
+    the observed DCG, summed over positions, with the sum over thresholds
+    of the above-k discount masses, each run counted once per threshold.
     ``view`` is the group's rank_view when the caller already holds it.
     """
     if view is None:
         view = rank_view(group)
     n = len(view)
     ties = view.has_score_ties
+    levels = view.levels
+    widths = view.run_widths
     lhs = view_ideal_dcg_linear(view) - view_dcg_linear(view)
-    rhs = sum(view.threshold_losses)
+    rhs = sum(map(mul, widths, view.threshold_losses))
 
-    # (items, discount mass) of grade > k, for k = L-2 down to 0
-    above = []
-    m = mass = 0
-    for g in range(view.num_grades - 1, 0, -1):
-        m += view.counts[g]
-        mass += view.discount_mass[g]
-        above.append((m, mass))
-    above.reverse()
+    # items and discount mass above each run: suffix sums over the levels
+    above_items = [*itertools.accumulate(view.counts[:0:-1])][::-1]
+    above_mass = [*itertools.accumulate(view.discount_mass[:0:-1])][::-1]
 
     details = []
-    for k, (m, mass) in enumerate(above):
+    for first, end, m, mass, loss in zip(
+        levels, levels[1:], above_items, above_mass, view.threshold_losses
+    ):
+        run = f"k={first}" if end - first == 1 else f"k={first}..{end - 1}"
         sub_lhs = bipartite_ideal_dcg(m, n - m) - mass
-        sub_rhs = view.threshold_losses[k]
         details.append(
             VerificationRecord(
-                instance_id=f"{group.query_id}[k={k}]",
+                instance_id=f"{group.query_id}[{run}]",
                 check_name="threshold_identity",
                 lhs=sub_lhs,
-                rhs=sub_rhs,
-                passed=sub_lhs == sub_rhs,
+                rhs=loss,
+                passed=sub_lhs == loss,
                 tie_afflicted=ties,
             )
         )
     split_lhs = sum(map(mul, view.grades, range(n - 1, -1, -1)))
-    split_rhs = sum(mass for _, mass in above)
+    split_rhs = sum(map(mul, widths, above_mass))
     details.append(
         VerificationRecord(
             instance_id=f"{group.query_id}[split]",

@@ -145,6 +145,7 @@ def _parse_score(text: str) -> tuple[float | None, str | None]:
 def parse_tsv(source, num_grades: int | None = None) -> DatasetFile:
     """Parse ``query_id <TAB> grade <TAB> score`` lines from a path or stream."""
     query_ids, grades, scores = [], [], []
+    seen: dict[str, str] = {}  # one string per distinct query id, shared by its rows
     errors: list[tuple[int, str]] = []
     for lineno, line in _read_lines(source, errors):
         fields = line.split("\t")
@@ -163,7 +164,7 @@ def parse_tsv(source, num_grades: int | None = None) -> DatasetFile:
         if reason:
             errors.append((lineno, reason))
             continue
-        query_ids.append(query_id)
+        query_ids.append(seen.setdefault(query_id, query_id))
         grades.append(grade)
         scores.append(score)
     if errors:
@@ -202,6 +203,7 @@ def parse_svmlight(
     """
     row_scores = _read_score_file(scores) if scores is not None else []
     query_ids, grades = [], []
+    seen: dict[str, str] = {}  # one string per distinct query id, shared by its rows
     errors: list[tuple[int, str]] = []
     for lineno, line in _read_lines(source, errors):
         body, _, comment = line.partition("#")
@@ -226,7 +228,8 @@ def parse_svmlight(
                 errors.append((lineno, reason))
                 continue
             row_scores.append(score)
-        query_ids.append(tokens[1][4:])
+        query_id = tokens[1][4:]
+        query_ids.append(seen.setdefault(query_id, query_id))
         grades.append(grade)
     # Every data row was either accepted or rejected.
     data_rows = len(grades) + len(errors)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import truediv
+from itertools import chain, repeat
+from operator import mul, truediv
 from typing import Sequence
 
 from .core import (
@@ -49,22 +50,23 @@ def ideal_dcg_linear(group: QueryGroup) -> int:
 
 
 def view_dcg_linear(view: RankedView) -> int:
-    """Linear DCG of a ranked view: each grade times its discount mass."""
-    return sum(g * mass for g, mass in enumerate(view.discount_mass))
+    """Linear DCG of a ranked view: each level's grade times its discount mass."""
+    return sum(map(mul, view.levels, view.discount_mass))
 
 
 def view_ideal_dcg_linear(view: RankedView) -> int:
-    """Ideal linear DCG from the view's grade counts.
+    """Ideal linear DCG from the view's per-level counts.
 
     In non-increasing grade order, the c items of each grade fill one block
     of positions f+1..f+c below the f items of higher grades; that block's
-    discounts sum to c*(|S| - f) - c*(c + 1)/2.
+    discounts sum to c*(|S| - f) - c*(c + 1)/2.  Level 0 is grade 0 and
+    adds nothing.
     """
     n = len(view)
     total = filled = 0
-    for g in range(view.num_grades - 1, 0, -1):
-        c = view.counts[g]
-        total += g * (c * (n - filled) - c * (c + 1) // 2)
+    for j in range(len(view.levels) - 1, 0, -1):
+        c = view.counts[j]
+        total += view.levels[j] * (c * (n - filled) - c * (c + 1) // 2)
         filled += c
     return total
 
@@ -165,9 +167,9 @@ def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricR
         view = rank_view(group)
     _check_classic_cap(view.grades)
     # Zero grades add nothing and sort last, so the ideal list can stop before them.
-    ideal_grades = [
-        g for g in range(view.num_grades - 1, 0, -1) for _ in range(view.counts[g])
-    ]
+    ideal_grades = list(
+        chain.from_iterable(map(repeat, view.levels[:0:-1], view.counts[:0:-1]))
+    )
 
     lin = view_dcg_linear(view)
     lin_ideal = view_ideal_dcg_linear(view)

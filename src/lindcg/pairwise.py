@@ -13,13 +13,15 @@ weights.  The normalized loss can therefore exceed 1; its true ceiling is
 Two counters are provided: a naive double loop over all item pairs, kept
 permanently as the test oracle, and the histogram sweep of
 core.rank_view, which produces identical integers in
-O(|S|*L + |S| log |S|).
+O(|S|*d + |S| log |S|) for the d distinct grades of a query, whatever
+the alphabet size L.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .core import QueryGroup, RankedSequence, RankedView, rank_view
@@ -87,9 +89,11 @@ def loss_from_view(view: RankedView) -> PairwiseLossValue:
 
     A pair with grade gap (b - a) is misranked at exactly (b - a)
     thresholds, so the unweighted per-threshold counts add up to the
-    weighted loss.
+    weighted loss.  Each run's loss holds for every threshold in the run,
+    so it counts once per unit of the run's width.
     """
-    return _as_loss_value(sum(view.threshold_losses), view.counts)
+    loss = sum(map(mul, view.run_widths, view.threshold_losses))
+    return _as_loss_value(loss, view.counts)
 
 
 def pairwise_loss_fast(group: QueryGroup) -> PairwiseLossValue:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 from lindcg.core import QueryGroup, rank_by_score
 from lindcg.equivalence import VerificationRecord
@@ -72,3 +73,12 @@ def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
     return VerificationRecord(
         group.query_id, "multipartite_identity", lhs, rhs, lhs == rhs, ties, tuple(details),
     )
+
+
+_RUN_ID = re.compile(r"\[k=(\d+)(?:\.\.(\d+))?\]$")
+
+
+def run_thresholds(instance_id: str) -> range:
+    """The thresholds k named by a ``q[k=K]`` or ``q[k=A..B]`` record id."""
+    first, last = _RUN_ID.search(instance_id).groups()
+    return range(int(first), int(last or first) + 1)

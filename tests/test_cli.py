@@ -162,6 +162,32 @@ def test_metrics_json_matches_the_golden_report(runner):
     assert result.output == (DATA / "metrics_mixed.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("output, golden", [
+    ("json", "metrics_fine.json"),
+    ("csv", "metrics_fine.csv"),
+    ("text", "metrics_fine.txt"),
+])
+def test_metrics_on_a_high_alphabet_match_the_golden_reports(runner, output, golden):
+    # Gapped grades up to 30, a query without grade 0, tied, all-zero and one-item queries.
+    result = runner.invoke(
+        main, ["metrics", "--input", str(DATA / "metrics_fine.tsv"), "--output", output]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == (DATA / golden).read_text(encoding="utf-8")
+
+
+def test_metrics_output_does_not_depend_on_a_declared_alphabet(runner, tmp_path):
+    path = tmp_path / "two.tsv"
+    path.write_text("q1\t3\t0.5\nq1\t0\t0.2\n", encoding="utf-8")
+    outputs = [
+        runner.invoke(main, ["metrics", "--input", str(path), "--num-grades", num_grades,
+                             "--output", "json"])
+        for num_grades in ("4", "200000")
+    ]
+    assert [r.exit_code for r in outputs] == [0, 0]
+    assert outputs[0].output == outputs[1].output
+
+
 @pytest.mark.parametrize("name, scores", [
     ("metrics_inline", None),
     ("metrics_scored", "metrics_scored.scores"),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import group_from_ranking, make_group, random_group
+from helpers import group_from_ranking, make_group, random_group, run_thresholds
 from lindcg.core import RankedSequence, sequence_from_grades
 from lindcg.equivalence import (
     ORACLE_SIZE_CAP,
@@ -148,8 +148,10 @@ def test_multipartite_details_stay_consistent_under_ties():
         # The per-threshold losses always sum to the weighted loss, and the
         # per-threshold DCG errors always sum to the full DCG error, with or
         # without ties; the split record never depends on scores at all.
-        assert sum(d.rhs for d in record.details if d.check_name == "threshold_identity") == record.rhs
-        assert sum(d.lhs for d in record.details if d.check_name == "threshold_identity") == record.lhs
+        # A run record stands for each threshold of its run.
+        runs = [d for d in record.details if d.check_name == "threshold_identity"]
+        assert sum(d.rhs * len(run_thresholds(d.instance_id)) for d in runs) == record.rhs
+        assert sum(d.lhs * len(run_thresholds(d.instance_id)) for d in runs) == record.lhs
         split = next(d for d in record.details if d.check_name == "dcg_split")
         assert split.passed
 

@@ -24,6 +24,15 @@ def test_parse_tsv_reads_records_in_file_order():
     assert dataset.scores == (0.25, 0.9, 0.1, 0.75)
 
 
+def test_readers_keep_one_string_per_query_id():
+    tsv = parse_tsv(io.StringIO(GOOD_TSV)).query_ids
+    assert tsv[0] is tsv[3] and tsv[1] is tsv[2]
+    svmlight = parse_svmlight(io.StringIO(
+        "1 qid:7 # score=0.5\n0 qid:8 # score=0.1\n0 qid:7 # score=0.2\n")).query_ids
+    assert svmlight == ("7", "8", "7")
+    assert svmlight[0] is svmlight[2]
+
+
 def test_query_groups_sorted_by_id_with_file_order_items():
     groups = parse_tsv(io.StringIO(GOOD_TSV)).query_groups()
     assert [g.query_id for g in groups] == ["q1", "q2"]

@@ -1,12 +1,18 @@
 """The ranked view against the rebuild path it replaced and the naive oracles."""
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindcg.report
-from helpers import group_from_ranking, make_group, rebuilt_multipartite_record
+from helpers import (
+    group_from_ranking,
+    make_group,
+    rebuilt_multipartite_record,
+    run_thresholds,
+)
 from lindcg.core import rank_by_score, rank_view
 from lindcg.equivalence import verify_multipartite_identity
 from lindcg.metrics import (
@@ -19,7 +25,7 @@ from lindcg.metrics import (
     ndcg_classic,
     ndcg_linear,
 )
-from lindcg.pairwise import pairwise_loss_naive, threshold_decomposition
+from lindcg.pairwise import loss_from_view, pairwise_loss_naive, threshold_decomposition
 
 
 @st.composite
@@ -36,6 +42,7 @@ def tied_groups(draw):
 def test_view_of_the_golden_group():
     view = rank_view(group_from_ranking([1, 0, 0, 1, 1, 0]))
     assert view.grades == (1, 0, 0, 1, 1, 0)
+    assert view.levels == (0, 1)
     assert view.counts == (3, 3)
     # discounts 5..0 by rank; the ones sit at ranks 1, 4 and 5
     assert view.discount_mass == (4 + 3 + 0, 5 + 2 + 1)
@@ -51,13 +58,46 @@ def test_view_keeps_input_order_among_tied_scores_and_skips_tied_pairs():
     assert view.threshold_losses == (0, 0)
 
 
+def test_view_and_check_follow_the_grades_present_not_the_alphabet():
+    grades = [7, 30, 0, 7, 3]
+    group = make_group(grades, [0.9, 0.1, 0.5, 0.2, 0.8], num_grades=200_000)
+    view = rank_view(group)
+    assert view.grades == (7, 3, 0, 7, 30)
+    assert view.levels == (0, 3, 7, 30)
+    assert view.counts == (1, 1, 2, 1)
+    assert view.discount_mass == (2, 3, 4 + 1, 0)  # discounts 4..0 by rank
+    # Runs 0..2 and 3..6: the 0, and then also the 3, outscore the second 7 and
+    # the 30; run 7..29: all four others outscore the 30.
+    assert view.threshold_losses == (2, 4, 4)
+    assert loss_from_view(view) == pairwise_loss_naive(group)
+    record = verify_multipartite_identity(group, view)
+    assert [d.instance_id for d in record.details] == [
+        "q[k=0..2]", "q[k=3..6]", "q[k=7..29]", "q[split]"]
+    assert record.passed and all(d.passed for d in record.details)
+    assert len(view.levels) <= len(set(grades)) + 1
+    assert len(record.details) <= len(set(grades)) + 1
+
+
 @settings(max_examples=200)
 @given(tied_groups())
 def test_identity_check_equals_the_rebuild_path_record_by_record(group):
     record = verify_multipartite_identity(group)
-    assert record == rebuilt_multipartite_record(group)
+    oracle = rebuilt_multipartite_record(group)
+    assert record == dataclasses.replace(oracle, details=record.details)
+    *runs, split = record.details
+    *per_k, oracle_split = oracle.details
+    assert split == oracle_split
+    # Each run record is the oracle's record at every threshold of its run...
+    expanded = [
+        dataclasses.replace(run, instance_id=f"{group.query_id}[k={k}]")
+        for run in runs for k in run_thresholds(run.instance_id)
+    ]
+    assert expanded == per_k[:len(expanded)]
+    # ...and the runs end at the top grade, above which the oracle reads 0 = 0.
+    assert len(expanded) == max(group.grades)
+    assert all((d.lhs, d.rhs, d.passed) == (0, 0, True) for d in per_k[len(expanded):])
     assert record.rhs == pairwise_loss_naive(group).unnormalized
-    per_threshold = tuple(d.rhs for d in record.details[:-1])
+    per_threshold = tuple(d.rhs for d in expanded) + (0,) * (len(per_k) - len(expanded))
     assert per_threshold == threshold_decomposition(group).per_threshold
 
 
