@@ -29,6 +29,18 @@ def main() -> None:
     """Ranking metrics and exact identity checks for graded ranking data."""
 
 
+def _load_groups(input_path: str, fmt: str, scores_path: str | None,
+                 num_grades: int | None) -> list[QueryGroup]:
+    """Parse the input and group it by query; the parsed columns are freed on return."""
+    if fmt == "tsv":
+        dataset = parse_tsv(input_path, num_grades=num_grades)
+    else:
+        dataset = parse_svmlight(input_path, scores=scores_path, num_grades=num_grades)
+    # Before any per-query work, so a huge grade costs no more than a small one.
+    dataset.check_grade_cap(MAX_CLASSIC_GRADE)
+    return dataset.query_groups()
+
+
 @main.command("metrics")
 @click.option("--input", "input_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
@@ -50,14 +62,7 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
     if scores_path is not None and fmt != "svmlight":
         raise click.UsageError("--scores is only valid with --format svmlight")
     try:
-        if fmt == "tsv":
-            dataset = parse_tsv(input_path, num_grades=num_grades)
-        else:
-            dataset = parse_svmlight(input_path, scores=scores_path,
-                                     num_grades=num_grades)
-        # Before any per-query work, so a huge grade costs no more than a small one.
-        dataset.check_grade_cap(MAX_CLASSIC_GRADE)
-        groups = dataset.query_groups()
+        groups = _load_groups(input_path, fmt, scores_path, num_grades)
     except LindcgError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)

@@ -12,6 +12,17 @@ UTF-8 with an optional leading byte-order mark, and file order defines the
 tie-break index within each query.  Input is read in blocks, never whole,
 straight into three parallel columns: query id, grade and score.
 
+A TSV block is parsed a column at a time.  Its lines are joined and checked
+in whole-block passes: the text is ASCII with no ``#``, every line has
+exactly two tabs, no stripped query id is empty, the grade and score cells
+hold no ``_``, ``int`` and ``float`` read every cell, every grade lies in
+the alphabet and every score is finite.  A block that passes is split into
+its three columns at once.  A block that fails any check is parsed again
+line by line with the rules above; that path alone sees comment lines,
+blank lines, non-ASCII text and malformed lines, and it gives every error
+its line number.  The SVMLight and score-file readers take the same blocks
+line by line.
+
 Every malformed line, including a data line that is not valid UTF-8, is
 collected with its line number and reason; the parse fails at the end if any
 line was rejected, so accepted + rejected always accounts for every
@@ -85,15 +96,16 @@ class DatasetFile:
         ]
 
 
-def _read_lines(source, errors: list[tuple[int, str]]):
-    """Yield (line number, line) for each non-blank, non-comment line of a path or stream.
+def _read_blocks(source):
+    """Yield (number of the first line, lines) for each block of a path or stream.
 
-    A line that is not valid UTF-8 goes to ``errors`` instead.
+    A line that runs on past the end of a block is held back for the next
+    one, so a block may hold no lines at all.
     """
     stream = source if hasattr(source, "read") else open(
         source, encoding="utf-8", errors="surrogateescape", newline="")
     try:
-        lineno, pending = 0, ""
+        lineno, pending = 1, ""
         block = stream.read(_BLOCK_CHARS).removeprefix("\ufeff")
         while text := pending + block:
             lines = text.splitlines()
@@ -101,17 +113,32 @@ def _read_lines(source, errors: list[tuple[int, str]]):
             pending = ""
             if block:  # the last line may go on, and a final "\r" may pair with a "\n"
                 pending = lines.pop() + (text[-1] if text[-1] in _LINE_BREAKS else "")
-            for lineno, line in enumerate(lines, lineno + 1):
-                stripped = line.lstrip()
-                if not stripped or stripped[0] == "#":
-                    continue
-                if not line.isascii() and _UNDECODABLE.search(line):
-                    errors.append((lineno, "invalid UTF-8"))
-                else:
-                    yield lineno, line
+            yield lineno, lines
+            lineno += len(lines)
     finally:
         if stream is not source:
             stream.close()
+
+
+def _data_lines(blocks, errors: list[tuple[int, str]]):
+    """Yield (line number, line) for each non-blank, non-comment line of the blocks.
+
+    A line that is not valid UTF-8 goes to ``errors`` instead.
+    """
+    for first, lines in blocks:
+        for lineno, line in enumerate(lines, first):
+            stripped = line.lstrip()
+            if not stripped or stripped[0] == "#":
+                continue
+            if not line.isascii() and _UNDECODABLE.search(line):
+                errors.append((lineno, "invalid UTF-8"))
+            else:
+                yield lineno, line
+
+
+def _read_lines(source, errors: list[tuple[int, str]]):
+    """Yield (line number, line) for each non-blank, non-comment line of a path or stream."""
+    return _data_lines(_read_blocks(source), errors)
 
 
 def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | None]:
@@ -142,31 +169,79 @@ def _parse_score(text: str) -> tuple[float | None, str | None]:
     return score, None
 
 
+def _tsv_columns(lines: list[str], num_grades: int | None):
+    """The query-id, grade and score columns of a block, or None if a line needs the line rules.
+
+    Every check runs over the whole block at once.  Joined with "\n" and
+    split at tabs and before each "\n", a block whose every line has exactly
+    two tabs gives three cells per line, and each line's "\n" leads its
+    query-id cell, where stripping removes it.  ASCII text keeps ``int`` and
+    ``float`` to ASCII digits, and the whitespace they skip is whitespace
+    ``str.strip`` removes, so a cell reads as its stripped text would.
+    """
+    text = "\n".join(lines)
+    if not text.isascii() or "#" in text:
+        return None
+    cells = text.replace("\n", "\t\n").split("\t")
+    if len(cells) != 3 * len(lines):
+        return None
+    query_ids = list(map(str.strip, cells[0::3]))
+    grade_cells, score_cells = cells[1::3], cells[2::3]
+    if not all(query_ids):
+        return None
+    for column in (grade_cells, score_cells):
+        joined = "".join(column)
+        if "_" in joined or "\n" in joined:
+            return None
+    try:
+        grades = list(map(int, grade_cells))
+        scores = list(map(float, score_cells))
+    except ValueError:
+        return None
+    if grades and (min(grades) < 0 or num_grades is not None and max(grades) >= num_grades):
+        return None
+    if not all(map(math.isfinite, scores)):
+        return None
+    return query_ids, grades, scores
+
+
 def parse_tsv(source, num_grades: int | None = None) -> DatasetFile:
-    """Parse ``query_id <TAB> grade <TAB> score`` lines from a path or stream."""
+    """Parse ``query_id <TAB> grade <TAB> score`` lines from a path or stream.
+
+    Each block is read a column at a time; a block that fails a whole-block
+    check is read again line by line, which gives every error its line.
+    """
     query_ids, grades, scores = [], [], []
     seen: dict[str, str] = {}  # one string per distinct query id, shared by its rows
     errors: list[tuple[int, str]] = []
-    for lineno, line in _read_lines(source, errors):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            errors.append((lineno, f"expected 3 tab-separated fields, got {len(fields)}"))
+    for first, lines in _read_blocks(source):
+        columns = _tsv_columns(lines, num_grades)
+        if columns is not None:
+            block_ids, block_grades, block_scores = columns
+            query_ids.extend(map(seen.setdefault, block_ids, block_ids))
+            grades.extend(block_grades)
+            scores.extend(block_scores)
             continue
-        query_id = fields[0].strip()
-        if not query_id:
-            errors.append((lineno, "empty query id"))
-            continue
-        grade, reason = _parse_grade(fields[1].strip(), num_grades)
-        if reason:
-            errors.append((lineno, reason))
-            continue
-        score, reason = _parse_score(fields[2].strip())
-        if reason:
-            errors.append((lineno, reason))
-            continue
-        query_ids.append(seen.setdefault(query_id, query_id))
-        grades.append(grade)
-        scores.append(score)
+        for lineno, line in _data_lines([(first, lines)], errors):
+            fields = line.split("\t")
+            if len(fields) != 3:
+                errors.append((lineno, f"expected 3 tab-separated fields, got {len(fields)}"))
+                continue
+            query_id = fields[0].strip()
+            if not query_id:
+                errors.append((lineno, "empty query id"))
+                continue
+            grade, reason = _parse_grade(fields[1].strip(), num_grades)
+            if reason:
+                errors.append((lineno, reason))
+                continue
+            score, reason = _parse_score(fields[2].strip())
+            if reason:
+                errors.append((lineno, reason))
+                continue
+            query_ids.append(seen.setdefault(query_id, query_id))
+            grades.append(grade)
+            scores.append(score)
     if errors:
         raise ParseError(errors, accepted_count=len(grades))
     if not grades:

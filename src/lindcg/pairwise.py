@@ -128,10 +128,14 @@ def threshold_decomposition(group: QueryGroup) -> ThresholdLossVector:
 
     Entry k is the loss of the group binarized at threshold k; a pair with
     grade gap (b - a) is misranked at exactly (b - a) thresholds, so the
-    entries sum to the unnormalized weighted loss.
+    entries sum to the unnormalized weighted loss.  Every threshold of a run
+    ``a <= k < b`` between consecutive grades present (0 always included)
+    binarizes the group alike, so each run is binarized once; thresholds at
+    or above the top grade have no item above them and a loss of 0.
     """
-    entries = tuple(
-        pairwise_loss_fast(binarize(group, k)).unnormalized
-        for k in range(group.num_grades - 1)
-    )
-    return ThresholdLossVector(per_threshold=entries)
+    levels = sorted({0, *group.grades})
+    entries: list[int] = []
+    for low, high in zip(levels, levels[1:]):
+        entries += [pairwise_loss_fast(binarize(group, low)).unnormalized] * (high - low)
+    entries += [0] * (group.num_grades - 1 - len(entries))
+    return ThresholdLossVector(per_threshold=tuple(entries))

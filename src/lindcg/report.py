@@ -4,6 +4,14 @@ Output is byte-stable for a given input: queries are sorted by query id,
 integers are emitted exactly, and every float is formatted to 6
 significant digits.  JSON is the machine-readable format; text is an
 aligned-column view; CSV carries the per-query rows only.
+
+The JSON report is exactly ``json.dumps(to_json_dict(report), indent=2)``
+plus a newline, but only its small head goes through the indenting
+encoder, which is pure Python.  Each query's flat dict is encoded by the C
+encoder with ``",\n      "`` between items, which puts every key on its own
+line six spaces in, as ``indent=2`` does at that depth; the fixed outer
+layout, ``"    {\n      "`` before each query, ``"\n    }"`` after it and
+``",\n"`` between queries, is added around it.
 """
 
 from __future__ import annotations
@@ -110,7 +118,7 @@ def _query_dict(report: MetricReport, record: VerificationRecord) -> dict:
     }
 
 
-def to_json_dict(report: AggregateReport) -> dict:
+def _summary_dict(report: AggregateReport) -> dict:
     summary = report.verification_summary
     return {
         "num_queries": len(report.per_query),
@@ -122,14 +130,33 @@ def to_json_dict(report: AggregateReport) -> dict:
             "failed": summary.failed,
             "tie_flagged": summary.tie_flagged,
         },
+    }
+
+
+def to_json_dict(report: AggregateReport) -> dict:
+    return {
+        **_summary_dict(report),
         "queries": [
             _query_dict(r, v) for r, v in zip(report.per_query, report.verifications)
         ],
     }
 
 
+# A flat query dict encoded by the C encoder in the layout indent=2 gives it
+# at depth 3: each key on its own line, six spaces in.
+_QUERY_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def render_json(report: AggregateReport) -> str:
-    return json.dumps(to_json_dict(report), indent=2) + "\n"
+    """``json.dumps(to_json_dict(report), indent=2)`` and a newline, byte for byte."""
+    head = json.dumps({**_summary_dict(report), "queries": []}, indent=2)
+    if not report.per_query:
+        return head + "\n"
+    queries = ",\n".join(
+        "    {\n      " + _QUERY_ENCODER.encode(_query_dict(r, v))[1:-1] + "\n    }"
+        for r, v in zip(report.per_query, report.verifications)
+    )
+    return head.removesuffix("[]\n}") + "[\n" + queries + "\n  ]\n}\n"
 
 
 _CSV_COLUMNS = (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -82,3 +83,48 @@ def run_thresholds(instance_id: str) -> range:
     """The thresholds k named by a ``q[k=K]`` or ``q[k=A..B]`` record id."""
     first, last = _RUN_ID.search(instance_id).groups()
     return range(int(first), int(last or first) + 1)
+
+
+def parse_tsv_by_line(text: str, num_grades=None):
+    """TSV text parsed one line at a time with the documented rules.
+
+    Returns ``(query_ids, grades, scores, errors)``, the columns of the
+    accepted rows and the ``(line number, reason)`` of each rejected line.
+    An oracle for the column-at-a-time block parse of ``parse_tsv``.
+    """
+    query_ids, grades, scores, errors = [], [], [], []
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        fields = [field.strip() for field in line.split("\t")]
+        if len(fields) != 3:
+            errors.append((lineno, f"expected 3 tab-separated fields, got {len(fields)}"))
+            continue
+        query_id, grade_text, score_text = fields
+        if not query_id:
+            errors.append((lineno, "empty query id"))
+            continue
+        if not re.fullmatch(r"[+-]?[0-9]+", grade_text):
+            errors.append((lineno, f"grade {grade_text!r} is not an integer"))
+            continue
+        grade = int(grade_text)
+        if grade < 0:
+            errors.append((lineno, f"negative grade {grade}"))
+            continue
+        if num_grades is not None and grade >= num_grades:
+            errors.append((lineno, f"grade {grade} outside declared alphabet of {num_grades}"))
+            continue
+        try:
+            if not score_text.isascii() or "_" in score_text:
+                raise ValueError(score_text)
+            score = float(score_text)
+        except ValueError:
+            errors.append((lineno, f"score {score_text!r} is not a number"))
+            continue
+        if not math.isfinite(score):
+            errors.append((lineno, f"non-finite score {score_text!r}"))
+            continue
+        query_ids.append(query_id)
+        grades.append(grade)
+        scores.append(score)
+    return tuple(query_ids), tuple(grades), tuple(scores), errors

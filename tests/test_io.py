@@ -2,7 +2,11 @@ import io
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import lindcg.io
+from helpers import parse_tsv_by_line
 from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
 from lindcg.io import _BLOCK_CHARS, DatasetFile, _read_lines, parse_svmlight, parse_tsv
 
@@ -306,3 +310,71 @@ def test_a_leading_byte_order_mark_is_ignored(tmp_path, kind):
 def test_only_the_first_byte_order_mark_is_dropped():
     dataset = parse_tsv(io.StringIO("\ufeff\ufeffq1\t1\t0.5\n"))
     assert dataset.query_ids == ("\ufeffq1",)
+
+
+# Rows whose cells int() and float() read, so that a block of them reaches
+# every whole-block check; a few are out of range or not finite.
+_NUMERIC_ROWS = st.builds(
+    "\t".join,
+    st.tuples(st.sampled_from(["q1", "q2", " q3 ", "q_4"]),
+              st.sampled_from(["0", "1", " 2", "3 ", "+3", "-0", "5", "-1"]),
+              st.sampled_from(["0.5", " -1.25", "3", "1e3 ", "+2", "-0.0", "nan", "-inf"])),
+)
+_ROWS = st.builds(
+    "\t".join,
+    st.tuples(st.sampled_from(["q1", "q#5", "q\u00e96", "\u00a0q7", "", "  "]),
+              st.sampled_from(["1", "-1", "1_0", "7", "x", "", "\u0661"]),
+              st.sampled_from(["0.5", "1_0", "nan", "inf", "-inf", "", "s"])),
+)
+_OTHER_LINES = st.sampled_from([
+    "", " ", "\t", " \t ", "# comment", "  # indented\tcomment", "#q1\t1\t0.5",
+    " # q1\t1\t0.5", "q1\t1", "2\t0.5", "q1\t1\t0.5\textra", "q1\t1\t0.5\t3", "q1",
+    "\t\t",
+])
+_BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(st.tuples(st.one_of(*[_NUMERIC_ROWS] * 4, _ROWS, _OTHER_LINES), _BREAKS),
+                   max_size=40),
+    block_chars=st.integers(1, 64),
+    num_grades=st.one_of(st.none(), st.integers(4, 6)),
+)
+# Four fields then two make three cells a line, yet both lines are malformed.
+@example(lines=[("q1\t1\t0.5\t3", "\n"), ("2\t0.5", "\n")], block_chars=64, num_grades=None)
+def test_block_parse_matches_a_line_by_line_parse(lines, block_chars, num_grades):
+    text = "".join(line + end for line, end in lines)
+    query_ids, grades, scores, errors = parse_tsv_by_line(text, num_grades)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
+        if errors:
+            with pytest.raises(ParseError) as info:
+                parse_tsv(io.StringIO(text), num_grades)
+            assert info.value.errors == errors
+            assert info.value.accepted_count == len(grades)
+        elif not grades:
+            with pytest.raises(EmptyFileError):
+                parse_tsv(io.StringIO(text), num_grades)
+        else:
+            dataset = parse_tsv(io.StringIO(text), num_grades)
+            assert dataset == DatasetFile(query_ids, grades, scores, num_grades)
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 4096])
+def test_valid_blocks_are_never_read_line_by_line(monkeypatch, block_chars):
+    text = "".join(f"q{i % 7}\t{i % 3}\t{i / 8}\n" for i in range(300))
+    by_line = []
+    data_lines = lindcg.io._data_lines
+
+    def spy(blocks, errors):
+        blocks = list(blocks)
+        by_line.extend(line for _, lines in blocks for line in lines)
+        return data_lines(blocks, errors)
+
+    monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(lindcg.io, "_data_lines", spy)
+    dataset = parse_tsv(io.StringIO(text))
+    assert by_line == []
+    assert dataset == DatasetFile(*parse_tsv_by_line(text)[:3])
+    assert len(set(map(id, dataset.query_ids))) == 7

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import group_from_ranking, make_group, random_group
+import lindcg.pairwise
 from lindcg.core import QueryGroup
 from lindcg.errors import ThresholdOutOfRangeError
 from lindcg.pairwise import (
@@ -160,6 +161,36 @@ def test_threshold_decomposition_sums_to_weighted_loss():
     for _ in range(200):
         group = random_group(rng, max_items=40, allow_ties=True)
         assert threshold_decomposition(group).total() == pairwise_loss_fast(group).unnormalized
+
+
+@st.composite
+def _gapped_groups(draw):
+    num_grades = draw(st.integers(2, 40))
+    grades = draw(st.lists(st.integers(0, num_grades - 1), min_size=1, max_size=8))
+    scores = draw(st.lists(st.integers(-2, 2), min_size=len(grades), max_size=len(grades)))
+    return make_group(grades, scores, num_grades=num_grades)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_gapped_groups())
+@example(make_group([0, 199_999, 7, 150_000, 7], [0.3, 0.1, 0.9, 0.5, 0.2],
+                    num_grades=200_000))
+def test_threshold_decomposition_matches_a_rebuild_at_every_threshold(group):
+    rebuilt = tuple(
+        pairwise_loss_naive(binarize(group, k)).unnormalized
+        for k in range(group.num_grades - 1)
+    )
+    calls = []
+
+    def counting_binarize(group, k):
+        calls.append(k)
+        return binarize(group, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindcg.pairwise, "binarize", counting_binarize)
+        vector = threshold_decomposition(group)
+    assert vector.per_threshold == rebuilt
+    assert len(calls) <= len(set(group.grades)) + 1
 
 
 def test_perfect_ranking_decomposes_to_zeros():

@@ -1,5 +1,8 @@
 import json
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from helpers import group_from_ranking, make_group
 from lindcg.report import (
     build_aggregate_report,
@@ -86,3 +89,23 @@ def test_empty_dataset_aggregates_to_zeroes():
     assert report.mean_ndcg_linear == 0.0
     assert report.total_pairwise_loss == 0
     assert json.loads(render_json(report))["queries"] == []
+
+
+_QUERY_IDS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['q"1', "q\\2", "q\n3", "\x00\x1f\x7f", "\u00e9t\u00e9", "\u2028", "\U0001f600"]),
+)
+_GROUPS = st.builds(
+    lambda query_id, rows: make_group([g for g, _ in rows], [s for _, s in rows], query_id),
+    _QUERY_IDS,
+    st.lists(st.tuples(st.integers(0, 4), st.integers(-2, 2)), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_GROUPS, max_size=8))
+@example([])
+@example([GOLDEN])
+def test_render_json_equals_json_dumps_with_indent_2(groups):
+    report = build_aggregate_report(groups)
+    assert render_json(report) == json.dumps(to_json_dict(report), indent=2) + "\n"
