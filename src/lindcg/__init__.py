@@ -1,24 +1,13 @@
 """Linear-discount and classical NDCG, weighted pairwise ranking loss, and
-exact identity checks between the DCG error and the pairwise loss."""
+exact identity checks between the DCG error and the pairwise loss.
 
-from .core import (
-    QueryGroup,
-    RankedSequence,
-    RankedView,
-    ideal_sequence,
-    rank_by_score,
-    rank_view,
-    sequence_from_grades,
-)
-from .equivalence import (
-    ExchangeSequence,
-    VerificationRecord,
-    brute_force_oracle,
-    build_exchange_sequence,
-    exchange_decrements,
-    verify_bipartite_identity,
-    verify_multipartite_identity,
-)
+The package exports the ranked-view path that ``lindcg metrics`` runs, the
+readers, the report and the errors.  The independent test oracles are in
+``lindcg.oracles``.
+"""
+
+from .core import QueryGroup, RankedView, rank_view
+from .equivalence import VerificationRecord, verify_multipartite_identity
 from .errors import (
     EmptyFileError,
     EmptyGroupError,
@@ -33,28 +22,8 @@ from .errors import (
     TooLargeError,
 )
 from .io import DatasetFile, parse_svmlight, parse_tsv
-from .metrics import (
-    MetricReport,
-    bipartite_ideal_dcg,
-    compute_report,
-    dcg_classic,
-    dcg_error_linear,
-    dcg_linear,
-    ideal_dcg_classic,
-    ideal_dcg_linear,
-    ndcg_classic,
-    ndcg_linear,
-)
-from .pairwise import (
-    PairwiseLossValue,
-    ThresholdLossVector,
-    binarize,
-    binarize_sequence,
-    loss_from_view,
-    pairwise_loss_fast,
-    pairwise_loss_naive,
-    threshold_decomposition,
-)
+from .metrics import MetricReport, bipartite_ideal_dcg, compute_report
+from .pairwise import PairwiseLossValue, loss_from_view
 from .report import (
     AggregateReport,
     VerificationSummary,
@@ -72,7 +41,6 @@ __all__ = [
     "DatasetFile",
     "EmptyFileError",
     "EmptyGroupError",
-    "ExchangeSequence",
     "GradeTooLargeError",
     "InvalidGradeError",
     "InvalidScoreError",
@@ -82,43 +50,22 @@ __all__ = [
     "PairwiseLossValue",
     "ParseError",
     "QueryGroup",
-    "RankedSequence",
     "RankedView",
     "ScoreCountMismatchError",
-    "ThresholdLossVector",
     "ThresholdOutOfRangeError",
     "TooLargeError",
     "VerificationRecord",
     "VerificationSummary",
-    "binarize",
-    "binarize_sequence",
     "bipartite_ideal_dcg",
-    "brute_force_oracle",
     "build_aggregate_report",
-    "build_exchange_sequence",
     "compute_report",
-    "dcg_classic",
-    "dcg_error_linear",
-    "dcg_linear",
-    "exchange_decrements",
-    "ideal_dcg_classic",
-    "ideal_dcg_linear",
-    "ideal_sequence",
     "loss_from_view",
-    "ndcg_classic",
-    "ndcg_linear",
-    "pairwise_loss_fast",
-    "pairwise_loss_naive",
     "parse_svmlight",
     "parse_tsv",
-    "rank_by_score",
     "rank_view",
     "render_csv",
     "render_json",
     "render_text",
-    "sequence_from_grades",
-    "threshold_decomposition",
     "to_json_dict",
-    "verify_bipartite_identity",
     "verify_multipartite_identity",
 ]

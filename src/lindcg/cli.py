@@ -1,5 +1,10 @@
 """Command-line surface: metrics reports, identity verification, permutation oracle.
 
+``metrics`` runs the ranked-view path on a dataset.  ``verify`` and
+``oracle`` confirm the identity with the independent test oracles of
+``lindcg.oracles``: the permutation oracle and the threshold
+decomposition.
+
 Exit codes: 0 on success / all checks passed, 1 when any identity check
 failed, 2 for usage or parse errors.
 """
@@ -7,21 +12,25 @@ failed, 2 for usage or parse errors.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 
 import click
 
 from .core import QueryGroup
-from .equivalence import brute_force_oracle, verify_multipartite_identity
-from .errors import LindcgError, TooLargeError
+from .equivalence import verify_multipartite_identity
+from .errors import LindcgError
 from .io import parse_svmlight, parse_tsv
 from .metrics import MAX_CLASSIC_GRADE
-from .pairwise import pairwise_loss_fast, threshold_decomposition
 from .report import build_aggregate_report, render_csv, render_json, render_text
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# Largest exhaustive pass `verify` starts: about 40 s at the 8 us per
+# permutation measured on a 2-vCPU Xeon host.
+MAX_EXHAUSTIVE_PERMUTATIONS = 5_000_000
 
 
 @click.group()
@@ -69,6 +78,8 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
     report = build_aggregate_report(groups)
     renderer = {"json": render_json, "text": render_text, "csv": render_csv}[output_fmt]
     click.echo(renderer(report), nl=False)
+    if report.verification_summary.failed:
+        sys.exit(EXIT_CHECK_FAILED)
 
 
 def _random_tie_free_group(rng: random.Random, max_items: int,
@@ -86,6 +97,15 @@ def _random_tie_free_group(rng: random.Random, max_items: int,
     return QueryGroup.build(f"trial-{index}", grades, scores, num_grades)
 
 
+def exhaustive_permutations(num_grades: int, limit: int) -> int:
+    """Permutations the exhaustive pass checks: every ordering of every
+    multiset of 1..limit grades below num_grades, sum of C(L+s-1, s) * s!."""
+    return sum(
+        math.comb(num_grades + size - 1, size) * math.factorial(size)
+        for size in range(1, limit + 1)
+    )
+
+
 @main.command("verify")
 @click.option("--trials", type=int, default=1000, show_default=True,
               help="Number of random groups to check.")
@@ -100,15 +120,25 @@ def _random_tie_free_group(rng: random.Random, max_items: int,
 def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
                exhaustive_limit: int) -> None:
     """Check DCG error == pairwise loss exhaustively and on random groups."""
+    # Imported here, as in oracle_cmd, so that `metrics` never loads the oracles.
+    from .oracles import ORACLE_SIZE_CAP, brute_force_oracle, threshold_decomposition
+
     if trials < 0:
         raise click.UsageError(f"--trials must be >= 0, got {trials}")
     if max_items < 1:
         raise click.UsageError(f"--max-items must be >= 1, got {max_items}")
     if max_grades < 2:
         raise click.UsageError(f"--max-grades must be >= 2, got {max_grades}")
-    if not 0 <= exhaustive_limit <= 8:
+    if not 0 <= exhaustive_limit <= ORACLE_SIZE_CAP:
         raise click.UsageError(
-            f"--exhaustive-limit must be in 0..8, got {exhaustive_limit}"
+            f"--exhaustive-limit must be in 0..{ORACLE_SIZE_CAP}, got {exhaustive_limit}"
+        )
+    planned = exhaustive_permutations(max_grades, exhaustive_limit)
+    if planned > MAX_EXHAUSTIVE_PERMUTATIONS:
+        raise click.UsageError(
+            f"--max-grades {max_grades} with --exhaustive-limit {exhaustive_limit}"
+            f" makes {planned:,} permutations, more than {MAX_EXHAUSTIVE_PERMUTATIONS:,}"
+            " (about 40 s); lower --max-grades or --exhaustive-limit"
         )
 
     multisets = permutations = exhaustive_failures = 0
@@ -131,8 +161,8 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
         record = verify_multipartite_identity(group)
         if not (record.passed and all(d.passed for d in record.details)):
             identity_failures += 1
-        decomposition = threshold_decomposition(group)
-        if decomposition.total() != pairwise_loss_fast(group).unnormalized:
+        # record.rhs is the weighted loss the ranked view sweeps.
+        if sum(threshold_decomposition(group)) != record.rhs:
             decomposition_failures += 1
     click.echo(
         f"random: groups={trials} identity_failures={identity_failures}"
@@ -150,14 +180,14 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
               help="Comma-separated grade multiset, e.g. '2,1,1,0'.")
 def oracle_cmd(grades_spec: str) -> None:
     """Run the exhaustive permutation check for one grade multiset."""
+    from .oracles import brute_force_oracle
+
     try:
         grades = tuple(int(part) for part in grades_spec.split(","))
     except ValueError:
         raise click.UsageError(f"--grades must be comma-separated integers, got {grades_spec!r}")
     try:
         records = brute_force_oracle(grades)
-    except TooLargeError as exc:
-        raise click.UsageError(str(exc))
     except LindcgError as exc:
         raise click.UsageError(str(exc))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError
 
@@ -74,44 +74,6 @@ class QueryGroup:
             num_grades = max(2, max(grades, default=0) + 1)
         return cls(query_id, tuple(grades), tuple(map(float, scores)), num_grades)
 
-    def grade_counts(self) -> tuple[int, ...]:
-        """Per-grade item counts, indexed by grade value."""
-        counts = [0] * self.num_grades
-        for g in self.grades:
-            counts[g] += 1
-        return tuple(counts)
-
-    def has_score_ties(self) -> bool:
-        """True when any two items share exactly the same score."""
-        return len(set(self.scores)) < len(self.scores)
-
-    def __len__(self) -> int:
-        return len(self.grades)
-
-
-@dataclass(frozen=True, slots=True)
-class RankedSequence:
-    """Grades read off a ranking, best-scored position first."""
-
-    grades: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grades", tuple(self.grades))
-        if not self.grades:
-            raise EmptyGroupError("ranked sequence has no items")
-        for g in self.grades:
-            if not isinstance(g, int) or g < 0:
-                raise InvalidGradeError(f"grade must be a non-negative integer, got {g!r}")
-
-    def grade_counts(self, num_grades: int | None = None) -> tuple[int, ...]:
-        """Per-grade counts; the alphabet defaults to max(grade) + 1."""
-        if num_grades is None:
-            num_grades = max(self.grades) + 1
-        counts = [0] * num_grades
-        for g in self.grades:
-            counts[g] += 1
-        return tuple(counts)
-
     def __len__(self) -> int:
         return len(self.grades)
 
@@ -160,14 +122,16 @@ def _score_order(group: QueryGroup) -> list[int]:
 def rank_view(group: QueryGroup) -> RankedView:
     """Rank the group with one stable sort and sweep the ranking once.
 
-    The sort is the one rank_by_score makes.  The sweep keeps a histogram
-    over the levels already passed.  An item enters it only once an item of
-    a lower score arrives, so each item of an equal-score run is scored
-    against the histogram of strictly higher scores and tied pairs are never
-    misranked.  An item of level J is misranked in every run j < J against
-    each strictly higher-scored item of level <= j, which is the cumulative
-    histogram at j.  The cost is O(|S| log |S| + |S| * d) for d distinct
-    grades, whatever the alphabet size L.
+    The sort orders items by descending score and keeps input order among
+    equal scores, so the same group always yields the same ranking.  The
+    sweep keeps a histogram over the levels already passed.  An item enters
+    it only once an item of a lower score arrives, so each item of an
+    equal-score run is scored against the histogram of strictly higher
+    scores and tied pairs are never misranked.  An item of level J is
+    misranked in every run j < J against each strictly higher-scored item
+    of level <= j, which is the cumulative histogram at j.  The cost is
+    O(|S| log |S| + |S| * d) for d distinct grades, whatever the alphabet
+    size L.
     """
     order = _score_order(group)
     grades = tuple(map(group.grades.__getitem__, order))
@@ -213,22 +177,3 @@ def rank_view(group: QueryGroup) -> RankedView:
         has_score_ties=ties,
         threshold_losses=tuple(losses),
     )
-
-
-def rank_by_score(group: QueryGroup) -> RankedSequence:
-    """Order the group's grades by descending model score.
-
-    Equal scores keep their input order (stable tie-break), so repeated
-    evaluation of the same group always yields the same sequence.
-    """
-    return RankedSequence(tuple(map(group.grades.__getitem__, _score_order(group))))
-
-
-def ideal_sequence(group: QueryGroup) -> RankedSequence:
-    """Grades in non-increasing order: the arrangement maximizing linear DCG."""
-    return RankedSequence(tuple(sorted(group.grades, reverse=True)))
-
-
-def sequence_from_grades(grades: Iterable[int]) -> RankedSequence:
-    """Wrap an already-ranked grade list as a RankedSequence."""
-    return RankedSequence(tuple(grades))

@@ -1,13 +1,12 @@
-"""Mechanical checks that the linear DCG error equals the weighted pairwise loss.
+"""The per-query check that the linear DCG error equals the weighted pairwise loss.
 
-For bipartite groups the identity is established through exchange
-sequences: any observed ranking arises from the ideal one by at most
-min(m, n) position swaps, each swap lowering the DCG by m + j_r - i_r and
-raising the pairwise loss by the same amount.  For multipartite groups
-the identity follows from the threshold decomposition of both sides.
-This module constructs the exchanges, accounts for the per-exchange
-decrements, checks the identities on concrete groups, and provides a
-brute-force permutation oracle for exhaustive confirmation at small size.
+Binarized at a threshold k, the items of grade > k form a bipartite
+group whose DCG error, the closed-form ideal minus their discount mass,
+equals its unweighted pairwise loss.  Both the linear DCG and the weighted
+loss split into a sum of those per-threshold parts, so the identity holds
+for any grade alphabet.  The check reads every part from one ranked view.
+The exchange construction and the permutation oracle, which confirm the
+identity independently, are test oracles in ``lindcg.oracles``.
 
 Score ties break the identity (the pairwise indicator is strict while a
 realized ranking has to place tied items somewhere), so records carry a
@@ -20,60 +19,8 @@ import itertools
 from dataclasses import dataclass
 from operator import mul
 
-from .core import QueryGroup, RankedSequence, RankedView, rank_view
-from .errors import (
-    EmptyGroupError,
-    InvalidGradeError,
-    NonBipartiteError,
-    TooLargeError,
-)
-from .metrics import (
-    bipartite_ideal_dcg,
-    dcg_error_linear,
-    view_dcg_linear,
-    view_ideal_dcg_linear,
-)
-from .pairwise import pairwise_loss_fast
-
-# 8! = 40_320 permutations, exhaustive in well under a second.
-ORACLE_SIZE_CAP = 8
-
-
-@dataclass(frozen=True, slots=True)
-class ExchangeSequence:
-    """The swaps turning the ideal bipartite sequence [1^m 0^n] into a target.
-
-    ``pairs`` holds 1-based positions (i_r, j_r): i_r indexes the first m
-    slots, j_r indexes within the last n slots, and both coordinates are
-    strictly increasing across the sequence.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        if len(self.pairs) > min(self.m, self.n):
-            raise ValueError(
-                f"{len(self.pairs)} exchanges exceed min(m={self.m}, n={self.n})"
-            )
-        prev_i = prev_j = 0
-        for i, j in self.pairs:
-            if not (prev_i < i <= self.m and prev_j < j <= self.n):
-                raise ValueError(
-                    f"exchange positions ({i}, {j}) not strictly increasing "
-                    f"within m={self.m}, n={self.n}"
-                )
-            prev_i, prev_j = i, j
-
-    def apply(self) -> RankedSequence:
-        """Replay the swaps on the ideal sequence and return the result."""
-        grades = [1] * self.m + [0] * self.n
-        for i, j in self.pairs:
-            a, b = i - 1, self.m + j - 1
-            grades[a], grades[b] = grades[b], grades[a]
-        return RankedSequence(tuple(grades))
+from .core import QueryGroup, RankedView, rank_view
+from .metrics import bipartite_ideal_dcg, view_dcg_linear, view_ideal_dcg_linear
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,56 +46,6 @@ class VerificationRecord:
                 f"record {self.instance_id!r}: passed={self.passed} inconsistent "
                 f"with lhs={self.lhs}, rhs={self.rhs}"
             )
-
-
-def build_exchange_sequence(observed: RankedSequence) -> ExchangeSequence:
-    """Derive the exchange sequence producing an observed bipartite ranking.
-
-    The misplaced zeros in the first m slots are paired, in increasing
-    position order, with the misplaced ones in the last n slots; both
-    lists always have the same length r <= min(m, n).
-    """
-    for g in observed.grades:
-        if g > 1:
-            raise NonBipartiteError(f"grade {g} in a bipartite sequence")
-    m = sum(observed.grades)
-    n = len(observed.grades) - m
-    zeros_in_top = tuple(
-        pos for pos, g in enumerate(observed.grades[:m], start=1) if g == 0
-    )
-    ones_in_bottom = tuple(
-        pos for pos, g in enumerate(observed.grades[m:], start=1) if g == 1
-    )
-    # Equal counts are forced: each misplaced zero displaces exactly one positive.
-    assert len(zeros_in_top) == len(ones_in_bottom)
-    return ExchangeSequence(tuple(zip(zeros_in_top, ones_in_bottom)), m, n)
-
-
-def exchange_decrements(ex: ExchangeSequence) -> list[int]:
-    """Per-exchange DCG decrement m + j_r - i_r; every entry is >= 1.
-
-    The decrements sum to the DCG error of the sequence the exchanges
-    produce.
-    """
-    return [ex.m + j - i for i, j in ex.pairs]
-
-
-def verify_bipartite_identity(group: QueryGroup) -> VerificationRecord:
-    """Check DCG error == unnormalized pairwise loss for a binary-graded group."""
-    if group.num_grades != 2:
-        raise NonBipartiteError(
-            f"group {group.query_id!r} has {group.num_grades} grades, need 2"
-        )
-    lhs = dcg_error_linear(group)
-    rhs = pairwise_loss_fast(group).unnormalized
-    return VerificationRecord(
-        instance_id=group.query_id,
-        check_name="bipartite_identity",
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs == rhs,
-        tie_afflicted=group.has_score_ties(),
-    )
 
 
 def verify_multipartite_identity(
@@ -220,48 +117,3 @@ def verify_multipartite_identity(
         tie_afflicted=ties,
         details=tuple(details),
     )
-
-
-def brute_force_oracle(grades, max_size: int = ORACLE_SIZE_CAP) -> list[VerificationRecord]:
-    """Check the identity on every permutation of a grade multiset.
-
-    Each permutation is read as a tie-free ranking (earlier position means
-    strictly higher score); the DCG error and the weighted misranked-pair
-    count are computed directly on it and must agree.  One record is
-    emitted per permutation.
-    """
-    grades = tuple(grades)
-    if not grades:
-        raise EmptyGroupError("empty grade multiset")
-    for g in grades:
-        if not isinstance(g, int) or g < 0:
-            raise InvalidGradeError(f"grade must be a non-negative integer, got {g!r}")
-    cap = min(max_size, ORACLE_SIZE_CAP)
-    n = len(grades)
-    if n > cap:
-        raise TooLargeError(f"multiset of size {n} exceeds the cap of {cap}")
-
-    last = n - 1
-    ideal = sum(g * (n - i) for i, g in enumerate(sorted(grades, reverse=True), start=1))
-    records = []
-    for perm in itertools.permutations(grades):
-        dcg = 0
-        loss = 0
-        for p in range(n):
-            gp = perm[p]
-            dcg += gp * (last - p)
-            for q in range(p + 1, n):
-                gap = perm[q] - gp
-                if gap > 0:
-                    loss += gap
-        delta = ideal - dcg
-        records.append(
-            VerificationRecord(
-                instance_id=",".join(map(str, perm)),
-                check_name="permutation_identity",
-                lhs=delta,
-                rhs=loss,
-                passed=delta == loss,
-            )
-        )
-    return records

@@ -5,7 +5,9 @@ so the bottom rank earns nothing and every value is an exact integer.
 The classical family uses gain (2**r_i - 1) and discount 1/log2(i + 1) in
 ordinary floating point.  Only the final NDCG ratios are floats; linear
 quantities stay integers end to end so downstream identity checks can use
-equality instead of tolerances.
+equality instead of tolerances.  Every kernel reads one ranked view per
+query (core.rank_view); the rank-order sums they are checked against are
+the references in ``lindcg.oracles``.
 
 NDCG of a group whose ideal DCG is zero is reported as 1.0 and flagged as
 degenerate: every ranking of such a group is vacuously ideal, and
@@ -20,33 +22,12 @@ from itertools import chain, repeat
 from operator import mul, truediv
 from typing import Sequence
 
-from .core import (
-    QueryGroup,
-    RankedSequence,
-    RankedView,
-    ideal_sequence,
-    rank_by_score,
-    rank_view,
-)
+from .core import QueryGroup, RankedView, rank_view
 from .errors import GradeTooLargeError
 from .pairwise import loss_from_view
 
 # 2**grade must stay exactly representable in a double.
 MAX_CLASSIC_GRADE = 30
-
-
-def dcg_linear(seq: RankedSequence) -> int:
-    """Linear-discount DCG: sum of r_i * (|S| - i) over 1-based ranks i.
-
-    Exact integer; the last position always contributes zero.
-    """
-    n = len(seq.grades)
-    return sum(g * (n - i) for i, g in enumerate(seq.grades, start=1))
-
-
-def ideal_dcg_linear(group: QueryGroup) -> int:
-    """Linear DCG of the group's grades sorted in non-increasing order."""
-    return dcg_linear(ideal_sequence(group))
 
 
 def view_dcg_linear(view: RankedView) -> int:
@@ -77,17 +58,6 @@ def bipartite_ideal_dcg(m: int, n: int) -> int:
     return m * n + m * (m - 1) // 2
 
 
-def ndcg_linear(group: QueryGroup) -> float:
-    """Linear DCG of the score-induced ranking divided by the ideal value.
-
-    Returns exactly 1.0 when the ideal DCG is zero (degenerate group).
-    """
-    ideal = ideal_dcg_linear(group)
-    if ideal == 0:
-        return 1.0
-    return dcg_linear(rank_by_score(group)) / ideal
-
-
 def _check_classic_cap(grades: Sequence[int]) -> None:
     top = max(grades)
     if top > MAX_CLASSIC_GRADE:
@@ -100,36 +70,10 @@ _GAINS = tuple(2**g - 1 for g in range(MAX_CLASSIC_GRADE + 1))
 
 
 def _classic_sum(grades: Sequence[int]) -> float:
-    """dcg_classic's sum, term for term and in the same order, for capped grades."""
+    """Classical DCG of grades best-ranked first: sum of (2**r_i - 1) / log2(i + 1)
+    over 1-based ranks i, for grades within the cap."""
     discounts = map(math.log2, range(2, len(grades) + 2))
     return sum(map(truediv, map(_GAINS.__getitem__, grades), discounts), 0.0)
-
-
-def dcg_classic(seq: RankedSequence) -> float:
-    """Classical DCG: sum of (2**r_i - 1) / log2(i + 1) over 1-based ranks i."""
-    _check_classic_cap(seq.grades)
-    return sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(seq.grades, start=1))
-
-
-def ideal_dcg_classic(group: QueryGroup) -> float:
-    """Classical DCG of the group's grades sorted in non-increasing order."""
-    return dcg_classic(ideal_sequence(group))
-
-
-def ndcg_classic(group: QueryGroup) -> float:
-    """Classical NDCG with the same degenerate-group convention as ndcg_linear."""
-    ideal = ideal_dcg_classic(group)
-    if ideal == 0.0:
-        return 1.0
-    return dcg_classic(rank_by_score(group)) / ideal
-
-
-def dcg_error_linear(group: QueryGroup) -> int:
-    """Shortfall of the score-induced ranking from ideal: ideal DCG - observed DCG.
-
-    Always a non-negative integer.
-    """
-    return ideal_dcg_linear(group) - dcg_linear(rank_by_score(group))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,0 +1,245 @@
+"""Independent test oracles for the ranked-view path.
+
+Every quantity here is computed again from plain grades and scores, the
+slow and obvious way: a double loop over item pairs, every permutation of
+a grade multiset, explicit position swaps, one bipartite count per
+threshold.  The module shares no code with the path it checks
+(``core.rank_view``, ``pairwise.loss_from_view``, the ``metrics`` kernels
+and ``equivalence.verify_multipartite_identity``); from the rest of the
+package it takes only the errors and the data types ``QueryGroup``,
+``PairwiseLossValue`` and ``VerificationRecord``.  A test that checks the
+view path against an oracle therefore cannot pass because both share a
+mistake.
+
+The sequence references take grade tuples read best-ranked first:
+``rank_by_score`` gives the one a group's scores induce, and sorting the
+grades in non-increasing order gives the ideal one.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Iterable
+
+from .core import QueryGroup
+from .equivalence import VerificationRecord
+from .errors import (
+    EmptyGroupError,
+    InvalidGradeError,
+    NonBipartiteError,
+    ThresholdOutOfRangeError,
+    TooLargeError,
+)
+from .pairwise import PairwiseLossValue
+
+# 8! = 40_320 permutations, exhaustive in well under a second.
+ORACLE_SIZE_CAP = 8
+
+
+def rank_by_score(group: QueryGroup) -> tuple[int, ...]:
+    """The group's grades by descending score; equal scores keep input order."""
+    scores = group.scores
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return tuple(group.grades[i] for i in order)
+
+
+def has_score_ties(group: QueryGroup) -> bool:
+    """True when any two items share exactly the same score."""
+    return len(set(group.scores)) < len(group.scores)
+
+
+def dcg_linear(grades: Iterable[int]) -> int:
+    """Linear-discount DCG: sum of r_i * (|S| - i) over 1-based ranks i.
+
+    Exact integer; the last position always contributes zero.
+    """
+    grades = tuple(grades)
+    n = len(grades)
+    return sum(g * (n - i) for i, g in enumerate(grades, start=1))
+
+
+def dcg_classic(grades: Iterable[int]) -> float:
+    """Classical DCG: sum of (2**r_i - 1) / log2(i + 1) over 1-based ranks i."""
+    return sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(grades, start=1))
+
+
+def pairwise_loss_naive(group: QueryGroup) -> PairwiseLossValue:
+    """Count misranked pairs, and the cross-grade pairs Z, over every item pair.
+
+    Quadratic in |S|.  A pair with grades a < b costs b - a when the
+    grade-b item scores strictly below the grade-a item; tied pairs cost
+    nothing.
+    """
+    loss = z = 0
+    pairs = zip(group.grades, group.scores)
+    for (grade_a, score_a), (grade_b, score_b) in itertools.combinations(pairs, 2):
+        if grade_a < grade_b:
+            z += 1
+            if score_b < score_a:
+                loss += grade_b - grade_a
+        elif grade_b < grade_a:
+            z += 1
+            if score_a < score_b:
+                loss += grade_a - grade_b
+    return PairwiseLossValue(
+        unnormalized=loss,
+        normalizer_z=z,
+        normalized=loss / z if z else 0.0,
+        degenerate=z == 0,
+    )
+
+
+def binarize(group: QueryGroup, k: int) -> QueryGroup:
+    """Collapse the group to binary grades at threshold k: grade 1 iff grade > k.
+
+    Items and scores are untouched; the resulting alphabet is {0, 1}.
+    """
+    if not 0 <= k <= group.num_grades - 2:
+        raise ThresholdOutOfRangeError(
+            f"threshold {k} outside {{0..{group.num_grades - 2}}}"
+        )
+    grades = tuple(1 if g > k else 0 for g in group.grades)
+    return QueryGroup(group.query_id, grades, group.scores, 2)
+
+
+def threshold_decomposition(group: QueryGroup) -> tuple[int, ...]:
+    """Split the weighted loss into L-1 unweighted bipartite losses.
+
+    Entry k is the loss of the group binarized at threshold k: the number
+    of (grade 1, grade 0) pairs whose grade-1 item scores strictly below the
+    grade-0 item, counted for each grade-1 item by bisecting the sorted
+    grade-0 scores.  A pair with grade gap (b - a) is misranked at exactly
+    (b - a) thresholds, so the entries sum to the unnormalized weighted
+    loss.  Every threshold of a run ``a <= k < b`` between consecutive
+    grades present (0 always included) binarizes the group alike, so each
+    run is binarized once; thresholds at or above the top grade have no
+    item above them and a loss of 0.
+    """
+    levels = sorted({0, *group.grades})
+    entries: list[int] = []
+    for low, high in zip(levels, levels[1:]):
+        binary = binarize(group, low)
+        below = sorted(s for g, s in zip(binary.grades, binary.scores) if not g)
+        loss = sum(
+            len(below) - bisect_right(below, s)
+            for g, s in zip(binary.grades, binary.scores)
+            if g
+        )
+        entries += [loss] * (high - low)
+    entries += [0] * (group.num_grades - 1 - len(entries))
+    return tuple(entries)
+
+
+@dataclass(frozen=True, slots=True)
+class ExchangeSequence:
+    """The swaps turning the ideal bipartite sequence [1^m 0^n] into a target.
+
+    ``pairs`` holds 1-based positions (i_r, j_r): i_r indexes the first m
+    slots, j_r indexes within the last n slots, and both coordinates are
+    strictly increasing across the sequence.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    m: int
+    n: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
+        if len(self.pairs) > min(self.m, self.n):
+            raise ValueError(
+                f"{len(self.pairs)} exchanges exceed min(m={self.m}, n={self.n})"
+            )
+        prev_i = prev_j = 0
+        for i, j in self.pairs:
+            if not (prev_i < i <= self.m and prev_j < j <= self.n):
+                raise ValueError(
+                    f"exchange positions ({i}, {j}) not strictly increasing "
+                    f"within m={self.m}, n={self.n}"
+                )
+            prev_i, prev_j = i, j
+
+    def apply(self) -> tuple[int, ...]:
+        """Replay the swaps on the ideal sequence and return the resulting grades."""
+        grades = [1] * self.m + [0] * self.n
+        for i, j in self.pairs:
+            a, b = i - 1, self.m + j - 1
+            grades[a], grades[b] = grades[b], grades[a]
+        return tuple(grades)
+
+
+def build_exchange_sequence(observed: Iterable[int]) -> ExchangeSequence:
+    """Derive the exchange sequence producing an observed bipartite ranking.
+
+    ``observed`` lists 0/1 grades best-ranked first.  The misplaced zeros
+    in the first m slots are paired, in increasing position order, with
+    the misplaced ones in the last n slots; both lists always have the
+    same length r <= min(m, n).
+    """
+    observed = tuple(observed)
+    for g in observed:
+        if g > 1:
+            raise NonBipartiteError(f"grade {g} in a bipartite sequence")
+    m = sum(observed)
+    n = len(observed) - m
+    zeros_in_top = tuple(pos for pos, g in enumerate(observed[:m], start=1) if g == 0)
+    ones_in_bottom = tuple(pos for pos, g in enumerate(observed[m:], start=1) if g == 1)
+    # Equal counts are forced: each misplaced zero displaces exactly one positive.
+    assert len(zeros_in_top) == len(ones_in_bottom)
+    return ExchangeSequence(tuple(zip(zeros_in_top, ones_in_bottom)), m, n)
+
+
+def exchange_decrements(ex: ExchangeSequence) -> list[int]:
+    """Per-exchange DCG decrement m + j_r - i_r; every entry is >= 1.
+
+    The decrements sum to the DCG error of the sequence the exchanges
+    produce.
+    """
+    return [ex.m + j - i for i, j in ex.pairs]
+
+
+def brute_force_oracle(grades, max_size: int = ORACLE_SIZE_CAP) -> list[VerificationRecord]:
+    """Check the identity on every permutation of a grade multiset.
+
+    Each permutation is read as a tie-free ranking (earlier position means
+    strictly higher score); the DCG error and the weighted misranked-pair
+    count are computed directly on it and must agree.  One record is
+    emitted per permutation.
+    """
+    grades = tuple(grades)
+    if not grades:
+        raise EmptyGroupError("empty grade multiset")
+    for g in grades:
+        if not isinstance(g, int) or g < 0:
+            raise InvalidGradeError(f"grade must be a non-negative integer, got {g!r}")
+    cap = min(max_size, ORACLE_SIZE_CAP)
+    n = len(grades)
+    if n > cap:
+        raise TooLargeError(f"multiset of size {n} exceeds the cap of {cap}")
+
+    last = n - 1
+    ideal = sum(g * (n - i) for i, g in enumerate(sorted(grades, reverse=True), start=1))
+    records = []
+    for perm in itertools.permutations(grades):
+        dcg = 0
+        loss = 0
+        for p in range(n):
+            gp = perm[p]
+            dcg += gp * (last - p)
+            for q in range(p + 1, n):
+                gap = perm[q] - gp
+                if gap > 0:
+                    loss += gap
+        delta = ideal - dcg
+        records.append(
+            VerificationRecord(
+                instance_id=",".join(map(str, perm)),
+                check_name="permutation_identity",
+                lhs=delta,
+                rhs=loss,
+                passed=delta == loss,
+            )
+        )
+    return records

@@ -1,4 +1,4 @@
-"""Shared builders for test groups and sequences."""
+"""Shared builders for test groups, and oracle compositions the tests share."""
 
 from __future__ import annotations
 
@@ -6,10 +6,25 @@ import math
 import random
 import re
 
-from lindcg.core import QueryGroup, rank_by_score
+from lindcg.core import QueryGroup
 from lindcg.equivalence import VerificationRecord
-from lindcg.metrics import dcg_error_linear, dcg_linear
-from lindcg.pairwise import binarize, binarize_sequence, pairwise_loss_fast
+from lindcg.oracles import (
+    binarize,
+    dcg_linear,
+    has_score_ties,
+    pairwise_loss_naive,
+    rank_by_score,
+)
+
+
+def ideal(grades):
+    """The grades in non-increasing order: the ranking of highest linear DCG."""
+    return tuple(sorted(grades, reverse=True))
+
+
+def dcg_error(group: QueryGroup) -> int:
+    """Ideal minus observed linear DCG, from the oracle references."""
+    return dcg_linear(ideal(group.grades)) - dcg_linear(rank_by_score(group))
 
 
 def make_group(grades, scores, query_id="q", num_grades=None):
@@ -46,31 +61,31 @@ def random_group(rng: random.Random, max_items=50, max_grades=5,
 def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
     """The multipartite check assembled from binarized copies of the group.
 
-    Each threshold check builds the group binarized at k and ranks it
-    again; the split binarizes the observed sequence once per threshold.
-    An oracle for the ranked-view check, which reads one sweep of the
-    full grades instead.
+    Each threshold check builds the group binarized at k, ranks it again
+    and counts its loss over every item pair; the split binarizes the
+    observed ranking once per threshold.  An oracle for the ranked-view
+    check, which reads one sweep of the full grades instead.
     """
     observed = rank_by_score(group)
-    ties = group.has_score_ties()
+    ties = has_score_ties(group)
     details = []
     for k in range(group.num_grades - 1):
         sub = binarize(group, k)
-        sub_lhs = dcg_error_linear(sub)
-        sub_rhs = pairwise_loss_fast(sub).unnormalized
+        sub_lhs = dcg_error(sub)
+        sub_rhs = pairwise_loss_naive(sub).unnormalized
         details.append(VerificationRecord(
             f"{group.query_id}[k={k}]", "threshold_identity",
             sub_lhs, sub_rhs, sub_lhs == sub_rhs, ties,
         ))
     split_lhs = dcg_linear(observed)
     split_rhs = sum(
-        dcg_linear(binarize_sequence(observed, k)) for k in range(group.num_grades - 1)
+        dcg_linear(1 if g > k else 0 for g in observed) for k in range(group.num_grades - 1)
     )
     details.append(VerificationRecord(
         f"{group.query_id}[split]", "dcg_split", split_lhs, split_rhs, split_lhs == split_rhs,
     ))
-    lhs = dcg_error_linear(group)
-    rhs = pairwise_loss_fast(group).unnormalized
+    lhs = dcg_error(group)
+    rhs = pairwise_loss_naive(group).unnormalized
     return VerificationRecord(
         group.query_id, "multipartite_identity", lhs, rhs, lhs == rhs, ties, tuple(details),
     )

@@ -17,26 +17,21 @@ from pathlib import Path
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from helpers import group_from_ranking, random_group
-from lindcg.core import RankedSequence, rank_by_score
-from lindcg.equivalence import (
+from helpers import group_from_ranking, ideal, random_group
+from lindcg.core import rank_view
+from lindcg.metrics import bipartite_ideal_dcg, compute_report
+from lindcg.oracles import (
+    binarize,
     brute_force_oracle,
     build_exchange_sequence,
-    exchange_decrements,
-)
-from lindcg.metrics import (
-    bipartite_ideal_dcg,
-    dcg_error_linear,
     dcg_linear,
-    ideal_dcg_linear,
-    ndcg_linear,
-)
-from lindcg.pairwise import (
-    binarize_sequence,
-    pairwise_loss_fast,
+    exchange_decrements,
+    has_score_ties,
     pairwise_loss_naive,
+    rank_by_score,
     threshold_decomposition,
 )
+from lindcg.pairwise import loss_from_view
 
 
 def _announce(criterion: int, description: str, passed: bool, detail: str = "") -> None:
@@ -64,12 +59,11 @@ def _timed_metric_bundle(grades_in_rank_order):
     """Compute (ideal, observed, error, loss) for a ranked arrangement, timed."""
     group = group_from_ranking(grades_in_rank_order)
     start = time.perf_counter()
-    observed = dcg_linear(rank_by_score(group))
-    ideal = ideal_dcg_linear(group)
-    error = ideal - observed
-    loss = pairwise_loss_fast(group).unnormalized
+    report = compute_report(group)
     elapsed = time.perf_counter() - start
-    return (ideal, observed, error, loss), elapsed
+    values = (report.ideal_dcg_linear, report.dcg_linear,
+              report.dcg_error_linear, report.pairwise_loss)
+    return values, elapsed
 
 
 def test_criterion_1_golden_bipartite_group():
@@ -139,14 +133,15 @@ def test_criterion_3_exhaustive_identity_to_size_seven():
 def test_criterion_4_threshold_decomposition(random_groups):
     loss_failures = dcg_failures = 0
     for group in random_groups:
-        if threshold_decomposition(group).total() != pairwise_loss_fast(group).unnormalized:
+        view = rank_view(group)
+        if sum(threshold_decomposition(group)) != loss_from_view(view).unnormalized:
             loss_failures += 1
-        observed = rank_by_score(group)
         layered = sum(
-            dcg_linear(binarize_sequence(observed, k))
+            dcg_linear(rank_by_score(binarize(group, k)))
             for k in range(group.num_grades - 1)
         )
-        if dcg_linear(observed) != layered:
+        observed = dcg_linear(rank_by_score(group))
+        if not observed == compute_report(group, view).dcg_linear == layered:
             dcg_failures += 1
 
     ok = loss_failures == 0 and dcg_failures == 0
@@ -170,13 +165,12 @@ def test_criterion_5_exchange_construction_exhaustive():
             for ones_at in itertools.combinations(range(m + n), m):
                 top = set(ones_at)
                 pattern = tuple(1 if i in top else 0 for i in range(m + n))
-                seq = RankedSequence(pattern)
-                ex = build_exchange_sequence(seq)
+                ex = build_exchange_sequence(pattern)
                 decrements = exchange_decrements(ex)
-                error = bipartite_ideal_dcg(m, n) - dcg_linear(seq)
+                error = bipartite_ideal_dcg(m, n) - dcg_linear(pattern)
                 good = (
                     len(ex.pairs) <= min(m, n)
-                    and ex.apply() == seq
+                    and ex.apply() == pattern
                     and all(d >= 1 for d in decrements)
                     and sum(decrements) == error
                 )
@@ -197,9 +191,10 @@ def test_criterion_5_exchange_construction_exhaustive():
 
 def test_criterion_6_fast_counter_equals_naive(random_groups):
     failures = sum(
-        1 for g in random_groups if pairwise_loss_fast(g) != pairwise_loss_naive(g)
+        1 for g in random_groups
+        if loss_from_view(rank_view(g)) != pairwise_loss_naive(g)
     )
-    tied = sum(1 for g in random_groups if g.has_score_ties())
+    tied = sum(1 for g in random_groups if has_score_ties(g))
 
     ok = failures == 0 and tied > 0
     _announce(
@@ -219,7 +214,7 @@ def test_criterion_7_bipartite_ideal_closed_form():
             if m + n == 0:
                 continue
             group = group_from_ranking([1] * m + [0] * n)
-            if ideal_dcg_linear(group) != bipartite_ideal_dcg(m, n):
+            if compute_report(group).ideal_dcg_linear != bipartite_ideal_dcg(m, n):
                 failures += 1
 
     ok = failures == 0
@@ -235,13 +230,15 @@ def test_criterion_7_bipartite_ideal_closed_form():
 def test_criterion_8_ndcg_identity(random_groups):
     failures = 0
     for group in random_groups:
-        ideal = ideal_dcg_linear(group)
+        report = compute_report(group)
+        best = report.ideal_dcg_linear
         observed = dcg_linear(rank_by_score(group))
-        error = dcg_error_linear(group)
         # ndcg = 1 - error/ideal cross-multiplied by the ideal value.
-        if ideal - error != observed:
+        if best != dcg_linear(ideal(group.grades)):
             failures += 1
-        elif ideal and ndcg_linear(group) != observed / ideal:
+        elif best - report.dcg_error_linear != observed:
+            failures += 1
+        elif best and report.ndcg_linear != observed / best:
             failures += 1
 
     ok = failures == 0

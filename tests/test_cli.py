@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -5,7 +6,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from lindcg.cli import main
+import lindcg.oracles
+import lindcg.report
+from lindcg.cli import MAX_EXHAUSTIVE_PERMUTATIONS, exhaustive_permutations, main
+from lindcg.equivalence import VerificationRecord
 
 DATA = Path(__file__).parent / "data"
 
@@ -239,15 +243,33 @@ def test_metrics_rejects_a_grade_above_the_classical_cap(runner, tmp_path, grade
 
 def test_metrics_never_rebuilds_or_re_ranks_a_group(runner, golden_file, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the rebuild path was called")
+        raise AssertionError("an oracle was called")
 
+    # Every oracle, binarize and rank_by_score among them, wherever it is bound.
     for name, module in list(sys.modules.items()):
         if name == "lindcg" or name.startswith("lindcg."):
-            for attr in ("binarize", "binarize_sequence", "rank_by_score", "ideal_sequence"):
-                if hasattr(module, attr):
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value.__module__ == "lindcg.oracles":
                     monkeypatch.setattr(module, attr, forbidden)
     result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", "json"])
     assert result.exit_code == 0, result.output
+
+
+def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
+        runner, golden_file, monkeypatch):
+    args = ["metrics", "--input", golden_file, "--output", "json"]
+    expected = json.loads(runner.invoke(main, args).output)
+    for row in expected["queries"]:
+        row["identity"] = "failed"
+    expected["verification"] = {"passed": 0, "failed": 2, "tie_flagged": 0}
+
+    def failing(group, view=None):
+        return VerificationRecord(group.query_id, "multipartite_identity", 1, 0, False)
+
+    monkeypatch.setattr(lindcg.report, "verify_multipartite_identity", failing)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert json.loads(result.output) == expected
 
 
 VERIFY_ARGS = [
@@ -284,6 +306,37 @@ def test_verify_accepts_zero_trials(runner):
     assert result.exit_code == 0
     assert "random: groups=0" in result.output
     assert "result: PASS" in result.output
+
+
+@pytest.mark.parametrize(("num_grades", "limit", "count"), [
+    (5, 5, 17_045),
+    (300, 5, 2_520_239_860_200),
+    (4, 7, 672_984),
+    (300, 2, 90_600),
+    (300, 0, 0),
+])
+def test_exhaustive_permutations_follow_the_binomial(num_grades, limit, count):
+    assert exhaustive_permutations(num_grades, limit) == count
+
+
+def test_exhaustive_pass_checks_the_counted_permutations(runner):
+    result = runner.invoke(main, ["verify", "--trials", "0", "--max-grades", "4",
+                                  "--exhaustive-limit", "3"])
+    assert result.exit_code == 0
+    assert f"permutations={exhaustive_permutations(4, 3)} " in result.output
+
+
+def test_verify_rejects_an_exhaustive_pass_over_the_budget_unstarted(runner, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("the exhaustive pass started")
+
+    monkeypatch.setattr(lindcg.oracles, "brute_force_oracle", started)
+    assert exhaustive_permutations(300, 5) > MAX_EXHAUSTIVE_PERMUTATIONS
+    result = runner.invoke(main, ["verify", "--max-grades", "300"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert "--max-grades" in result.stderr
+    assert "--exhaustive-limit" in result.stderr
 
 
 def test_verify_rejects_bad_option_values(runner):

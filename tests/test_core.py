@@ -6,41 +6,44 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import make_group
-from lindcg.core import (
-    QueryGroup,
-    RankedSequence,
-    ideal_sequence,
-    rank_by_score,
-)
+from helpers import ideal, make_group
+from lindcg.core import QueryGroup, rank_view
 from lindcg.errors import EmptyGroupError, InvalidGradeError, InvalidScoreError
-from lindcg.metrics import dcg_linear
+from lindcg.metrics import compute_report
+from lindcg.oracles import dcg_linear, has_score_ties, rank_by_score
 
 
 def test_rank_by_score_orders_by_descending_score():
     group = make_group([1, 0, 1], [0.9, 0.1, 0.5])
-    assert rank_by_score(group).grades == (1, 1, 0)
+    assert rank_by_score(group) == rank_view(group).grades == (1, 1, 0)
 
 
 def test_rank_by_score_single_item():
     group = make_group([1], [0.42])
-    assert rank_by_score(group).grades == (1,)
+    assert rank_by_score(group) == rank_view(group).grades == (1,)
 
 
 def test_rank_by_score_ties_break_by_input_index():
     group = make_group([0, 1], [0.5, 0.5])
-    assert rank_by_score(group).grades == (0, 1)
+    assert rank_by_score(group) == rank_view(group).grades == (0, 1)
 
 
 def test_rank_by_score_is_deterministic():
     group = make_group([2, 0, 2, 1], [1.0, 1.0, 0.5, 1.0])
-    assert rank_by_score(group) == rank_by_score(group)
+    assert rank_by_score(group) == rank_by_score(group) == (2, 0, 1, 2)
+    assert rank_view(group) == rank_view(group)
 
 
 def test_ideal_sequence_sorts_descending():
-    assert ideal_sequence(make_group([1, 0, 0, 1, 1, 0], range(6))).grades == (1, 1, 1, 0, 0, 0)
-    assert ideal_sequence(make_group([2, 1, 1, 0, 0, 0, 0], range(7))).grades == (2, 1, 1, 0, 0, 0, 0)
-    assert ideal_sequence(make_group([1, 1, 1], range(3))).grades == (1, 1, 1)
+    # The view path's ideal DCG is the DCG of the non-increasing arrangement.
+    for grades, expected in [
+        ([1, 0, 0, 1, 1, 0], (1, 1, 1, 0, 0, 0)),
+        ([2, 1, 1, 0, 0, 0, 0], (2, 1, 1, 0, 0, 0, 0)),
+        ([1, 1, 1], (1, 1, 1)),
+    ]:
+        assert ideal(grades) == expected
+        group = make_group(grades, range(len(grades)))
+        assert compute_report(group).ideal_dcg_linear == dcg_linear(expected)
 
 
 @given(
@@ -50,26 +53,28 @@ def test_ideal_sequence_sorts_descending():
 def test_orderings_preserve_the_grade_multiset(grades, rng):
     scores = [rng.uniform(-5, 5) for _ in grades]
     group = make_group(grades, scores)
-    assert sorted(rank_by_score(group).grades) == sorted(grades)
-    assert sorted(ideal_sequence(group).grades) == sorted(grades)
+    assert sorted(rank_by_score(group)) == sorted(grades)
+    assert sorted(rank_view(group).grades) == sorted(grades)
 
 
 def test_ideal_sequence_maximizes_linear_dcg_exhaustively():
     # Every multiset over {0,1,2} up to size 6, every arrangement.
     for size in range(1, 7):
         for multiset in itertools.combinations_with_replacement(range(3), size):
-            ideal = dcg_linear(ideal_sequence(make_group(multiset, range(size))))
+            best = compute_report(make_group(multiset, range(size))).ideal_dcg_linear
+            assert best == dcg_linear(ideal(multiset))
             for perm in itertools.permutations(multiset):
-                assert dcg_linear(RankedSequence(perm)) <= ideal
+                assert dcg_linear(perm) <= best
 
 
 def test_ideal_sequence_maximizes_linear_dcg_at_size_seven():
     rng = random.Random(11)
     for _ in range(15):
         multiset = tuple(rng.randrange(4) for _ in range(7))
-        ideal = dcg_linear(ideal_sequence(make_group(multiset, range(7))))
+        best = compute_report(make_group(multiset, range(7))).ideal_dcg_linear
+        assert best == dcg_linear(ideal(multiset))
         for perm in itertools.permutations(multiset):
-            assert dcg_linear(RankedSequence(perm)) <= ideal
+            assert dcg_linear(perm) <= best
 
 
 def test_empty_group_is_rejected():
@@ -82,11 +87,6 @@ def test_grade_and_score_columns_must_have_equal_length():
         QueryGroup("q", (1, 0), (0.5,), 2)
     with pytest.raises(ValueError):
         make_group([1], [0.5, 0.2])
-
-
-def test_empty_sequence_is_rejected():
-    with pytest.raises(EmptyGroupError):
-        RankedSequence(())
 
 
 def test_non_finite_scores_are_rejected():
@@ -111,6 +111,8 @@ def test_bad_grades_are_rejected():
 
 def test_grade_counts_and_ties():
     group = make_group([2, 0, 2, 1], [0.1, 0.2, 0.2, 0.4])
-    assert group.grade_counts() == (1, 1, 2)
-    assert group.has_score_ties()
-    assert not make_group([0, 1], [0.1, 0.2]).has_score_ties()
+    view = rank_view(group)
+    assert (view.levels, view.counts) == ((0, 1, 2), (1, 1, 2))
+    assert has_score_ties(group) and view.has_score_ties
+    untied = make_group([0, 1], [0.1, 0.2])
+    assert not has_score_ties(untied) and not rank_view(untied).has_score_ties

@@ -3,59 +3,59 @@ import random
 
 import pytest
 
-from helpers import group_from_ranking, make_group, random_group, run_thresholds
-from lindcg.core import RankedSequence, sequence_from_grades
-from lindcg.equivalence import (
-    ORACLE_SIZE_CAP,
-    ExchangeSequence,
-    VerificationRecord,
-    brute_force_oracle,
-    build_exchange_sequence,
-    exchange_decrements,
-    verify_bipartite_identity,
-    verify_multipartite_identity,
-)
+from helpers import dcg_error, group_from_ranking, make_group, random_group, run_thresholds
+from lindcg.equivalence import VerificationRecord, verify_multipartite_identity
 from lindcg.errors import (
     EmptyGroupError,
     InvalidGradeError,
     NonBipartiteError,
     TooLargeError,
 )
-from lindcg.metrics import dcg_error_linear, dcg_linear
-from lindcg.pairwise import pairwise_loss_naive
+from lindcg.metrics import compute_report
+from lindcg.oracles import (
+    ORACLE_SIZE_CAP,
+    ExchangeSequence,
+    binarize,
+    brute_force_oracle,
+    build_exchange_sequence,
+    dcg_linear,
+    exchange_decrements,
+    pairwise_loss_naive,
+    rank_by_score,
+)
 
 
 def test_exchange_sequence_for_golden_arrangement():
-    ex = build_exchange_sequence(sequence_from_grades([1, 0, 0, 1, 1, 0]))
+    ex = build_exchange_sequence([1, 0, 0, 1, 1, 0])
     assert ex.pairs == ((2, 1), (3, 2))
     assert (ex.m, ex.n) == (3, 3)
     assert exchange_decrements(ex) == [2, 2]
-    assert ex.apply().grades == (1, 0, 0, 1, 1, 0)
+    assert ex.apply() == (1, 0, 0, 1, 1, 0)
 
 
 def test_exchange_sequence_for_ideal_arrangement_is_empty():
-    ex = build_exchange_sequence(sequence_from_grades([1, 1, 0, 0]))
+    ex = build_exchange_sequence([1, 1, 0, 0])
     assert ex.pairs == ()
     assert exchange_decrements(ex) == []
-    assert ex.apply().grades == (1, 1, 0, 0)
+    assert ex.apply() == (1, 1, 0, 0)
 
 
 def test_exchange_sequence_for_fully_reversed_arrangement():
-    ex = build_exchange_sequence(sequence_from_grades([0, 0, 1, 1]))
+    ex = build_exchange_sequence([0, 0, 1, 1])
     assert ex.pairs == ((1, 1), (2, 2))
     assert sum(exchange_decrements(ex)) == 4
-    assert ex.apply().grades == (0, 0, 1, 1)
+    assert ex.apply() == (0, 0, 1, 1)
 
 
 def test_single_swap_decrement_is_one():
-    ex = build_exchange_sequence(sequence_from_grades([0, 1]))
+    ex = build_exchange_sequence([0, 1])
     assert ex.pairs == ((1, 1),)
     assert exchange_decrements(ex) == [1]
 
 
 def test_exchange_builder_rejects_nonbinary_grades():
     with pytest.raises(NonBipartiteError):
-        build_exchange_sequence(sequence_from_grades([2, 0]))
+        build_exchange_sequence([2, 0])
 
 
 def test_exchange_sequence_validates_its_pairs():
@@ -76,39 +76,35 @@ def test_exchange_replay_reproduces_every_bipartite_arrangement():
                 continue
             base = [1] * m + [0] * n
             for perm in set(itertools.permutations(base)):
-                seq = RankedSequence(perm)
-                ex = build_exchange_sequence(seq)
-                assert ex.apply() == seq
-                assert sum(exchange_decrements(ex)) == dcg_error_linear(
+                ex = build_exchange_sequence(perm)
+                assert ex.apply() == perm
+                assert sum(exchange_decrements(ex)) == compute_report(
                     group_from_ranking(list(perm))
-                )
+                ).dcg_error_linear
                 assert all(d >= 1 for d in exchange_decrements(ex))
 
 
 def test_bipartite_identity_on_golden_arrangement():
-    record = verify_bipartite_identity(group_from_ranking([1, 0, 0, 1, 1, 0], query_id="g"))
+    record = verify_multipartite_identity(group_from_ranking([1, 0, 0, 1, 1, 0], query_id="g"))
     assert record.passed
     assert (record.lhs, record.rhs) == (4, 4)
-    assert record.check_name == "bipartite_identity"
+    assert record.check_name == "multipartite_identity"
     assert record.instance_id == "g"
     assert not record.tie_afflicted
+    threshold, _ = record.details
+    assert (threshold.instance_id, threshold.lhs, threshold.rhs) == ("g[k=0]", 4, 4)
 
 
 def test_bipartite_identity_on_ideal_and_reversed_arrangements():
-    assert verify_bipartite_identity(group_from_ranking([1, 1, 0, 0])).lhs == 0
-    reversed_record = verify_bipartite_identity(group_from_ranking([0, 0, 0, 1, 1]))
+    assert verify_multipartite_identity(group_from_ranking([1, 1, 0, 0])).lhs == 0
+    reversed_record = verify_multipartite_identity(group_from_ranking([0, 0, 0, 1, 1]))
     assert reversed_record.passed
     assert reversed_record.lhs == 6  # 2*3 cross pairs, each inverted
 
 
-def test_bipartite_identity_requires_binary_alphabet():
-    with pytest.raises(NonBipartiteError):
-        verify_bipartite_identity(group_from_ranking([2, 1, 0]))
-
-
 def test_score_ties_break_the_identity_but_only_flag_the_record():
     group = make_group([0, 1], [0.5, 0.5])
-    record = verify_bipartite_identity(group)
+    record = verify_multipartite_identity(group)
     assert record.tie_afflicted
     assert not record.passed
     assert (record.lhs, record.rhs) == (1, 0)
@@ -200,21 +196,21 @@ def test_oracle_agrees_with_the_library_computations():
     by_id = {r.instance_id: r for r in records}
     for perm in set(itertools.permutations((2, 1, 1, 0))):
         group = group_from_ranking(list(perm))
-        expected_lhs = dcg_error_linear(group)
+        expected_lhs = compute_report(group).dcg_error_linear
+        assert expected_lhs == dcg_error(group)
         expected_rhs = pairwise_loss_naive(group).unnormalized
         record = by_id[",".join(map(str, perm))]
         assert (record.lhs, record.rhs) == (expected_lhs, expected_rhs)
 
 
 def test_dcg_splits_into_binarized_layers():
-    from lindcg.pairwise import binarize_sequence
-
     for grades in [(2, 0, 1, 0, 1, 0, 0), (3, 1, 2, 0), (1, 1, 1), (4, 0)]:
-        seq = sequence_from_grades(list(grades))
+        group = group_from_ranking(list(grades))
         total = sum(
-            dcg_linear(binarize_sequence(seq, k)) for k in range(max(grades))
+            dcg_linear(rank_by_score(binarize(group, k))) for k in range(max(grades))
         )
-        assert dcg_linear(seq) == total
+        assert dcg_linear(grades) == total
+        assert compute_report(group).dcg_linear == total
 
 
 def test_verification_record_rejects_inconsistent_flags():

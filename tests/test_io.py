@@ -9,6 +9,7 @@ import lindcg.io
 from helpers import parse_tsv_by_line
 from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
 from lindcg.io import _BLOCK_CHARS, DatasetFile, _read_lines, parse_svmlight, parse_tsv
+from lindcg.oracles import has_score_ties
 
 GOOD_TSV = """\
 # comment line
@@ -118,7 +119,7 @@ def test_score_ties_keep_file_order():
     text = "q\t1\t0.5\nq\t0\t0.5\nq\t2\t0.5\n"
     (group,) = parse_tsv(io.StringIO(text)).query_groups()
     assert list(group.grades) == [1, 0, 2]
-    assert group.has_score_ties()
+    assert has_score_ties(group)
 
 
 GOOD_SVMLIGHT = """\

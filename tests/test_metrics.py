@@ -6,34 +6,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import group_from_ranking, make_group, random_group
-from lindcg.core import RankedSequence, ideal_sequence, rank_by_score
+from helpers import dcg_error, group_from_ranking, ideal, make_group, random_group
 from lindcg.errors import GradeTooLargeError
-from lindcg.metrics import (
-    bipartite_ideal_dcg,
-    compute_report,
-    dcg_classic,
-    dcg_error_linear,
-    dcg_linear,
-    ideal_dcg_classic,
-    ideal_dcg_linear,
-    ndcg_classic,
-    ndcg_linear,
-)
+from lindcg.metrics import bipartite_ideal_dcg, compute_report
+from lindcg.oracles import dcg_classic, dcg_linear, rank_by_score
 
 
 def test_dcg_linear_golden_values():
-    assert dcg_linear(RankedSequence((1, 1, 1, 0, 0, 0))) == 12  # 5 + 4 + 3
-    assert dcg_linear(RankedSequence((1, 0, 0, 1, 1, 0))) == 8  # 5 + 2 + 1
-    assert dcg_linear(RankedSequence((0, 0, 0))) == 0
+    assert dcg_linear((1, 1, 1, 0, 0, 0)) == 12  # 5 + 4 + 3
+    assert dcg_linear((1, 0, 0, 1, 1, 0)) == 8  # 5 + 2 + 1
+    assert dcg_linear((0, 0, 0)) == 0
+    assert compute_report(group_from_ranking([1, 0, 0, 1, 1, 0])).dcg_linear == 8
 
 
 def test_last_position_contributes_nothing():
-    assert dcg_linear(RankedSequence((7,))) == 0
-    assert dcg_linear(RankedSequence((0, 3))) == 0
+    assert dcg_linear((7,)) == 0
+    assert dcg_linear((0, 3)) == 0
+    assert compute_report(group_from_ranking([0, 3])).dcg_linear == 0
 
 
 def test_ideal_dcg_linear_golden_values():
+    def ideal_dcg_linear(group):
+        return compute_report(group).ideal_dcg_linear
+
     assert ideal_dcg_linear(group_from_ranking([1, 0, 0, 1, 1, 0])) == 12  # 3*3 + 3*2/2
     assert ideal_dcg_linear(group_from_ranking([2, 0, 1, 0, 1, 0, 0])) == 21  # 2*6 + 5 + 4
     assert ideal_dcg_linear(make_group([0, 0, 0, 0], range(4))) == 0
@@ -45,39 +40,52 @@ def test_bipartite_closed_form_matches_sort_path():
             if m + n == 0:
                 continue
             group = group_from_ranking([1] * m + [0] * n)
-            assert ideal_dcg_linear(group) == bipartite_ideal_dcg(m, n)
+            assert compute_report(group).ideal_dcg_linear == bipartite_ideal_dcg(m, n)
+            assert dcg_linear(ideal(group.grades)) == bipartite_ideal_dcg(m, n)
 
 
 def test_ndcg_linear_golden_values():
+    def ndcg_linear(group):
+        return compute_report(group).ndcg_linear
+
     assert ndcg_linear(group_from_ranking([1, 0, 0, 1, 1, 0])) == 8 / 12
     assert ndcg_linear(group_from_ranking([1, 1, 0, 0])) == 1.0
     assert ndcg_linear(make_group([0, 0, 0], [0.3, 0.1, 0.2])) == 1.0
 
 
 def test_dcg_classic_golden_values():
-    assert dcg_classic(RankedSequence((1,))) == 1.0
-    assert dcg_classic(RankedSequence((0, 0))) == 0.0
-    assert dcg_classic(RankedSequence((2, 1, 0))) == 3 / 1 + 1 / math.log2(3) + 0
+    assert dcg_classic((1,)) == 1.0
+    assert dcg_classic((0, 0)) == 0.0
+    assert dcg_classic((2, 1, 0)) == 3 / 1 + 1 / math.log2(3) + 0
+    assert compute_report(group_from_ranking([2, 1, 0])).dcg_classic == dcg_classic((2, 1, 0))
 
 
 def test_dcg_classic_grade_cap():
-    assert dcg_classic(RankedSequence((30,))) == 2**30 - 1
+    assert dcg_classic((30,)) == 2**30 - 1
+    assert compute_report(make_group([30], [0.5])).dcg_classic == 2**30 - 1
     with pytest.raises(GradeTooLargeError):
-        dcg_classic(RankedSequence((31,)))
+        compute_report(make_group([31], [0.5]))
 
 
 def test_ndcg_classic_golden_values():
+    def ndcg_classic(group):
+        return compute_report(group).ndcg_classic
+
     assert ndcg_classic(group_from_ranking([2, 1, 0])) == 1.0
     assert ndcg_classic(make_group([0, 0], [0.1, 0.9])) == 1.0
     observed = 1 / 1 + 3 / math.log2(3)
-    ideal = 3 / 1 + 1 / math.log2(3)
-    assert ndcg_classic(group_from_ranking([1, 2, 0])) == observed / ideal
+    best = 3 / 1 + 1 / math.log2(3)
+    assert ndcg_classic(group_from_ranking([1, 2, 0])) == observed / best
 
 
 def test_dcg_error_linear_golden_values():
-    assert dcg_error_linear(group_from_ranking([1, 0, 0, 1, 1, 0])) == 4  # 12 - 8
-    assert dcg_error_linear(group_from_ranking([2, 0, 1, 0, 1, 0, 0])) == 3  # 21 - 18
-    assert dcg_error_linear(group_from_ranking([2, 1, 0, 0])) == 0
+    for grades, expected in [
+        ([1, 0, 0, 1, 1, 0], 4),  # 12 - 8
+        ([2, 0, 1, 0, 1, 0, 0], 3),  # 21 - 18
+        ([2, 1, 0, 0], 0),
+    ]:
+        group = group_from_ranking(grades)
+        assert compute_report(group).dcg_error_linear == dcg_error(group) == expected
 
 
 def test_single_item_group_is_linear_degenerate_only():
@@ -94,11 +102,11 @@ def test_equality_with_ideal_holds_iff_non_increasing():
     for alphabet, max_size in cases:
         for size in range(1, max_size + 1):
             for multiset in itertools.combinations_with_replacement(range(alphabet), size):
-                ideal = dcg_linear(ideal_sequence(make_group(multiset, range(size))))
+                best = compute_report(make_group(multiset, range(size))).ideal_dcg_linear
                 for perm in itertools.permutations(multiset):
-                    value = dcg_linear(RankedSequence(perm))
+                    value = dcg_linear(perm)
                     non_increasing = all(a >= b for a, b in zip(perm, perm[1:]))
-                    assert (value == ideal) == non_increasing
+                    assert (value == best) == non_increasing
 
 
 def test_adjacent_swap_changes_dcg_by_grade_gap():
@@ -108,29 +116,33 @@ def test_adjacent_swap_changes_dcg_by_grade_gap():
         i = rng.randrange(len(grades) - 1)
         swapped = list(grades)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        delta = dcg_linear(RankedSequence(tuple(grades))) - dcg_linear(
-            RankedSequence(tuple(swapped))
-        )
+        delta = dcg_linear(grades) - dcg_linear(swapped)
         assert delta == grades[i] - grades[i + 1]
+        view_delta = (compute_report(group_from_ranking(grades)).dcg_linear
+                      - compute_report(group_from_ranking(swapped)).dcg_linear)
+        assert view_delta == delta
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_ndcg_values_stay_in_unit_interval(seed):
     group = random_group(random.Random(seed), max_items=30, allow_ties=True)
-    assert 0.0 <= ndcg_linear(group) <= 1.0
-    assert 0.0 <= ndcg_classic(group) <= 1.0
+    report = compute_report(group)
+    assert 0.0 <= report.ndcg_linear <= 1.0
+    assert 0.0 <= report.ndcg_classic <= 1.0
 
 
 def test_ndcg_identity_by_cross_multiplication():
     rng = random.Random(5)
     for _ in range(200):
         group = random_group(rng, max_items=60, allow_ties=True)
+        report = compute_report(group)
         observed = dcg_linear(rank_by_score(group))
-        ideal = ideal_dcg_linear(group)
+        best = dcg_linear(ideal(group.grades))
+        assert (report.dcg_linear, report.ideal_dcg_linear) == (observed, best)
         # ndcg == 1 - error/ideal as exact rationals.
-        assert observed == ideal - dcg_error_linear(group)
-        if ideal:
-            assert ndcg_linear(group) == observed / ideal
+        assert observed == best - report.dcg_error_linear
+        if best:
+            assert report.ndcg_linear == observed / best
 
 
 def test_compute_report_is_internally_consistent():
@@ -143,5 +155,5 @@ def test_compute_report_is_internally_consistent():
     assert report.pairwise_loss == 4
     assert report.normalizer_z == 9
     assert report.normalized_pairwise_loss == 4 / 9
-    assert report.ideal_dcg_classic == ideal_dcg_classic(group)
+    assert report.ideal_dcg_classic == dcg_classic(ideal(group.grades))
     assert not (report.degenerate_linear or report.degenerate_classic)

@@ -5,16 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import group_from_ranking, make_group, random_group
-import lindcg.pairwise
-from lindcg.core import QueryGroup
+import lindcg.oracles
+from lindcg.core import QueryGroup, rank_view
 from lindcg.errors import ThresholdOutOfRangeError
-from lindcg.pairwise import (
+from lindcg.oracles import (
     binarize,
-    binarize_sequence,
-    pairwise_loss_fast,
     pairwise_loss_naive,
+    rank_by_score,
     threshold_decomposition,
 )
+from lindcg.pairwise import loss_from_view
 
 
 def test_naive_loss_golden_values():
@@ -30,14 +30,14 @@ def test_normalizer_counts_cross_grade_pairs():
 
 
 def test_normalized_loss_can_exceed_one():
-    value = pairwise_loss_fast(group_from_ranking([0, 2]))
+    value = loss_from_view(rank_view(group_from_ranking([0, 2])))
     assert value.unnormalized == 2
     assert value.normalizer_z == 1
     assert value.normalized == 2.0
 
 
 def test_single_grade_group_is_degenerate():
-    value = pairwise_loss_fast(make_group([1, 1, 1], [0.5, 0.2, 0.9]))
+    value = loss_from_view(rank_view(make_group([1, 1, 1], [0.5, 0.2, 0.9])))
     assert value.unnormalized == 0
     assert value.normalizer_z == 0
     assert value.normalized == 0.0
@@ -47,7 +47,7 @@ def test_single_grade_group_is_degenerate():
 def test_score_ties_never_count_as_misorderings():
     group = make_group([2, 1, 0, 2], [0.5, 0.5, 0.5, 0.5])
     assert pairwise_loss_naive(group).unnormalized == 0
-    assert pairwise_loss_fast(group).unnormalized == 0
+    assert loss_from_view(rank_view(group)).unnormalized == 0
 
 
 def test_fast_matches_naive_on_random_groups():
@@ -55,7 +55,7 @@ def test_fast_matches_naive_on_random_groups():
     for trial in range(300):
         group = random_group(rng, max_items=40, allow_ties=trial % 2 == 1)
         naive = pairwise_loss_naive(group)
-        fast = pairwise_loss_fast(group)
+        fast = loss_from_view(rank_view(group))
         assert fast == naive, f"trial {trial}: {fast} != {naive}"
 
 
@@ -74,7 +74,7 @@ def test_fast_matches_naive_with_heavy_integer_score_ties(pairs):
         scores=tuple(float(s) for _, s in pairs),
         num_grades=5,
     )
-    assert pairwise_loss_fast(group) == pairwise_loss_naive(group)
+    assert loss_from_view(rank_view(group)) == pairwise_loss_naive(group)
 
 
 def test_fast_handles_large_groups():
@@ -82,31 +82,31 @@ def test_fast_handles_large_groups():
     grades = [rng.randrange(5) for _ in range(10_000)]
     scores = [rng.random() for _ in range(10_000)]
     big = make_group(grades, scores)
-    value = pairwise_loss_fast(big)
+    value = loss_from_view(rank_view(big))
     assert value.unnormalized > 0
     sub = make_group(grades[:500], scores[:500])
-    assert pairwise_loss_fast(sub) == pairwise_loss_naive(sub)
+    assert loss_from_view(rank_view(sub)) == pairwise_loss_naive(sub)
 
 
 def test_monotone_score_transforms_preserve_loss():
     rng = random.Random(21)
     for _ in range(50):
         group = random_group(rng, max_items=30, allow_ties=True)
-        base = pairwise_loss_fast(group).unnormalized
+        base = loss_from_view(rank_view(group)).unnormalized
         shifted = QueryGroup(
             query_id=group.query_id,
             grades=group.grades,
             scores=tuple(3.0 * s + 7.0 for s in group.scores),
             num_grades=group.num_grades,
         )
-        assert pairwise_loss_fast(shifted).unnormalized == base
+        assert loss_from_view(rank_view(shifted)).unnormalized == base
 
 
 def test_loss_bounded_by_weight_cap_times_normalizer():
     rng = random.Random(33)
     for _ in range(100):
         group = random_group(rng, max_items=30, allow_ties=True)
-        value = pairwise_loss_fast(group)
+        value = loss_from_view(rank_view(group))
         assert value.unnormalized <= (group.num_grades - 1) * value.normalizer_z
 
 
@@ -114,7 +114,7 @@ def test_reversed_bipartite_ranking_inverts_every_pair():
     for m in range(1, 7):
         for n in range(1, 7):
             group = group_from_ranking([0] * n + [1] * m)
-            assert pairwise_loss_fast(group).unnormalized == m * n
+            assert loss_from_view(rank_view(group)).unnormalized == m * n
 
 
 def test_binarize_thresholds_a_three_grade_group():
@@ -136,31 +136,33 @@ def test_binarize_rejects_out_of_range_thresholds():
 
 
 def test_binarize_sequence_matches_group_binarization():
-    from lindcg.core import sequence_from_grades
-
-    seq = sequence_from_grades([2, 0, 1, 0, 1, 0, 0])
-    assert binarize_sequence(seq, 0).grades == (1, 0, 1, 0, 1, 0, 0)
-    assert binarize_sequence(seq, 1).grades == (1, 0, 0, 0, 0, 0, 0)
+    group = make_group([0, 2, 0, 1, 0, 1, 0], [0.4, 0.9, 0.1, 0.5, 0.6, 0.3, 0.2])
+    seq = rank_by_score(group)
+    assert seq == (2, 0, 1, 0, 1, 0, 0)
+    assert rank_by_score(binarize(group, 0)) == (1, 0, 1, 0, 1, 0, 0)
+    assert rank_by_score(binarize(group, 1)) == (1, 0, 0, 0, 0, 0, 0)
+    for k in (0, 1):
+        assert rank_by_score(binarize(group, k)) == tuple(1 if g > k else 0 for g in seq)
 
 
 def test_threshold_decomposition_golden_values():
     vector = threshold_decomposition(group_from_ranking([2, 0, 1, 0, 1, 0, 0]))
-    assert vector.per_threshold == (3, 0)
-    assert vector.total() == 3
+    assert vector == (3, 0)
+    assert sum(vector) == 3
 
 
 def test_threshold_decomposition_of_bipartite_group_is_the_loss_itself():
     group = group_from_ranking([1, 0, 0, 1, 1, 0])
     vector = threshold_decomposition(group)
-    assert vector.per_threshold == (4,)
-    assert vector.total() == pairwise_loss_fast(group).unnormalized
+    assert vector == (4,)
+    assert sum(vector) == loss_from_view(rank_view(group)).unnormalized
 
 
 def test_threshold_decomposition_sums_to_weighted_loss():
     rng = random.Random(55)
     for _ in range(200):
         group = random_group(rng, max_items=40, allow_ties=True)
-        assert threshold_decomposition(group).total() == pairwise_loss_fast(group).unnormalized
+        assert sum(threshold_decomposition(group)) == loss_from_view(rank_view(group)).unnormalized
 
 
 @st.composite
@@ -187,12 +189,12 @@ def test_threshold_decomposition_matches_a_rebuild_at_every_threshold(group):
         return binarize(group, k)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lindcg.pairwise, "binarize", counting_binarize)
+        patch.setattr(lindcg.oracles, "binarize", counting_binarize)
         vector = threshold_decomposition(group)
-    assert vector.per_threshold == rebuilt
+    assert vector == rebuilt
     assert len(calls) <= len(set(group.grades)) + 1
 
 
 def test_perfect_ranking_decomposes_to_zeros():
     vector = threshold_decomposition(group_from_ranking([3, 2, 1, 0], num_grades=4))
-    assert vector.per_threshold == (0, 0, 0)
+    assert vector == (0, 0, 0)

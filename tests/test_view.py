@@ -9,23 +9,22 @@ from hypothesis import strategies as st
 import lindcg.report
 from helpers import (
     group_from_ranking,
+    ideal,
     make_group,
     rebuilt_multipartite_record,
     run_thresholds,
 )
-from lindcg.core import rank_by_score, rank_view
+from lindcg.core import rank_view
 from lindcg.equivalence import verify_multipartite_identity
-from lindcg.metrics import (
-    compute_report,
+from lindcg.metrics import compute_report
+from lindcg.oracles import (
     dcg_classic,
-    dcg_error_linear,
     dcg_linear,
-    ideal_dcg_classic,
-    ideal_dcg_linear,
-    ndcg_classic,
-    ndcg_linear,
+    pairwise_loss_naive,
+    rank_by_score,
+    threshold_decomposition,
 )
-from lindcg.pairwise import loss_from_view, pairwise_loss_naive, threshold_decomposition
+from lindcg.pairwise import loss_from_view
 
 
 @st.composite
@@ -98,7 +97,7 @@ def test_identity_check_equals_the_rebuild_path_record_by_record(group):
     assert all((d.lhs, d.rhs, d.passed) == (0, 0, True) for d in per_k[len(expanded):])
     assert record.rhs == pairwise_loss_naive(group).unnormalized
     per_threshold = tuple(d.rhs for d in expanded) + (0,) * (len(per_k) - len(expanded))
-    assert per_threshold == threshold_decomposition(group).per_threshold
+    assert per_threshold == threshold_decomposition(group)
 
 
 @settings(max_examples=200)
@@ -107,27 +106,29 @@ def test_report_equals_the_single_purpose_helpers(group):
     report = compute_report(group)
     observed = rank_by_score(group)
     naive = pairwise_loss_naive(group)
+    lin, lin_ideal = dcg_linear(observed), dcg_linear(ideal(group.grades))
+    cls, cls_ideal = dcg_classic(observed), dcg_classic(ideal(group.grades))
     assert report.query_id == group.query_id
     assert report.num_items == len(group)
-    assert report.dcg_linear == dcg_linear(observed)
-    assert report.ideal_dcg_linear == ideal_dcg_linear(group)
-    assert report.ndcg_linear == ndcg_linear(group)
-    assert report.dcg_classic == dcg_classic(observed)
-    assert report.ideal_dcg_classic == ideal_dcg_classic(group)
-    assert report.ndcg_classic == ndcg_classic(group)
-    assert report.dcg_error_linear == dcg_error_linear(group)
+    assert report.dcg_linear == lin
+    assert report.ideal_dcg_linear == lin_ideal
+    assert report.ndcg_linear == (lin / lin_ideal if lin_ideal else 1.0)
+    assert report.dcg_classic == cls
+    assert report.ideal_dcg_classic == cls_ideal
+    assert report.ndcg_classic == (cls / cls_ideal if cls_ideal else 1.0)
+    assert report.dcg_error_linear == lin_ideal - lin
     assert report.pairwise_loss == naive.unnormalized
     assert report.normalizer_z == naive.normalizer_z
     assert report.normalized_pairwise_loss == naive.normalized
-    assert report.degenerate_linear == (ideal_dcg_linear(group) == 0)
-    assert report.degenerate_classic == (ideal_dcg_classic(group) == 0.0)
+    assert report.degenerate_linear == (lin_ideal == 0)
+    assert report.degenerate_classic == (cls_ideal == 0.0)
 
 
 def test_classical_dcg_keeps_the_rank_order_float_sum():
     grades = [3, 0, 30, 1, 0, 2, 17]
     report = compute_report(group_from_ranking(grades, num_grades=31))
     expected = sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(grades, start=1))
-    assert report.dcg_classic == expected
+    assert report.dcg_classic == expected == dcg_classic(grades)
 
 
 def test_aggregate_ranks_each_group_once(monkeypatch):
