@@ -8,6 +8,8 @@ import re
 
 from lindcg.core import QueryGroup
 from lindcg.equivalence import VerificationRecord
+from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
+from lindcg.io import DatasetFile
 from lindcg.oracles import (
     binarize,
     dcg_linear,
@@ -100,6 +102,42 @@ def run_thresholds(instance_id: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
+def _data_lines_by_line(text: str, errors: list):
+    """(line number, line) of each non-blank, non-comment line; undecodable lines go to errors."""
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        if re.search("[\udc80-\udcff]", line):
+            errors.append((lineno, "invalid UTF-8"))
+        else:
+            yield lineno, line
+
+
+def _grade_by_line(text: str, num_grades):
+    """(grade, None) for an ASCII integer grade inside the alphabet, else (None, reason)."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        return None, f"grade {text!r} is not an integer"
+    grade = int(text)
+    if grade < 0:
+        return None, f"negative grade {grade}"
+    if num_grades is not None and grade >= num_grades:
+        return None, f"grade {grade} outside declared alphabet of {num_grades}"
+    return grade, None
+
+
+def _score_by_line(text: str):
+    """(score, None) for a finite ASCII number without digit separators, else (None, reason)."""
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        score = float(text)
+    except ValueError:
+        return None, f"score {text!r} is not a number"
+    if not math.isfinite(score):
+        return None, f"non-finite score {text!r}"
+    return score, None
+
+
 def parse_tsv_by_line(text: str, num_grades=None):
     """TSV text parsed one line at a time with the documented rules.
 
@@ -108,9 +146,7 @@ def parse_tsv_by_line(text: str, num_grades=None):
     An oracle for the column-at-a-time block parse of ``parse_tsv``.
     """
     query_ids, grades, scores, errors = [], [], [], []
-    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        if not line.strip() or line.strip().startswith("#"):
-            continue
+    for lineno, line in _data_lines_by_line(text, errors):
         fields = [field.strip() for field in line.split("\t")]
         if len(fields) != 3:
             errors.append((lineno, f"expected 3 tab-separated fields, got {len(fields)}"))
@@ -119,27 +155,73 @@ def parse_tsv_by_line(text: str, num_grades=None):
         if not query_id:
             errors.append((lineno, "empty query id"))
             continue
-        if not re.fullmatch(r"[+-]?[0-9]+", grade_text):
-            errors.append((lineno, f"grade {grade_text!r} is not an integer"))
+        grade, reason = _grade_by_line(grade_text, num_grades)
+        if reason:
+            errors.append((lineno, reason))
             continue
-        grade = int(grade_text)
-        if grade < 0:
-            errors.append((lineno, f"negative grade {grade}"))
-            continue
-        if num_grades is not None and grade >= num_grades:
-            errors.append((lineno, f"grade {grade} outside declared alphabet of {num_grades}"))
-            continue
-        try:
-            if not score_text.isascii() or "_" in score_text:
-                raise ValueError(score_text)
-            score = float(score_text)
-        except ValueError:
-            errors.append((lineno, f"score {score_text!r} is not a number"))
-            continue
-        if not math.isfinite(score):
-            errors.append((lineno, f"non-finite score {score_text!r}"))
+        score, reason = _score_by_line(score_text)
+        if reason:
+            errors.append((lineno, reason))
             continue
         query_ids.append(query_id)
         grades.append(grade)
         scores.append(score)
     return tuple(query_ids), tuple(grades), tuple(scores), errors
+
+
+def parse_svmlight_by_line(text: str, scores: str | None = None, num_grades=None):
+    """SVMLight text, with an optional score-file text, parsed one line at a time.
+
+    Returns the ``DatasetFile`` that ``parse_svmlight`` returns, or raises
+    the error it raises: the score file's malformed lines first, then a
+    score count that differs from the data rows, then the data's malformed
+    lines, then an empty file.  An oracle for the head-only block reads of
+    ``parse_svmlight`` and of its score-file reader.
+    """
+    row_scores = []
+    if scores is not None:
+        errors = []
+        for lineno, line in _data_lines_by_line(scores, errors):
+            score, reason = _score_by_line(line.strip())
+            if reason:
+                errors.append((lineno, reason))
+            else:
+                row_scores.append(score)
+        if errors:
+            raise ParseError([(n, f"score file: {reason}") for n, reason in errors],
+                             accepted_count=len(row_scores))
+    query_ids, grades, errors = [], [], []
+    for lineno, line in _data_lines_by_line(text, errors):
+        body, _, comment = line.partition("#")
+        tokens = body.split()
+        if len(tokens) < 2:
+            errors.append((lineno, "expected 'grade qid:ID ...'"))
+            continue
+        grade, reason = _grade_by_line(tokens[0], num_grades)
+        if reason:
+            errors.append((lineno, reason))
+            continue
+        if not tokens[1].startswith("qid:") or tokens[1] == "qid:":
+            errors.append((lineno, f"second token {tokens[1]!r} is not 'qid:ID'"))
+            continue
+        if scores is None:
+            found = re.search(r"(?:^|\s)score\s*=\s*(\S+)", comment)
+            if not found:
+                errors.append((lineno, "missing score (no companion file and no '# score=V')"))
+                continue
+            score, reason = _score_by_line(found[1])
+            if reason:
+                errors.append((lineno, reason))
+                continue
+            row_scores.append(score)
+        query_ids.append(tokens[1][4:])
+        grades.append(grade)
+    data_rows = len(grades) + len(errors)
+    if scores is not None and len(row_scores) != data_rows:
+        raise ScoreCountMismatchError(
+            f"{data_rows} data rows but {len(row_scores)} scores in the companion file")
+    if errors:
+        raise ParseError(errors, accepted_count=len(grades))
+    if not grades:
+        raise EmptyFileError("no records after discarding comments and blank lines")
+    return DatasetFile(tuple(query_ids), tuple(grades), tuple(row_scores), num_grades)

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindcg.io
-from helpers import parse_tsv_by_line
-from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
-from lindcg.io import _BLOCK_CHARS, DatasetFile, _read_lines, parse_svmlight, parse_tsv
+from helpers import parse_svmlight_by_line, parse_tsv_by_line
+from lindcg.errors import EmptyFileError, LindcgError, ParseError, ScoreCountMismatchError
+from lindcg.io import _BLOCK_CHARS, DatasetFile, _read_rows, parse_svmlight, parse_tsv
 from lindcg.oracles import has_score_ties
 
 GOOD_TSV = """\
@@ -280,11 +280,23 @@ def test_reader_matches_splitlines_across_block_boundaries(tmp_path, source):
     if source == "path":
         path = tmp_path / "blocks.txt"
         path.write_bytes(text.encode("utf-8"))
-        lines = list(_read_lines(path, errors))
+        lines = list(_read_rows(path, lambda block: None, (), errors))
     else:
-        lines = list(_read_lines(io.StringIO(text), errors))
+        lines = list(_read_rows(io.StringIO(text), lambda block: None, (), errors))
     assert lines == _splitlines_data(text)
     assert errors == []
+
+
+@pytest.mark.parametrize("scored", [True, False])
+def test_a_long_line_costs_linear_time(monkeypatch, scored):
+    # Re-reading the start of a line at every block made a line of n
+    # characters cost about n**2 / _BLOCK_CHARS: minutes for this one.
+    features = " ".join(f"{i}:0.5" for i in range(125_000))  # about 10**6 characters
+    comments = ("", "") if scored else (" # score=0.5", " # score=0.25")
+    text = f"1 qid:a {features}{comments[0]}\n0 qid:a 1:0{comments[1]}\n"
+    monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 8)
+    dataset = parse_svmlight(io.StringIO(text), io.StringIO("0.5\n0.25\n") if scored else None)
+    assert dataset == DatasetFile(("a", "a"), (1, 0), (0.5, 0.25))
 
 
 def _source(tmp_path, name, text, kind):
@@ -344,6 +356,8 @@ _BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c"])
 )
 # Four fields then two make three cells a line, yet both lines are malformed.
 @example(lines=[("q1\t1\t0.5\t3", "\n"), ("2\t0.5", "\n")], block_chars=64, num_grades=None)
+# A first block that holds only the byte-order mark.
+@example(lines=[("\ufeffq1\t1\t0.5", "\n")], block_chars=1, num_grades=None)
 def test_block_parse_matches_a_line_by_line_parse(lines, block_chars, num_grades):
     text = "".join(line + end for line, end in lines)
     query_ids, grades, scores, errors = parse_tsv_by_line(text, num_grades)
@@ -379,3 +393,125 @@ def test_valid_blocks_are_never_read_line_by_line(monkeypatch, block_chars):
     assert by_line == []
     assert dataset == DatasetFile(*parse_tsv_by_line(text)[:3])
     assert len(set(map(id, dataset.query_ids))) == 7
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 4096])
+def test_valid_svmlight_and_score_blocks_are_never_read_line_by_line(monkeypatch, block_chars):
+    text = "".join(f"{i % 3} qid:q{i % 7} 1:{i / 8} 2:0.5\n" for i in range(300))
+    scores = "".join(f"{i / 16}\n" for i in range(300))
+    by_line = []
+    data_lines = lindcg.io._data_lines
+
+    def spy(blocks, errors):
+        blocks = list(blocks)
+        by_line.extend(line for _, lines in blocks for line in lines)
+        return data_lines(blocks, errors)
+
+    monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(lindcg.io, "_data_lines", spy)
+    dataset = parse_svmlight(io.StringIO(text), scores=io.StringIO(scores))
+    assert by_line == []
+    assert dataset == parse_svmlight_by_line(text, scores)
+    assert len(set(map(id, dataset.query_ids))) == 7
+
+
+def _outcome(parse, *args):
+    """What a parse returns, or the type, message, errors and accepted count of what it raises."""
+    try:
+        return parse(*args)
+    except LindcgError as error:
+        return (type(error), str(error), getattr(error, "errors", None),
+                getattr(error, "accepted_count", None))
+
+
+# SVMLight lines whose heads the head-only block read takes, so that a block
+# of them with a score file reaches every whole-block check; a few grades
+# are out of range, negative, hold a "_" or are not integers.
+_HEADS = st.builds(
+    "".join,
+    st.tuples(st.sampled_from(["", "", " ", "\t"]),
+              st.sampled_from(["0", "1", "2", "3", "4", "-0", "+3", "7", "-1", "1_0", "x", "2.0"]),
+              st.sampled_from([" ", "\t", "  "]),
+              st.sampled_from(["qid:1", "qid:a7", "qid:Q_9"]),
+              st.sampled_from(["", " 1:0.5", " 1:0.5 2:3", "\t1:2 "])),
+)
+# Lines that send their block to the line rules: inline scores and other
+# comments, "#" in an id, "\x1f" (whitespace to str.split), non-ASCII text,
+# undecodable bytes and malformed heads.
+_SVMLIGHT_ROWS = st.builds(
+    "".join,
+    st.tuples(st.sampled_from(["", " ", "\x1f"]),
+              st.sampled_from(["1", "-1", "1_0", "x", "\u0661"]),
+              st.sampled_from([" ", "\x1f"]),
+              st.sampled_from(["qid:1", "qid:", "qid:q#1", "qid:\u00e9", "query:1"]),
+              st.sampled_from(["", " 1:\u00e9", " 2:\udcff"]),
+              st.sampled_from(["", " # score=0.5", " #score=1", " # score=nan", " # myscore=3",
+                               "#"])),
+)
+_SVMLIGHT_LINES = st.one_of(*[_HEADS] * 4, _SVMLIGHT_ROWS, st.sampled_from([
+    "", " ", "\t", "# comment", "  # 1 qid:1", "1", "1 ", "qid:1 1", "2 qid:q#1",
+]))
+# Mostly valid scores, so that the score file often passes and the data is read.
+_SCORE_LINES = st.one_of(*[st.sampled_from(["0.5", " -1.25", "3", "1e3 ", "+2", "-0.0", "\t7"])] * 16,
+                         st.sampled_from(["1_0", "nan", "-inf", "1e400", "1 2"]),
+                         st.sampled_from(["", " ", "x", "\u0661", "# note", "\x1f0.5"]))
+# "" joins two lines, or leaves the last line without a break.
+_SVMLIGHT_BREAKS = st.sampled_from(["\n"] * 8 + ["", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                                 "\x1e"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_SVMLIGHT_LINES, _SVMLIGHT_BREAKS, _SCORE_LINES, _SVMLIGHT_BREAKS),
+                  max_size=40),
+    extra_scores=st.sampled_from([None, 0, 0, 0, -1, 1]),
+    block_chars=st.integers(1, 64),
+    num_grades=st.sampled_from([None, 3, 5]),
+)
+# A blank line and a two-number line: as many lines as split() tokens.
+@example(rows=[("1 qid:1", "\n", "1 2", "\n"), ("0 qid:1", "\n", "", "\n")],
+         extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("1\x1fqid:1 1:0", "\n", "0.5", "\n"), ("0 qid:1\x1f1:0", "\n", "0.25", "\n")],
+         extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("0 qid:1\x1f1:0", "\n", "0.25", "\n")], extra_scores=0, block_chars=64,
+         num_grades=None)
+@example(rows=[("x qid:1", "\n", "0.5", "\n")], extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[(f"{grade} qid:1", "\n", "0.5", "\n") for grade in ["-0", "+3", "1_0"]],
+         extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("-1 qid:1", "\n", "0.5", "\n")], extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("2 qid:1", "\n", "0.5", "\n"), ("3 qid:1", "\n", "0.5", "\n")],
+         extra_scores=0, block_chars=64, num_grades=3)
+@example(rows=[("2 qid:1", "\n", "0.5", "\n"), ("0 qid:1", "\n", "1_0", "\n")],
+         extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("1 qid:", "\n", "0.5", "\n"), ("1 qid:2", "\n", "0.5", "\n")],
+         extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("2 qid:q#1", "\n", "0.5", "\n"), ("1 qid:q", "\n", "0.25", "\n")],
+         extra_scores=0, block_chars=64, num_grades=5)
+@example(rows=[("1 qid:1", "\r\n", "0.5", "\r\n"), ("0 qid:1", "\x0c", "0.25", "\x0c"),
+               ("2 qid:2", "\n", "0.75", "\n")],
+         extra_scores=0, block_chars=4, num_grades=None)
+# A "\x1c" break in ASCII text, and last lines without a break.
+@example(rows=[("1 qid:1", "\x1c", "0.5", "\n"), ("0 qid:2", "\n", "0.25", "\n")],
+         extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("1 qid:1", "\n", "0.5", "\n"), ("0 qid:2", "", "0.25", "")],
+         extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("1 qid:1", "\n", "0.5", "\n"), ("0 qid:1", "\n", "0.25", "\n")],
+         extra_scores=-1, block_chars=64, num_grades=None)
+@example(rows=[("1 qid:1", "\n", "0.5", "\n"), ("0 qid:1", "\n", "0.25", "\n")],
+         extra_scores=1, block_chars=64, num_grades=None)
+def test_svmlight_block_parse_matches_a_line_by_line_parse(rows, extra_scores, block_chars,
+                                                           num_grades):
+    text = "".join(line + end for line, end, _, _ in rows)
+    scores = None
+    if extra_scores is not None:
+        score_lines = [score + end for _, _, score, end in rows]
+        if extra_scores < 0:
+            score_lines = score_lines[:extra_scores]
+        scores = "".join(score_lines) + "0.5\n" * max(extra_scores, 0)
+    expected = _outcome(parse_svmlight_by_line, text, scores, num_grades)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
+        actual = _outcome(parse_svmlight, io.StringIO(text),
+                          None if scores is None else io.StringIO(scores), num_grades)
+    assert actual == expected
+
