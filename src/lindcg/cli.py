@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import sys
 
@@ -21,7 +22,7 @@ import click
 from .core import QueryGroup
 from .equivalence import verify_multipartite_identity
 from .errors import LindcgError
-from .io import parse_svmlight, parse_tsv
+from .io import _stream_groups, _StreamAbandoned, parse_svmlight, parse_tsv
 from .metrics import MAX_CLASSIC_GRADE
 from .report import build_aggregate_report, render_csv, render_json, render_text
 
@@ -40,7 +41,18 @@ def main() -> None:
 
 def _load_groups(input_path: str, fmt: str, scores_path: str | None,
                  num_grades: int | None) -> list[QueryGroup]:
-    """Parse the input and group it by query; the parsed columns are freed on return."""
+    """Parse the whole input and group it by query: the in-memory path.
+
+    ``metrics`` streams regular files a query at a time and takes this
+    path when the stream gives up: on input whose queries are interleaved
+    and on any input the stream would have to reject (a malformed line, a
+    grade above the classical cap, a score-count mismatch, an error in the
+    score file, no rows).  That costs one more read of the input.  A pipe
+    or other input that cannot be read twice always takes this path, and
+    is read once.  This path alone reports input errors, so every message,
+    line number and exit code is the one it has always given.  The parsed
+    columns are freed on return.
+    """
     if fmt == "tsv":
         dataset = parse_tsv(input_path, num_grades=num_grades)
     else:
@@ -70,12 +82,21 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
         raise click.UsageError(f"--num-grades must be at least 2, got {num_grades}")
     if scores_path is not None and fmt != "svmlight":
         raise click.UsageError("--scores is only valid with --format svmlight")
-    try:
-        groups = _load_groups(input_path, fmt, scores_path, num_grades)
-    except LindcgError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    report = build_aggregate_report(groups)
+    report = None
+    # The stream may give up after reading, and only a regular file can be read again.
+    if os.path.isfile(input_path) and (scores_path is None or os.path.isfile(scores_path)):
+        try:
+            report = build_aggregate_report(
+                _stream_groups(input_path, fmt, scores_path, num_grades))
+        except _StreamAbandoned:
+            pass  # read whole below, once the stream's frames are freed
+    if report is None:
+        try:
+            groups = _load_groups(input_path, fmt, scores_path, num_grades)
+        except LindcgError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
+        report = build_aggregate_report(groups)
     renderer = {"json": render_json, "text": render_text, "csv": render_csv}[output_fmt]
     click.echo(renderer(report), nl=False)
     if report.verification_summary.failed:

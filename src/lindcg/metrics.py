@@ -58,8 +58,8 @@ def bipartite_ideal_dcg(m: int, n: int) -> int:
     return m * n + m * (m - 1) // 2
 
 
-def _check_classic_cap(grades: Sequence[int]) -> None:
-    top = max(grades)
+def _check_classic_cap(view: RankedView) -> None:
+    top = view.levels[-1]  # the largest grade of the query
     if top > MAX_CLASSIC_GRADE:
         raise GradeTooLargeError(
             f"grade {top} exceeds the classical-gain cap of {MAX_CLASSIC_GRADE}"
@@ -109,7 +109,7 @@ def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricR
     """
     if view is None:
         view = rank_view(group)
-    _check_classic_cap(view.grades)
+    _check_classic_cap(view)
     # Zero grades add nothing and sort last, so the ideal list can stop before them.
     ideal_grades = list(
         chain.from_iterable(map(repeat, view.levels[:0:-1], view.counts[:0:-1]))

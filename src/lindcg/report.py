@@ -20,7 +20,7 @@ import csv
 import io as _io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 from .core import QueryGroup, rank_view
 from .equivalence import VerificationRecord, verify_multipartite_identity
@@ -56,16 +56,22 @@ def _record_ok(record: VerificationRecord) -> bool:
     return record.passed and all(d.passed for d in record.details)
 
 
-def build_aggregate_report(groups: Sequence[QueryGroup]) -> AggregateReport:
+def build_aggregate_report(groups: Iterable[QueryGroup]) -> AggregateReport:
     """Evaluate metrics and identity checks for every group, sorted by query id.
 
-    Each group is ranked once; its view serves both the report and the check.
+    Each group is evaluated as it arrives and ranked once; its view serves
+    both the report and the check.  Only the per-query results are kept,
+    so a stream of groups is held one group at a time.  The results are
+    sorted by query id at the end, stably, so groups of one id keep their
+    order.
     """
-    per_query, verifications = [], []
-    for group in sorted(groups, key=lambda g: g.query_id):
+    results = []
+    for group in groups:
         view = rank_view(group)
-        per_query.append(compute_report(group, view))
-        verifications.append(verify_multipartite_identity(group, view))
+        results.append((compute_report(group, view), verify_multipartite_identity(group, view)))
+    results.sort(key=lambda result: result[0].query_id)
+    per_query = [report for report, _ in results]
+    verifications = [record for _, record in results]
 
     n = len(per_query)
     passed = failed = tie_flagged = 0

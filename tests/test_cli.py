@@ -1,11 +1,16 @@
 import inspect
+import itertools
 import json
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import lindcg.cli
+import lindcg.io
 import lindcg.oracles
 import lindcg.report
 from lindcg.cli import MAX_EXHAUSTIVE_PERMUTATIONS, exhaustive_permutations, main
@@ -205,6 +210,122 @@ def test_metrics_svmlight_json_matches_the_golden_report(runner, name, scores):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert result.output == (DATA / f"{name}.json").read_text(encoding="utf-8")
+
+
+# Every golden input with its report: (input, scores, output format, golden report).
+GOLDEN_RUNS = [
+    ("metrics_mixed.tsv", None, "json", "metrics_mixed.json"),
+    ("metrics_fine.tsv", None, "json", "metrics_fine.json"),
+    ("metrics_fine.tsv", None, "csv", "metrics_fine.csv"),
+    ("metrics_fine.tsv", None, "text", "metrics_fine.txt"),
+    ("metrics_inline.svmlight", None, "json", "metrics_inline.json"),
+    ("metrics_scored.svmlight", "metrics_scored.scores", "json", "metrics_scored.json"),
+]
+
+
+def _data_lines(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+
+
+def _interleave(data_path, scores_path, out_dir):
+    """Write the data rows, and their scores, dealt round-robin across queries.
+
+    Each query keeps its rows in file order, so its report is unchanged,
+    but no query's rows stay together.
+    """
+    rows = _data_lines(data_path)
+    scores = _data_lines(scores_path) if scores_path else rows
+    by_query = {}
+    for row, score in zip(rows, scores, strict=True):
+        query_id = row.split("\t")[0] if data_path.suffix == ".tsv" else row.split()[1]
+        by_query.setdefault(query_id, []).append((row, score))
+    dealt = [pair for turn in itertools.zip_longest(*by_query.values()) for pair in turn if pair]
+    data_out = out_dir / data_path.name
+    data_out.write_text("".join(f"{row}\n" for row, _ in dealt), encoding="utf-8")
+    if scores_path is None:
+        return data_out, None
+    scores_out = out_dir / scores_path.name
+    scores_out.write_text("".join(f"{score}\n" for _, score in dealt), encoding="utf-8")
+    return data_out, scores_out
+
+
+def _piped(path, read_ends):
+    """A /dev/fd path that reads the file's text once, as ``--input <(zcat ...)`` does."""
+    read_end, write_end = os.pipe()
+    data = path.read_bytes()
+    assert os.write(write_end, data) == len(data)  # small inputs fit the pipe's buffer
+    os.close(write_end)
+    read_ends.append(read_end)
+    return f"/dev/fd/{read_end}"
+
+
+HAS_DEV_FD = Path("/dev/fd").is_dir()
+needs_dev_fd = pytest.mark.skipif(not HAS_DEV_FD, reason="needs /dev/fd")
+
+
+@pytest.mark.parametrize("name, scores, output, golden", GOLDEN_RUNS)
+def test_metrics_matches_the_golden_report_streamed_and_read_whole(
+        runner, tmp_path, monkeypatch, name, scores, output, golden):
+    """Each golden input, as it is and interleaved, from a file and through a pipe."""
+    read_whole = []
+    load_groups = lindcg.cli._load_groups
+
+    def counted(*args):
+        read_whole.append(args)
+        return load_groups(*args)
+
+    monkeypatch.setattr(lindcg.cli, "_load_groups", counted)
+    expected = (DATA / golden).read_text(encoding="utf-8")
+    as_is = (DATA / name, scores and DATA / scores)
+    interleaved = _interleave(*as_is, tmp_path)
+    for piped in (True, False) if HAS_DEV_FD else (False,):
+        for data, scores_path in (as_is, interleaved):
+            read_whole.clear()
+            read_ends = []
+            path = partial(_piped, read_ends=read_ends) if piped else str
+            fmt = "tsv" if data.suffix == ".tsv" else "svmlight"
+            args = ["metrics", "--input", path(data), "--format", fmt, "--output", output]
+            if scores_path:
+                args += ["--scores", path(scores_path)]
+            try:
+                result = runner.invoke(main, args)
+            finally:
+                for read_end in read_ends:
+                    os.close(read_end)
+            assert (result.exit_code, result.output) == (0, expected)
+            query_ids = [line.split("\t")[0] if fmt == "tsv" else line.split()[1]
+                         for line in _data_lines(data)]
+            runs = [query_id for query_id, _ in itertools.groupby(query_ids)]
+            # Contiguous queries in a file are streamed.  Interleaved ones are read
+            # whole, once, and so is a pipe, which cannot be read twice.
+            assert len(read_whole) == (piped or len(runs) != len(set(runs)))
+    assert len(read_whole) == 1
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("text, exit_code", [
+    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\tx\t0.5\n", 2),
+    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t31\t0.5\n", 2),
+    ("".join(f"q{i % 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t1\t0.5\n", 0),
+], ids=["malformed", "grade-31", "interleaved"])
+def test_metrics_reads_a_pipe_as_it_reads_a_file(runner, tmp_path, monkeypatch, text,
+                                                 exit_code):
+    """Errors through a pipe keep the messages and line numbers of a regular file,
+    even where the stream would have read a file for several blocks."""
+    monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
+    path = tmp_path / "data.tsv"
+    path.write_text(text, encoding="utf-8")
+    from_file = runner.invoke(main, ["metrics", "--input", str(path), "--output", "json"])
+    read_ends = []
+    try:
+        piped = runner.invoke(main, ["metrics", "--input", _piped(path, read_ends),
+                                     "--output", "json"])
+    finally:
+        os.close(read_ends[0])
+    assert (piped.exit_code, piped.stdout, piped.stderr) == (
+        from_file.exit_code, from_file.stdout, from_file.stderr)
+    assert from_file.exit_code == exit_code
 
 
 @pytest.mark.parametrize("fmt, data, scores, reason", [

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 import lindcg.io
 from helpers import parse_svmlight_by_line, parse_tsv_by_line
 from lindcg.errors import EmptyFileError, LindcgError, ParseError, ScoreCountMismatchError
-from lindcg.io import _BLOCK_CHARS, DatasetFile, _read_rows, parse_svmlight, parse_tsv
+from lindcg.io import (
+    _BLOCK_CHARS,
+    DatasetFile,
+    _data_lines,
+    _read_chunks,
+    parse_svmlight,
+    parse_tsv,
+)
 from lindcg.oracles import has_score_ties
 
 GOOD_TSV = """\
@@ -277,12 +284,17 @@ def test_reader_matches_splitlines_across_block_boundaries(tmp_path, source):
         pieces.append(body + rng.choice(breaks))
     text = "".join(pieces)
     errors = []
+
+    def read_lines(first, lines):  # every block goes down the line path
+        return list(_data_lines([(first, lines)], errors))
+
     if source == "path":
         path = tmp_path / "blocks.txt"
         path.write_bytes(text.encode("utf-8"))
-        lines = list(_read_rows(path, lambda block: None, (), errors))
+        chunks = _read_chunks(path, lambda block: None, read_lines)
     else:
-        lines = list(_read_rows(io.StringIO(text), lambda block: None, (), errors))
+        chunks = _read_chunks(io.StringIO(text), lambda block: None, read_lines)
+    lines = [line for chunk in chunks for line in chunk]
     assert lines == _splitlines_data(text)
     assert errors == []
 

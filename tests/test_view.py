@@ -140,5 +140,6 @@ def test_aggregate_ranks_each_group_once(monkeypatch):
 
     monkeypatch.setattr(lindcg.report, "rank_view", counted)
     groups = [make_group([1, 0, 2], [0.3, 0.2, 0.1], query_id=q) for q in ("b", "a")]
-    lindcg.report.build_aggregate_report(groups)
-    assert built == ["a", "b"]
+    report = lindcg.report.build_aggregate_report(groups)
+    assert built == ["b", "a"]  # once each, as the groups arrive
+    assert [r.query_id for r in report.per_query] == ["a", "b"]
