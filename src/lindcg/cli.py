@@ -22,7 +22,7 @@ import click
 from .core import QueryGroup
 from .equivalence import verify_multipartite_identity
 from .errors import LindcgError
-from .io import _stream_groups, _StreamAbandoned, parse_svmlight, parse_tsv
+from .io import _parse_grade, _stream_groups, _StreamAbandoned, parse_svmlight, parse_tsv
 from .metrics import MAX_CLASSIC_GRADE
 from .report import build_aggregate_report, render_csv, render_json, render_text
 
@@ -72,7 +72,7 @@ def _load_groups(input_path: str, fmt: str, scores_path: str | None,
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="Companion score file (svmlight format only).")
 @click.option("--num-grades", type=int, default=None,
-              help="Grade-alphabet size L; inferred as max grade + 1 when omitted.")
+              help="Reject any grade at or above this grade-alphabet size.")
 @click.option("--output", "output_fmt", type=click.Choice(["json", "text", "csv"]),
               default="text", show_default=True, help="Report format.")
 def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
@@ -106,8 +106,8 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
 def _random_tie_free_group(rng: random.Random, max_items: int,
                            max_grades: int, index: int) -> QueryGroup:
     size = rng.randint(1, max_items)
-    num_grades = rng.randint(2, max_grades)
-    grades = [rng.randrange(num_grades) for _ in range(size)]
+    alphabet = rng.randint(2, max_grades)  # drawn, so a seed keeps giving the same groups
+    grades = [rng.randrange(alphabet) for _ in range(size)]
     scores: list[float] = []
     seen: set[float] = set()
     while len(scores) < size:
@@ -115,7 +115,7 @@ def _random_tie_free_group(rng: random.Random, max_items: int,
         if score not in seen:
             seen.add(score)
             scores.append(score)
-    return QueryGroup.build(f"trial-{index}", grades, scores, num_grades)
+    return QueryGroup.build(f"trial-{index}", grades, scores)
 
 
 def exhaustive_permutations(num_grades: int, limit: int) -> int:
@@ -203,10 +203,13 @@ def oracle_cmd(grades_spec: str) -> None:
     """Run the exhaustive permutation check for one grade multiset."""
     from .oracles import brute_force_oracle
 
-    try:
-        grades = tuple(int(part) for part in grades_spec.split(","))
-    except ValueError:
-        raise click.UsageError(f"--grades must be comma-separated integers, got {grades_spec!r}")
+    grades = []
+    for part in grades_spec.split(","):
+        # The file readers' rule: ASCII digits only, no "_" separators, not negative.
+        grade, reason = _parse_grade(part.strip(), None)
+        if reason:
+            raise click.UsageError(f"--grades {grades_spec!r}: {reason}")
+        grades.append(grade)
     try:
         records = brute_force_oracle(grades)
     except LindcgError as exc:

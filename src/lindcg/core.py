@@ -1,7 +1,7 @@
 """Domain types and canonical orderings for query-grouped rating/score data.
 
-Grades are non-negative integers drawn from an alphabet {0, ..., L-1};
-scores are finite floats produced by whatever model is under evaluation.
+Grades are non-negative integers; scores are finite floats produced by
+whatever model is under evaluation.
 All types validate their invariants at construction and are immutable
 afterwards, and every operation is a pure function, so values can be
 shared freely across concurrent workers.
@@ -23,12 +23,11 @@ _is_int = int.__instancecheck__
 
 @dataclass(frozen=True, slots=True)
 class QueryGroup:
-    """One query's items as parallel grade and score columns in input order, plus L."""
+    """One query's items as parallel grade and score columns in input order."""
 
     query_id: str
     grades: tuple[int, ...]
     scores: tuple[float, ...]
-    num_grades: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grades", grades := tuple(self.grades))
@@ -39,40 +38,18 @@ class QueryGroup:
             )
         if not grades:
             raise EmptyGroupError(f"query {self.query_id!r} has no items")
-        if self.num_grades < 2:
-            raise InvalidGradeError(
-                f"num_grades must be at least 2, got {self.num_grades}"
-            )
         # Whole-column passes; the offending value is looked up only on failure.
         if not all(map(_is_int, grades)) or min(grades) < 0:
             bad = next(g for g in grades if not _is_int(g) or g < 0)
             raise InvalidGradeError(f"grade must be a non-negative integer, got {bad!r}")
-        if max(grades) >= self.num_grades:
-            bad = next(g for g in grades if g >= self.num_grades)
-            raise InvalidGradeError(
-                f"query {self.query_id!r}: grade {bad} outside "
-                f"alphabet {{0..{self.num_grades - 1}}}"
-            )
         if not all(map(math.isfinite, scores)):
             bad = next(s for s in scores if not math.isfinite(s))
             raise InvalidScoreError(f"score must be finite, got {bad!r}")
 
     @classmethod
-    def build(
-        cls,
-        query_id: str,
-        grades: Sequence[int],
-        scores: Sequence[float],
-        num_grades: int | None = None,
-    ) -> QueryGroup:
-        """Assemble a group from parallel grade and score sequences.
-
-        When ``num_grades`` is omitted the alphabet is inferred as
-        max(grade) + 1, floored at 2 so all-zero groups stay valid.
-        """
-        if num_grades is None:
-            num_grades = max(2, max(grades, default=0) + 1)
-        return cls(query_id, tuple(grades), tuple(map(float, scores)), num_grades)
+    def build(cls, query_id: str, grades: Sequence[int], scores: Sequence[float]) -> QueryGroup:
+        """Assemble a group from parallel grade and score sequences, reading scores as floats."""
+        return cls(query_id, tuple(grades), tuple(map(float, scores)))
 
     def __len__(self) -> int:
         return len(self.grades)
@@ -84,8 +61,8 @@ class RankedView:
 
     ``grades`` lists the grades best-scored position first.  ``levels`` are
     the distinct grades of the query in increasing order, with 0 always
-    included, so the view's size follows the grades present and never the
-    alphabet L.  ``counts[j]`` is the number of items of grade ``levels[j]``
+    included, so the view's size follows the number of distinct grades, not
+    their values.  ``counts[j]`` is the number of items of grade ``levels[j]``
     and ``discount_mass[j]`` the sum of their linear discounts |S| - i at
     1-based rank i.  Every threshold k of the run
     ``levels[j] <= k < levels[j + 1]`` binarizes the query alike, so
@@ -130,8 +107,7 @@ def rank_view(group: QueryGroup) -> RankedView:
     scores and tied pairs are never misranked.  An item of level J is
     misranked in every run j < J against each strictly higher-scored item
     of level <= j, which is the cumulative histogram at j.  The cost is
-    O(|S| log |S| + |S| * d) for d distinct grades, whatever the alphabet
-    size L.
+    O(|S| log |S| + |S| * d) for d distinct grades, whatever their values.
     """
     order = _score_order(group)
     grades = tuple(map(group.grades.__getitem__, order))

@@ -63,7 +63,7 @@ def verify_multipartite_identity(
     of one threshold and ``q[k=A..B]`` for a wider one.  Thresholds at or
     above the top grade have no item above them (0 = 0) and no record, so
     a query of d distinct grades costs O(|S|*d + |S| log |S|) and at most
-    d + 1 detail records, whatever the alphabet size L.  The split compares
+    d + 1 detail records, whatever the grade values.  The split compares
     the observed DCG, summed over positions, with the sum over thresholds
     of the above-k discount masses, each run counted once per threshold.
     ``view`` is the group's rank_view when the caller already holds it.

@@ -8,7 +8,7 @@ class LindcgError(Exception):
 
 
 class EmptyGroupError(LindcgError):
-    """A query group or ranked sequence has no items."""
+    """A query group or a grade multiset has no items."""
 
 
 class InvalidScoreError(LindcgError):
@@ -16,7 +16,7 @@ class InvalidScoreError(LindcgError):
 
 
 class InvalidGradeError(LindcgError):
-    """A relevance grade is not a non-negative integer inside the group's alphabet."""
+    """A relevance grade is not a non-negative integer."""
 
 
 class GradeTooLargeError(LindcgError):
@@ -28,7 +28,7 @@ class NonBipartiteError(LindcgError):
 
 
 class ThresholdOutOfRangeError(LindcgError):
-    """A binarization threshold lies outside {0, ..., L-2}."""
+    """A binarization threshold is negative or leaves no item above it."""
 
 
 class TooLargeError(LindcgError):

@@ -29,8 +29,9 @@ Each block is first read a column at a time, with whole-block checks:
   text it is and any other block joined from its lines: the text is
   ASCII with no ``#``, every line has exactly two tabs, no stripped query
   id is empty, the grade and score cells hold no ``_``, ``int`` and
-  ``float`` read every cell, every grade lies in the alphabet and every
-  score is finite.  A block that passes is split into its three columns.
+  ``float`` read every cell, no grade is negative or at or above a
+  declared ``num_grades``, and every score is finite.  A block that
+  passes is split into its three columns.
 * A clean score-file block is split at ``\n``: it holds no ``_``, every
   line is one number that ``float`` reads, and every score is finite.
 * With a score file, a clean SVMLight block is read head-only: one match
@@ -89,23 +90,11 @@ _BLOCK_CHARS = 1 << 16
 
 @dataclass(frozen=True, slots=True)
 class DatasetFile:
-    """Parsed rows as parallel columns in file order, plus the declared alphabet size."""
+    """Parsed rows as parallel columns in file order."""
 
     query_ids: tuple[str, ...]
     grades: tuple[int, ...]
     scores: tuple[float, ...]
-    declared_num_grades: int | None = None
-
-    def num_grades(self) -> int:
-        """Grade-alphabet size: declared, or inferred globally as max grade + 1.
-
-        The floor of 2 keeps all-zero datasets valid.  No output of
-        ``lindcg metrics`` depends on it, and the stream gives each query
-        its own max + 1 instead.
-        """
-        if self.declared_num_grades is not None:
-            return self.declared_num_grades
-        return max(2, max(self.grades) + 1)
 
     def check_grade_cap(self, cap: int) -> None:
         """Raise GradeTooLargeError naming the first row whose grade exceeds cap."""
@@ -122,14 +111,13 @@ class DatasetFile:
         Items keep file order within each query, which fixes the
         score-tie-break index.
         """
-        num_grades = self.num_grades()
         by_query: dict[str, tuple[list[int], list[float]]] = {}
         for query_id, grade, score in zip(self.query_ids, self.grades, self.scores, strict=True):
             columns = by_query.get(query_id) or by_query.setdefault(query_id, ([], []))
             columns[0].append(grade)
             columns[1].append(score)
         return [
-            QueryGroup(query_id, tuple(grades), tuple(scores), num_grades)
+            QueryGroup(query_id, grades, scores)
             for query_id, (grades, scores) in sorted(by_query.items())
         ]
 
@@ -350,7 +338,7 @@ def parse_tsv(source, num_grades: int | None = None) -> DatasetFile:
         raise ParseError(errors, accepted_count=len(grades))
     if not grades:
         raise EmptyFileError("no records after discarding comments and blank lines")
-    return DatasetFile(tuple(query_ids), tuple(grades), tuple(scores), num_grades)
+    return DatasetFile(tuple(query_ids), tuple(grades), tuple(scores))
 
 
 def _score_column(block):
@@ -508,7 +496,7 @@ def parse_svmlight(
         raise ParseError(errors, accepted_count=len(grades))
     if not grades:
         raise EmptyFileError("no records after discarding comments and blank lines")
-    return DatasetFile(tuple(query_ids), tuple(grades), tuple(row_scores), num_grades)
+    return DatasetFile(tuple(query_ids), tuple(grades), tuple(row_scores))
 
 
 class _StreamAbandoned(Exception):
@@ -521,13 +509,13 @@ def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None)
     ``fmt`` is "tsv" or "svmlight"; a ``scores`` file of an SVMLight source
     is read in step with the data, never whole.  Each chunk is grouped
     into its runs of one query id.  A query finishes when a run of another
-    id starts, or at the end of the input.  The group gets the declared
-    alphabet, or ``QueryGroup.build``'s own max + 1; no output depends on
-    it.  The queries that finish in a block are yielded after it is
-    grouped, and each is dropped once yielded: building one group and
-    evaluating it in turn cost about 3 us a query more, on queries of 10 to
-    30 rows.  So the rows held are those of the query still open and of the
-    queries that finished in the current block.
+    id starts, or at the end of the input.  A declared ``num_grades`` is
+    only the parsers' check: a grade at or above it is a rejected line.
+    The queries that finish in a block are yielded after it is grouped,
+    and each is dropped once yielded: building one group and evaluating it
+    in turn cost about 3 us a query more, on queries of 10 to 30 rows.
+    So the rows held are those of the query still open and of the queries
+    that finished in the current block.
 
     The stream reports no errors of its own.  It raises _StreamAbandoned,
     and the input must be read whole, when a finished id reappears, a line
@@ -553,7 +541,7 @@ def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None)
             if run_id != query_id:
                 if query_id is not None:
                     finished.add(query_id)
-                    groups.append(QueryGroup.build(query_id, grades, row_scores, num_grades))
+                    groups.append(QueryGroup(query_id, grades, row_scores))
                 if run_id in finished:
                     raise _StreamAbandoned
                 query_id, grades, row_scores = run_id, [], []
@@ -565,4 +553,4 @@ def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None)
             yield groups.pop()
     if query_id is None:
         raise _StreamAbandoned
-    yield QueryGroup.build(query_id, grades, row_scores, num_grades)
+    yield QueryGroup(query_id, grades, row_scores)

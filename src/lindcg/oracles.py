@@ -88,35 +88,34 @@ def pairwise_loss_naive(group: QueryGroup) -> PairwiseLossValue:
         unnormalized=loss,
         normalizer_z=z,
         normalized=loss / z if z else 0.0,
-        degenerate=z == 0,
     )
 
 
 def binarize(group: QueryGroup, k: int) -> QueryGroup:
     """Collapse the group to binary grades at threshold k: grade 1 iff grade > k.
 
-    Items and scores are untouched; the resulting alphabet is {0, 1}.
+    Items and scores are untouched.  A threshold must leave an item above
+    it, so k ranges over 0 <= k < max(group.grades).
     """
-    if not 0 <= k <= group.num_grades - 2:
-        raise ThresholdOutOfRangeError(
-            f"threshold {k} outside {{0..{group.num_grades - 2}}}"
-        )
+    top = max(group.grades)
+    if not 0 <= k < top:
+        raise ThresholdOutOfRangeError(f"threshold {k} outside 0 <= k < {top}, the top grade")
     grades = tuple(1 if g > k else 0 for g in group.grades)
-    return QueryGroup(group.query_id, grades, group.scores, 2)
+    return QueryGroup(group.query_id, grades, group.scores)
 
 
 def threshold_decomposition(group: QueryGroup) -> tuple[int, ...]:
-    """Split the weighted loss into L-1 unweighted bipartite losses.
+    """Split the weighted loss into one unweighted bipartite loss per threshold.
 
-    Entry k is the loss of the group binarized at threshold k: the number
-    of (grade 1, grade 0) pairs whose grade-1 item scores strictly below the
-    grade-0 item, counted for each grade-1 item by bisecting the sorted
-    grade-0 scores.  A pair with grade gap (b - a) is misranked at exactly
+    There is one entry for each threshold k below the group's top grade,
+    the thresholds that leave an item above them.  Entry k is the loss of
+    the group binarized at threshold k: the number of (grade 1, grade 0)
+    pairs whose grade-1 item scores strictly below the grade-0 item,
+    counted for each grade-1 item by bisecting the sorted grade-0 scores.  A pair with grade gap (b - a) is misranked at exactly
     (b - a) thresholds, so the entries sum to the unnormalized weighted
     loss.  Every threshold of a run ``a <= k < b`` between consecutive
     grades present (0 always included) binarizes the group alike, so each
-    run is binarized once; thresholds at or above the top grade have no
-    item above them and a loss of 0.
+    run is binarized once.
     """
     levels = sorted({0, *group.grades})
     entries: list[int] = []
@@ -129,7 +128,6 @@ def threshold_decomposition(group: QueryGroup) -> tuple[int, ...]:
             if g
         )
         entries += [loss] * (high - low)
-    entries += [0] * (group.num_grades - 1 - len(entries))
     return tuple(entries)
 
 

@@ -8,11 +8,11 @@ tied pairs contribute zero rather than half credit.
 The normalizer Z is the raw number of cross-grade pairs,
 sum over a < b of |S_a| * |S_b|, deliberately without the (b - a)
 weights.  The normalized loss can therefore exceed 1; its true ceiling is
-(L - 1).  This asymmetry is kept on purpose rather than "fixed".
+the largest grade gap.  This asymmetry is kept on purpose rather than "fixed".
 
 The loss is read off the per-threshold counts of the histogram sweep in
 core.rank_view, in O(|S|*d + |S| log |S|) for the d distinct grades of a
-query, whatever the alphabet size L.  The naive double loop over all item
+query, whatever their values.  The naive double loop over all item
 pairs that it is checked against is ``oracles.pairwise_loss_naive``.
 """
 
@@ -29,14 +29,13 @@ from .core import RankedView
 class PairwiseLossValue:
     """Unnormalized and normalized loss plus the pair-count normalizer Z.
 
-    ``degenerate`` marks groups where every item shares one grade, so
-    Z = 0 and the normalized loss is reported as 0.0.
+    When every item shares one grade, Z = 0 and the normalized loss is
+    reported as 0.0.
     """
 
     unnormalized: int
     normalizer_z: int
     normalized: float
-    degenerate: bool
 
 
 def _as_loss_value(unnormalized: int, counts: Sequence[int]) -> PairwiseLossValue:
@@ -46,7 +45,6 @@ def _as_loss_value(unnormalized: int, counts: Sequence[int]) -> PairwiseLossValu
         unnormalized=unnormalized,
         normalizer_z=z,
         normalized=unnormalized / z if z else 0.0,
-        degenerate=z == 0,
     )
 
 

@@ -29,23 +29,23 @@ def dcg_error(group: QueryGroup) -> int:
     return dcg_linear(ideal(group.grades)) - dcg_linear(rank_by_score(group))
 
 
-def make_group(grades, scores, query_id="q", num_grades=None):
-    return QueryGroup.build(query_id, list(grades), list(scores), num_grades)
+def make_group(grades, scores, query_id="q"):
+    return QueryGroup.build(query_id, list(grades), list(scores))
 
 
-def group_from_ranking(grades_in_rank_order, query_id="q", num_grades=None):
+def group_from_ranking(grades_in_rank_order, query_id="q"):
     """Group whose score-induced ranking is exactly the given grade order."""
     n = len(grades_in_rank_order)
     scores = [float(n - i) for i in range(n)]
-    return make_group(grades_in_rank_order, scores, query_id, num_grades)
+    return make_group(grades_in_rank_order, scores, query_id)
 
 
 def random_group(rng: random.Random, max_items=50, max_grades=5,
                  allow_ties=False, query_id="q"):
     """Seeded random group; with allow_ties, roughly half draw tie-prone scores."""
     size = rng.randint(1, max_items)
-    num_grades = rng.randint(2, max_grades)
-    grades = [rng.randrange(num_grades) for _ in range(size)]
+    alphabet = rng.randint(2, max_grades)
+    grades = [rng.randrange(alphabet) for _ in range(size)]
     if allow_ties and rng.random() < 0.5:
         # Coarse integer grid forces score collisions.
         scores = [float(rng.randint(0, max(1, size // 3))) for _ in range(size)]
@@ -57,7 +57,7 @@ def random_group(rng: random.Random, max_items=50, max_grades=5,
             if s not in seen:
                 seen.add(s)
                 scores.append(s)
-    return make_group(grades, scores, query_id, num_grades)
+    return make_group(grades, scores, query_id)
 
 
 def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
@@ -71,7 +71,7 @@ def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
     observed = rank_by_score(group)
     ties = has_score_ties(group)
     details = []
-    for k in range(group.num_grades - 1):
+    for k in range(max(group.grades)):
         sub = binarize(group, k)
         sub_lhs = dcg_error(sub)
         sub_rhs = pairwise_loss_naive(sub).unnormalized
@@ -81,7 +81,7 @@ def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
         ))
     split_lhs = dcg_linear(observed)
     split_rhs = sum(
-        dcg_linear(1 if g > k else 0 for g in observed) for k in range(group.num_grades - 1)
+        dcg_linear(1 if g > k else 0 for g in observed) for k in range(max(group.grades))
     )
     details.append(VerificationRecord(
         f"{group.query_id}[split]", "dcg_split", split_lhs, split_rhs, split_lhs == split_rhs,
@@ -114,7 +114,7 @@ def _data_lines_by_line(text: str, errors: list):
 
 
 def _grade_by_line(text: str, num_grades):
-    """(grade, None) for an ASCII integer grade inside the alphabet, else (None, reason)."""
+    """(grade, None) for an ASCII integer grade the readers accept, else (None, reason)."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         return None, f"grade {text!r} is not an integer"
     grade = int(text)
@@ -224,4 +224,4 @@ def parse_svmlight_by_line(text: str, scores: str | None = None, num_grades=None
         raise ParseError(errors, accepted_count=len(grades))
     if not grades:
         raise EmptyFileError("no records after discarding comments and blank lines")
-    return DatasetFile(tuple(query_ids), tuple(grades), tuple(row_scores), num_grades)
+    return DatasetFile(tuple(query_ids), tuple(grades), tuple(row_scores))

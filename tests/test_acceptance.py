@@ -138,7 +138,7 @@ def test_criterion_4_threshold_decomposition(random_groups):
             loss_failures += 1
         layered = sum(
             dcg_linear(rank_by_score(binarize(group, k)))
-            for k in range(group.num_grades - 1)
+            for k in range(max(group.grades))
         )
         observed = dcg_linear(rank_by_score(group))
         if not observed == compute_report(group, view).dcg_linear == layered:

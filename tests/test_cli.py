@@ -185,16 +185,24 @@ def test_metrics_on_a_high_alphabet_match_the_golden_reports(runner, output, gol
     assert result.output == (DATA / golden).read_text(encoding="utf-8")
 
 
-def test_metrics_output_does_not_depend_on_a_declared_alphabet(runner, tmp_path):
-    path = tmp_path / "two.tsv"
-    path.write_text("q1\t3\t0.5\nq1\t0\t0.2\n", encoding="utf-8")
-    outputs = [
-        runner.invoke(main, ["metrics", "--input", str(path), "--num-grades", num_grades,
-                             "--output", "json"])
-        for num_grades in ("4", "200000")
-    ]
-    assert [r.exit_code for r in outputs] == [0, 0]
-    assert outputs[0].output == outputs[1].output
+def _data_input_args(name):
+    """The ``metrics`` arguments that read ``tests/data/<name>``, with its score file if any."""
+    path = DATA / name
+    args = ["--input", str(path), "--format", path.suffix[1:]]
+    if path.with_suffix(".scores").exists():
+        args += ["--scores", str(path.with_suffix(".scores"))]
+    return args
+
+
+@pytest.mark.parametrize("output", ["json", "text", "csv"])
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in DATA.iterdir() if path.suffix in (".tsv", ".svmlight")))
+def test_metrics_output_does_not_depend_on_a_declared_alphabet(runner, name, output):
+    args = ["metrics", *_data_input_args(name), "--output", output]
+    results = [runner.invoke(main, args + declared)
+               for declared in ([], ["--num-grades", "31"], ["--num-grades", "200000"])]
+    assert [r.exit_code for r in results] == [0, 0, 0]
+    assert results[0].output == results[1].output == results[2].output
 
 
 @pytest.mark.parametrize("name, scores", [
@@ -487,6 +495,9 @@ def test_oracle_on_binary_pair(runner):
 def test_oracle_rejects_garbage_grades(runner):
     assert runner.invoke(main, ["oracle", "--grades", "a,b"]).exit_code == 2
     assert runner.invoke(main, ["oracle", "--grades", "1,-2"]).exit_code == 2
+    # The file readers reject digit separators and non-ASCII digits, and so does --grades.
+    assert runner.invoke(main, ["oracle", "--grades", "1_0,0"]).exit_code == 2
+    assert runner.invoke(main, ["oracle", "--grades", "\u0661,0"]).exit_code == 2
 
 
 def test_oracle_rejects_oversized_multisets(runner):

@@ -79,12 +79,12 @@ def test_ideal_sequence_maximizes_linear_dcg_at_size_seven():
 
 def test_empty_group_is_rejected():
     with pytest.raises(EmptyGroupError):
-        QueryGroup("q", (), (), 2)
+        QueryGroup("q", (), ())
 
 
 def test_grade_and_score_columns_must_have_equal_length():
     with pytest.raises(ValueError):
-        QueryGroup("q", (1, 0), (0.5,), 2)
+        QueryGroup("q", (1, 0), (0.5,))
     with pytest.raises(ValueError):
         make_group([1], [0.5, 0.2])
 
@@ -99,14 +99,10 @@ def test_non_finite_scores_are_rejected():
 def test_bad_grades_are_rejected():
     with pytest.raises(InvalidGradeError):
         make_group([-1], [0.5])
-    with pytest.raises(InvalidGradeError):
-        make_group([2], [0.5], num_grades=2)  # grade outside alphabet
     with pytest.raises(InvalidGradeError, match="got 1.5"):
-        make_group([1, 1.5], [0.5, 0.2], num_grades=3)  # not an integer
-    with pytest.raises(InvalidGradeError, match="grade 3 outside"):
-        make_group([0, 3, 5], [0.5, 0.2, 0.1], num_grades=3)  # the first offender is named
-    with pytest.raises(InvalidGradeError):
-        make_group([0], [0.5], num_grades=1)  # alphabet too small
+        make_group([1, 1.5], [0.5, 0.2])  # not an integer
+    with pytest.raises(InvalidGradeError, match="got -3"):
+        make_group([0, -3, -5], [0.5, 0.2, 0.1])  # the first offender is named
 
 
 def test_grade_counts_and_ties():

@@ -52,28 +52,13 @@ def test_query_groups_sorted_by_id_with_file_order_items():
     assert list(groups[1].scores) == [0.25, 0.75]
 
 
-def test_grade_alphabet_is_inferred_globally():
-    groups = parse_tsv(io.StringIO(GOOD_TSV)).query_groups()
-    # q2 only holds grades {0, 1} but the file-wide maximum is 2.
-    assert [g.num_grades for g in groups] == [3, 3]
-
-
-def test_all_zero_dataset_still_gets_a_binary_alphabet():
-    dataset = parse_tsv(io.StringIO("a\t0\t0.5\na\t0\t0.25\n"))
-    assert dataset.num_grades() == 2
-
-
-def test_declared_alphabet_overrides_inference():
-    dataset = parse_tsv(io.StringIO("a\t1\t0.5\n"), num_grades=5)
-    assert dataset.num_grades() == 5
-    assert dataset.query_groups()[0].num_grades == 5
-
-
 def test_declared_alphabet_rejects_grades_outside_it():
     with pytest.raises(ParseError) as exc:
         parse_tsv(io.StringIO("a\t1\t0.5\na\t5\t0.4\n"), num_grades=2)
     assert exc.value.errors == [(2, "grade 5 outside declared alphabet of 2")]
     assert exc.value.accepted_count == 1
+    # A grade inside it parses as it would with no alphabet declared.
+    assert parse_tsv(io.StringIO(GOOD_TSV), num_grades=5) == parse_tsv(io.StringIO(GOOD_TSV))
 
 
 def test_path_and_stream_sources_agree(tmp_path):
@@ -385,7 +370,7 @@ def test_block_parse_matches_a_line_by_line_parse(lines, block_chars, num_grades
                 parse_tsv(io.StringIO(text), num_grades)
         else:
             dataset = parse_tsv(io.StringIO(text), num_grades)
-            assert dataset == DatasetFile(query_ids, grades, scores, num_grades)
+            assert dataset == DatasetFile(query_ids, grades, scores)
 
 
 @pytest.mark.parametrize("block_chars", [1, 7, 4096])

@@ -41,7 +41,6 @@ def test_single_grade_group_is_degenerate():
     assert value.unnormalized == 0
     assert value.normalizer_z == 0
     assert value.normalized == 0.0
-    assert value.degenerate
 
 
 def test_score_ties_never_count_as_misorderings():
@@ -72,7 +71,6 @@ def test_fast_matches_naive_with_heavy_integer_score_ties(pairs):
         query_id="q",
         grades=tuple(g for g, _ in pairs),
         scores=tuple(float(s) for _, s in pairs),
-        num_grades=5,
     )
     assert loss_from_view(rank_view(group)) == pairwise_loss_naive(group)
 
@@ -97,7 +95,6 @@ def test_monotone_score_transforms_preserve_loss():
             query_id=group.query_id,
             grades=group.grades,
             scores=tuple(3.0 * s + 7.0 for s in group.scores),
-            num_grades=group.num_grades,
         )
         assert loss_from_view(rank_view(shifted)).unnormalized == base
 
@@ -107,7 +104,7 @@ def test_loss_bounded_by_weight_cap_times_normalizer():
     for _ in range(100):
         group = random_group(rng, max_items=30, allow_ties=True)
         value = loss_from_view(rank_view(group))
-        assert value.unnormalized <= (group.num_grades - 1) * value.normalizer_z
+        assert value.unnormalized <= max(group.grades) * value.normalizer_z
 
 
 def test_reversed_bipartite_ranking_inverts_every_pair():
@@ -121,7 +118,6 @@ def test_binarize_thresholds_a_three_grade_group():
     group = group_from_ranking([2, 1, 0])
     low = binarize(group, 0)
     assert low.grades == (1, 1, 0)
-    assert low.num_grades == 2
     high = binarize(group, 1)
     assert high.grades == (1, 0, 0)
     assert high.scores == group.scores
@@ -133,6 +129,8 @@ def test_binarize_rejects_out_of_range_thresholds():
         binarize(group, -1)
     with pytest.raises(ThresholdOutOfRangeError):
         binarize(group, 2)
+    with pytest.raises(ThresholdOutOfRangeError):
+        binarize(group_from_ranking([0, 0]), 0)  # no item above any threshold
 
 
 def test_binarize_sequence_matches_group_binarization():
@@ -167,20 +165,19 @@ def test_threshold_decomposition_sums_to_weighted_loss():
 
 @st.composite
 def _gapped_groups(draw):
-    num_grades = draw(st.integers(2, 40))
-    grades = draw(st.lists(st.integers(0, num_grades - 1), min_size=1, max_size=8))
+    top = draw(st.integers(1, 39))
+    grades = draw(st.lists(st.integers(0, top), min_size=1, max_size=8))
     scores = draw(st.lists(st.integers(-2, 2), min_size=len(grades), max_size=len(grades)))
-    return make_group(grades, scores, num_grades=num_grades)
+    return make_group(grades, scores)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_gapped_groups())
-@example(make_group([0, 199_999, 7, 150_000, 7], [0.3, 0.1, 0.9, 0.5, 0.2],
-                    num_grades=200_000))
+@example(make_group([0, 199_999, 7, 150_000, 7], [0.3, 0.1, 0.9, 0.5, 0.2]))
 def test_threshold_decomposition_matches_a_rebuild_at_every_threshold(group):
     rebuilt = tuple(
         pairwise_loss_naive(binarize(group, k)).unnormalized
-        for k in range(group.num_grades - 1)
+        for k in range(max(group.grades))
     )
     calls = []
 
@@ -196,5 +193,5 @@ def test_threshold_decomposition_matches_a_rebuild_at_every_threshold(group):
 
 
 def test_perfect_ranking_decomposes_to_zeros():
-    vector = threshold_decomposition(group_from_ranking([3, 2, 1, 0], num_grades=4))
+    vector = threshold_decomposition(group_from_ranking([3, 2, 1, 0]))
     assert vector == (0, 0, 0)

@@ -13,7 +13,7 @@ from lindcg.report import (
 )
 
 GOLDEN = group_from_ranking([1, 0, 0, 1, 1, 0], query_id="g")
-SINGLETON = make_group([3], [0.5], query_id="a", num_grades=4)
+SINGLETON = make_group([3], [0.5], query_id="a")
 TIED = make_group([0, 1], [0.5, 0.5], query_id="t")
 
 

@@ -30,12 +30,12 @@ from lindcg.pairwise import loss_from_view
 @st.composite
 def tied_groups(draw):
     """Groups of up to 40 items and 8 grades; a narrow score range forces ties."""
-    num_grades = draw(st.integers(2, 8))
+    top = draw(st.integers(1, 7))
     size = draw(st.integers(1, 40))
     spread = draw(st.integers(0, size))
-    grades = draw(st.lists(st.integers(0, num_grades - 1), min_size=size, max_size=size))
+    grades = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
     scores = draw(st.lists(st.integers(0, spread), min_size=size, max_size=size))
-    return make_group(grades, [s / 2 for s in scores], num_grades=num_grades)
+    return make_group(grades, [s / 2 for s in scores])
 
 
 def test_view_of_the_golden_group():
@@ -59,7 +59,7 @@ def test_view_keeps_input_order_among_tied_scores_and_skips_tied_pairs():
 
 def test_view_and_check_follow_the_grades_present_not_the_alphabet():
     grades = [7, 30, 0, 7, 3]
-    group = make_group(grades, [0.9, 0.1, 0.5, 0.2, 0.8], num_grades=200_000)
+    group = make_group(grades, [0.9, 0.1, 0.5, 0.2, 0.8])
     view = rank_view(group)
     assert view.grades == (7, 3, 0, 7, 30)
     assert view.levels == (0, 3, 7, 30)
@@ -86,18 +86,16 @@ def test_identity_check_equals_the_rebuild_path_record_by_record(group):
     *runs, split = record.details
     *per_k, oracle_split = oracle.details
     assert split == oracle_split
-    # Each run record is the oracle's record at every threshold of its run...
+    # Each run record is the oracle's record at every threshold of its run,
+    # and the runs end at the top grade, as the oracle's thresholds do.
     expanded = [
         dataclasses.replace(run, instance_id=f"{group.query_id}[k={k}]")
         for run in runs for k in run_thresholds(run.instance_id)
     ]
-    assert expanded == per_k[:len(expanded)]
-    # ...and the runs end at the top grade, above which the oracle reads 0 = 0.
+    assert expanded == per_k
     assert len(expanded) == max(group.grades)
-    assert all((d.lhs, d.rhs, d.passed) == (0, 0, True) for d in per_k[len(expanded):])
     assert record.rhs == pairwise_loss_naive(group).unnormalized
-    per_threshold = tuple(d.rhs for d in expanded) + (0,) * (len(per_k) - len(expanded))
-    assert per_threshold == threshold_decomposition(group)
+    assert tuple(d.rhs for d in expanded) == threshold_decomposition(group)
 
 
 @settings(max_examples=200)
@@ -126,7 +124,7 @@ def test_report_equals_the_single_purpose_helpers(group):
 
 def test_classical_dcg_keeps_the_rank_order_float_sum():
     grades = [3, 0, 30, 1, 0, 2, 17]
-    report = compute_report(group_from_ranking(grades, num_grades=31))
+    report = compute_report(group_from_ranking(grades))
     expected = sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(grades, start=1))
     assert report.dcg_classic == expected == dcg_classic(grades)
 
