@@ -23,8 +23,7 @@ from .core import QueryGroup
 from .equivalence import verify_multipartite_identity
 from .errors import LindcgError
 from .io import _parse_grade, _stream_groups, _StreamAbandoned, parse_svmlight, parse_tsv
-from .metrics import MAX_CLASSIC_GRADE
-from .report import build_aggregate_report, render_csv, render_json, render_text
+from .report import _record_ok, build_aggregate_report, render_csv, render_json, render_text
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -44,21 +43,17 @@ def _load_groups(input_path: str, fmt: str, scores_path: str | None,
     """Parse the whole input and group it by query: the in-memory path.
 
     ``metrics`` streams regular files a query at a time and takes this
-    path when the stream gives up: on input whose queries are interleaved
-    and on any input the stream would have to reject (a malformed line, a
-    grade above the classical cap, a score-count mismatch, an error in the
-    score file, no rows).  That costs one more read of the input.  A pipe
-    or other input that cannot be read twice always takes this path, and
-    is read once.  This path alone reports input errors, so every message,
-    line number and exit code is the one it has always given.  The parsed
-    columns are freed on return.
+    path when the stream gives up, on input whose queries are interleaved,
+    which costs one more read of the input.  A pipe or other input that
+    cannot be read twice always takes this path, and is read once.  Both
+    paths find input errors with the same reader, so every message, line
+    number and exit code is the same on both.  The parsed columns are
+    freed on return.
     """
     if fmt == "tsv":
         dataset = parse_tsv(input_path, num_grades=num_grades)
     else:
         dataset = parse_svmlight(input_path, scores=scores_path, num_grades=num_grades)
-    # Before any per-query work, so a huge grade costs no more than a small one.
-    dataset.check_grade_cap(MAX_CLASSIC_GRADE)
     return dataset.query_groups()
 
 
@@ -83,20 +78,20 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
     if scores_path is not None and fmt != "svmlight":
         raise click.UsageError("--scores is only valid with --format svmlight")
     report = None
-    # The stream may give up after reading, and only a regular file can be read again.
-    if os.path.isfile(input_path) and (scores_path is None or os.path.isfile(scores_path)):
-        try:
+    try:
+        # The stream may give up after reading, and only a regular file can be read again.
+        if os.path.isfile(input_path) and (scores_path is None or os.path.isfile(scores_path)):
+            try:
+                report = build_aggregate_report(
+                    _stream_groups(input_path, fmt, scores_path, num_grades))
+            except _StreamAbandoned:
+                pass  # read whole below, once the stream's frames are freed
+        if report is None:
             report = build_aggregate_report(
-                _stream_groups(input_path, fmt, scores_path, num_grades))
-        except _StreamAbandoned:
-            pass  # read whole below, once the stream's frames are freed
-    if report is None:
-        try:
-            groups = _load_groups(input_path, fmt, scores_path, num_grades)
-        except LindcgError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-        report = build_aggregate_report(groups)
+                _load_groups(input_path, fmt, scores_path, num_grades))
+    except LindcgError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
     renderer = {"json": render_json, "text": render_text, "csv": render_csv}[output_fmt]
     click.echo(renderer(report), nl=False)
     if report.verification_summary.failed:
@@ -180,7 +175,7 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
     for index in range(trials):
         group = _random_tie_free_group(rng, max_items, max_grades, index)
         record = verify_multipartite_identity(group)
-        if not (record.passed and all(d.passed for d in record.details)):
+        if not _record_ok(record):
             identity_failures += 1
         # record.rhs is the weighted loss the ranked view sweeps.
         if sum(threshold_decomposition(group)) != record.rhs:

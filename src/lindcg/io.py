@@ -45,20 +45,20 @@ malformed lines, and it gives every error its line number.  A score file
 is read in step with its data: each data block pulls the scores it needs,
 a score-file block at a time.
 
+The parsers and the stream read the chunks through ``_rows``, which alone
+decides which input fault is reported.  Every malformed line, including a
+data line that is not valid UTF-8, is collected with its line number and
+reason, and the input is read to its end before any fault is raised, so
+accepted + rejected always accounts for every non-comment, non-blank line.
+A grade above the classical-gain cap ``MAX_CLASSIC_GRADE`` is rejected
+too, but only on input with no other fault.
+
 The stream holds the rows of the query still open and of the queries that
 finished in the current block, so the rows it holds follow the largest
-query, not the file.  It reports no errors: on interleaved queries, a
-rejected line of either file, a grade above the classical-gain cap
-``MAX_CLASSIC_GRADE``, a score-count mismatch or an empty input it raises
-_StreamAbandoned.  The input must then be parsed whole, which reads it
-once more and reports any error exactly as the parsers always have.  So
-the stream suits only input that can be read twice from its start, such
-as a regular file, and never a pipe.
-
-Every malformed line, including a data line that is not valid UTF-8, is
-collected with its line number and reason; the parse fails at the end if any
-line was rejected, so accepted + rejected always accounts for every
-non-comment, non-blank line.
+query, not the file.  It raises the readers' errors.  On interleaved
+queries it raises _StreamAbandoned, and the input must then be parsed
+whole, which reads it once more.  So the stream suits only input that can
+be read twice from its start, such as a regular file, and never a pipe.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ class DatasetFile:
     query_ids: tuple[str, ...]
     grades: tuple[int, ...]
     scores: tuple[float, ...]
-
-    def check_grade_cap(self, cap: int) -> None:
-        """Raise GradeTooLargeError naming the first row whose grade exceeds cap."""
-        if max(self.grades, default=0) > cap:
-            row = next(i for i, grade in enumerate(self.grades) if grade > cap)
-            raise GradeTooLargeError(
-                f"query {self.query_ids[row]!r}: grade {self.grades[row]} exceeds "
-                f"the classical-gain cap of {cap}"
-            )
 
     def query_groups(self) -> list[QueryGroup]:
         """Assemble one QueryGroup per query id, sorted by query id.
@@ -214,14 +205,14 @@ def _read_chunks(source, read_block, read_lines):
         yield columns
 
 
-def _collect(chunks) -> tuple[list[str], list[int], list[float]]:
+def _collect(chunks) -> DatasetFile:
     """The query-id, grade and score columns of every chunk, joined in file order."""
     query_ids, grades, scores = [], [], []
     for chunk_ids, chunk_grades, chunk_scores in chunks:
         query_ids += chunk_ids
         grades += chunk_grades
         scores += chunk_scores
-    return query_ids, grades, scores
+    return DatasetFile(tuple(query_ids), tuple(grades), tuple(scores))
 
 
 def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | None]:
@@ -332,13 +323,7 @@ def _tsv_chunks(source, num_grades: int | None, errors: list[tuple[int, str]]):
 
 def parse_tsv(source, num_grades: int | None = None) -> DatasetFile:
     """Parse ``query_id <TAB> grade <TAB> score`` lines from a path or stream."""
-    errors: list[tuple[int, str]] = []
-    query_ids, grades, scores = _collect(_tsv_chunks(source, num_grades, errors))
-    if errors:
-        raise ParseError(errors, accepted_count=len(grades))
-    if not grades:
-        raise EmptyFileError("no records after discarding comments and blank lines")
-    return DatasetFile(tuple(query_ids), tuple(grades), tuple(scores))
+    return _collect(_rows(source, "tsv", num_grades=num_grades))
 
 
 def _score_column(block):
@@ -476,51 +461,21 @@ def parse_svmlight(
     one float per line) the companion file supplies every score and must
     match the data-row count exactly; otherwise each line must carry a
     trailing ``# score=V`` comment, and every block is read line by line.
-    An error in the score file outranks a count mismatch, which outranks a
-    malformed data line.
     """
-    errors: list[tuple[int, str]] = []
-    score_errors: list[tuple[int, str]] = []
-    query_ids, grades, row_scores = _collect(
-        _svmlight_chunks(source, scores, num_grades, errors, score_errors))
-    if score_errors:
-        score_errors = [(lineno, f"score file: {reason}") for lineno, reason in score_errors]
-        raise ParseError(score_errors, accepted_count=len(row_scores))
-    # Every data row was either accepted or rejected.
-    data_rows = len(grades) + len(errors)
-    if scores is not None and len(row_scores) != data_rows:
-        raise ScoreCountMismatchError(
-            f"{data_rows} data rows but {len(row_scores)} scores in the companion file"
-        )
-    if errors:
-        raise ParseError(errors, accepted_count=len(grades))
-    if not grades:
-        raise EmptyFileError("no records after discarding comments and blank lines")
-    return DatasetFile(tuple(query_ids), tuple(grades), tuple(row_scores))
+    return _collect(_rows(source, "svmlight", scores, num_grades))
 
 
-class _StreamAbandoned(Exception):
-    """The stream cannot evaluate this input a query at a time; it must be read whole."""
-
-
-def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None):
-    """Yield one QueryGroup per query of a ``fmt`` source, once the block that ends it is read.
+def _rows(source, fmt: str, scores=None, num_grades: int | None = None):
+    """Yield the query-id, grade and score columns of each block of a ``fmt`` source.
 
     ``fmt`` is "tsv" or "svmlight"; a ``scores`` file of an SVMLight source
-    is read in step with the data, never whole.  Each chunk is grouped
-    into its runs of one query id.  A query finishes when a run of another
-    id starts, or at the end of the input.  A declared ``num_grades`` is
-    only the parsers' check: a grade at or above it is a rejected line.
-    The queries that finish in a block are yielded after it is grouped,
-    and each is dropped once yielded: building one group and evaluating it
-    in turn cost about 3 us a query more, on queries of 10 to 30 rows.
-    So the rows held are those of the query still open and of the queries
-    that finished in the current block.
-
-    The stream reports no errors of its own.  It raises _StreamAbandoned,
-    and the input must be read whole, when a finished id reappears, a line
-    of either file is rejected, a grade is above the classical-gain cap,
-    the score count does not match, or no row is read.
+    is read in step with the data.  From the first block with a fault on,
+    nothing is yielded.  A fault is a rejected line of either file, score
+    and grade columns of different lengths, or a grade above the
+    classical-gain cap ``MAX_CLASSIC_GRADE``.  Both files are still read to their end, and
+    then one error is raised, the first of: an error in the score file, a
+    score count that does not match the data rows, every malformed data
+    line, no rows at all, and the first row whose grade is above the cap.
     """
     errors: list[tuple[int, str]] = []
     score_errors: list[tuple[int, str]] = []
@@ -528,12 +483,57 @@ def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None)
         chunks = _tsv_chunks(source, num_grades, errors)
     else:
         chunks = _svmlight_chunks(source, scores, num_grades, errors, score_errors)
+    rows = scored = 0
+    too_large = None  # the query id and grade of the first row above the cap
+    for query_ids, grades, row_scores in chunks:
+        rows += len(grades)
+        scored += len(row_scores)
+        if too_large is None and max(grades, default=0) > MAX_CLASSIC_GRADE:
+            too_large = next((query_id, grade) for query_id, grade in zip(query_ids, grades)
+                             if grade > MAX_CLASSIC_GRADE)
+        # Counts once apart stay apart: the score file ran out, or its extras came last.
+        if not (errors or score_errors or too_large) and rows == scored:
+            yield query_ids, grades, row_scores
+    if score_errors:
+        score_errors = [(lineno, f"score file: {reason}") for lineno, reason in score_errors]
+        raise ParseError(score_errors, accepted_count=scored)
+    # Every data row was either accepted or rejected.
+    data_rows = rows + len(errors)
+    if scores is not None and scored != data_rows:
+        raise ScoreCountMismatchError(
+            f"{data_rows} data rows but {scored} scores in the companion file"
+        )
+    if errors:
+        raise ParseError(errors, accepted_count=rows)
+    if not rows:
+        raise EmptyFileError("no records after discarding comments and blank lines")
+    if too_large:
+        raise GradeTooLargeError(
+            f"query {too_large[0]!r}: grade {too_large[1]} exceeds "
+            f"the classical-gain cap of {MAX_CLASSIC_GRADE}"
+        )
+
+
+class _StreamAbandoned(Exception):
+    """A finished query id reappears, so the input must be read whole to group it."""
+
+
+def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None):
+    """Yield one QueryGroup per query of a ``fmt`` source, once the block that ends it is read.
+
+    The chunks are those of ``_rows``, which raises every input error.
+    Each chunk is grouped into its runs of one query id.  A query finishes
+    when a run of another id starts, or at the end of the input.  The
+    queries that finish in a block are yielded after it is grouped, and
+    each is dropped once yielded: building one group and evaluating it in
+    turn cost about 3 us a query more, on queries of 10 to 30 rows.  So
+    the rows held are those of the query still open and of the queries
+    that finished in the current block.  When a finished id reappears, the
+    queries are interleaved, and _StreamAbandoned is raised.
+    """
     finished: set[str] = set()
     query_id, grades, row_scores = None, [], []  # the query still open
-    for chunk_ids, chunk_grades, chunk_scores in chunks:
-        if (errors or score_errors or len(chunk_scores) != len(chunk_grades)
-                or max(chunk_grades, default=0) > MAX_CLASSIC_GRADE):
-            raise _StreamAbandoned
+    for chunk_ids, chunk_grades, chunk_scores in _rows(source, fmt, scores, num_grades):
         groups = []  # the queries that finish in this block
         start = 0
         for run_id, run in groupby(chunk_ids):
@@ -551,6 +551,4 @@ def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None)
         groups.reverse()
         while groups:
             yield groups.pop()
-    if query_id is None:
-        raise _StreamAbandoned
-    yield QueryGroup(query_id, grades, row_scores)
+    yield QueryGroup(query_id, grades, row_scores)  # _rows raised if there was none

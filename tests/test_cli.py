@@ -312,19 +312,29 @@ def test_metrics_matches_the_golden_report_streamed_and_read_whole(
 
 
 @needs_dev_fd
-@pytest.mark.parametrize("text, exit_code", [
-    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\tx\t0.5\n", 2),
-    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t31\t0.5\n", 2),
-    ("".join(f"q{i % 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t1\t0.5\n", 0),
+@pytest.mark.parametrize("text, exit_code, file_reads_whole", [
+    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\tx\t0.5\n", 2, 0),
+    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t31\t0.5\n", 2, 0),
+    ("".join(f"q{i % 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t1\t0.5\n", 0, 1),
 ], ids=["malformed", "grade-31", "interleaved"])
 def test_metrics_reads_a_pipe_as_it_reads_a_file(runner, tmp_path, monkeypatch, text,
-                                                 exit_code):
+                                                 exit_code, file_reads_whole):
     """Errors through a pipe keep the messages and line numbers of a regular file,
-    even where the stream would have read a file for several blocks."""
+    where the stream reads the file for several blocks.  The stream reports a faulty
+    file itself, from its one read, and gives it up only on interleaved queries."""
+    read_whole = []
+    load_groups = lindcg.cli._load_groups
+
+    def counted(*args):
+        read_whole.append(args)
+        return load_groups(*args)
+
+    monkeypatch.setattr(lindcg.cli, "_load_groups", counted)
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
     path = tmp_path / "data.tsv"
     path.write_text(text, encoding="utf-8")
     from_file = runner.invoke(main, ["metrics", "--input", str(path), "--output", "json"])
+    assert len(read_whole) == file_reads_whole
     read_ends = []
     try:
         piped = runner.invoke(main, ["metrics", "--input", _piped(path, read_ends),
@@ -368,6 +378,23 @@ def test_metrics_rejects_a_grade_above_the_classical_cap(runner, tmp_path, grade
     assert result.stderr == (
         f"error: query 'q1': grade {grade} exceeds the classical-gain cap of 30\n"
     )
+
+
+@pytest.mark.parametrize("text, message", [
+    ("q0\t31\t0.1\n" + "".join(f"q{i}\t1\t0.{i}\n" for i in range(1, 20)) + "q20\t1\n",
+     "1 malformed line(s): line 21: expected 3 tab-separated fields, got 2"),
+    ("q0\t1\t0.1\nq1\t40\t0.5\nq1\t31\t0.2\n",
+     "query 'q1': grade 40 exceeds the classical-gain cap of 30"),
+], ids=["malformed-line-in-a-later-block", "two-grades-above-the-cap"])
+def test_metrics_names_the_cap_only_on_input_without_another_fault(runner, tmp_path,
+                                                                   monkeypatch, text, message):
+    """A malformed line anywhere outranks a grade above the cap, and the cap names
+    the first row above it."""
+    monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
+    data = tmp_path / "big.tsv"
+    data.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["metrics", "--input", str(data)])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_metrics_never_rebuilds_or_re_ranks_a_group(runner, golden_file, monkeypatch):

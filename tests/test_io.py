@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import lindcg.io
 from helpers import parse_svmlight_by_line, parse_tsv_by_line
-from lindcg.errors import EmptyFileError, LindcgError, ParseError, ScoreCountMismatchError
+from lindcg.errors import (
+    EmptyFileError,
+    GradeTooLargeError,
+    LindcgError,
+    ParseError,
+    ScoreCountMismatchError,
+)
 from lindcg.io import (
     _BLOCK_CHARS,
     DatasetFile,
@@ -234,6 +240,41 @@ def test_score_count_mismatch_outranks_malformed_data_lines(scores):
 
 
 BREAKS_TSV = "q\t1\t0.5\x0cq\t0\t0.2\u2028q\t2\t0.1\r\nq\t0\t0.3\rq\t1\t0.4\n"
+
+
+# Data lines with two grades above the cap in one query, their scores or None,
+# and a malformed line of the format.
+_ABOVE_THE_CAP = {
+    "tsv": ("q0\t1\t0.1\nq1\t40\t0.5\nq1\t31\t0.2\nq2\t0\t0.3\n", None, "q1\tx\t0.5\n"),
+    "inline": ("1 qid:q0 # score=0.1\n40 qid:q1 # score=0.5\n31 qid:q1 # score=0.2\n"
+               "0 qid:q2 # score=0.3\n", None, "x qid:q1 # score=0.5\n"),
+    "scores": ("1 qid:q0 1:0.5\n40 qid:q1\n31 qid:q1 1:2\n0 qid:q2\n", "0.1\n0.5\n0.2\n0.3\n",
+               "x qid:q1\n"),
+}
+
+
+@pytest.mark.parametrize("block_chars", [8, _BLOCK_CHARS])
+@pytest.mark.parametrize("fmt", _ABOVE_THE_CAP)
+def test_a_grade_above_the_cap_is_rejected_unless_a_line_is_malformed(monkeypatch, fmt,
+                                                                      block_chars):
+    text, scores, malformed = _ABOVE_THE_CAP[fmt]
+
+    def parse(lines, score_lines):
+        data = io.StringIO("".join(lines))
+        if fmt == "tsv":
+            return parse_tsv(data)
+        return parse_svmlight(data, score_lines and io.StringIO("".join(score_lines)))
+
+    monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
+    lines, score_lines = text.splitlines(True), scores and scores.splitlines(True)
+    with pytest.raises(GradeTooLargeError) as info:
+        parse(lines, score_lines)
+    assert str(info.value) == "query 'q1': grade 40 exceeds the classical-gain cap of 30"
+    for at in range(len(lines) + 1):  # before, between and after the grades above the cap
+        with pytest.raises(ParseError) as info:
+            parse(lines[:at] + [malformed] + lines[at:],
+                  score_lines and score_lines[:at] + ["0.5\n"] + score_lines[at:])
+        assert [lineno for lineno, _ in info.value.errors] == [at + 1]
 
 
 def test_lines_end_where_str_splitlines_ends_them(tmp_path):
