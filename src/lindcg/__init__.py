@@ -2,8 +2,9 @@
 exact identity checks between the DCG error and the pairwise loss.
 
 The package exports the ranked-view path that ``lindcg metrics`` runs, the
-readers, the report and the errors.  The independent test oracles are in
-``lindcg.oracles``.
+readers, which return query groups, the report and the errors that path
+raises.  The independent test oracles are in ``lindcg.oracles``; the errors
+only they raise stay in ``lindcg.errors``.
 """
 
 from .core import QueryGroup, RankedView, rank_view
@@ -15,13 +16,10 @@ from .errors import (
     InvalidGradeError,
     InvalidScoreError,
     LindcgError,
-    NonBipartiteError,
     ParseError,
     ScoreCountMismatchError,
-    ThresholdOutOfRangeError,
-    TooLargeError,
 )
-from .io import DatasetFile, parse_svmlight, parse_tsv
+from .io import parse_svmlight, parse_tsv
 from .metrics import MetricReport, bipartite_ideal_dcg, compute_report
 from .pairwise import PairwiseLossValue, loss_from_view
 from .report import (
@@ -38,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateReport",
-    "DatasetFile",
     "EmptyFileError",
     "EmptyGroupError",
     "GradeTooLargeError",
@@ -46,14 +43,11 @@ __all__ = [
     "InvalidScoreError",
     "LindcgError",
     "MetricReport",
-    "NonBipartiteError",
     "PairwiseLossValue",
     "ParseError",
     "QueryGroup",
     "RankedView",
     "ScoreCountMismatchError",
-    "ThresholdOutOfRangeError",
-    "TooLargeError",
     "VerificationRecord",
     "VerificationSummary",
     "bipartite_ideal_dcg",

@@ -2,9 +2,10 @@
 
 Grades are non-negative integers; scores are finite floats produced by
 whatever model is under evaluation.
-All types validate their invariants at construction and are immutable
-afterwards, and every operation is a pure function, so values can be
-shared freely across concurrent workers.
+``QueryGroup`` validates its invariants at construction.  ``RankedView``
+is built by ``rank_view`` from an already validated group and does not
+check them again.  Both are immutable, and every operation is a pure
+function, so values can be shared freely across concurrent workers.
 """
 
 from __future__ import annotations

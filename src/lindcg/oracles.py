@@ -104,21 +104,21 @@ def binarize(group: QueryGroup, k: int) -> QueryGroup:
     return QueryGroup(group.query_id, grades, group.scores)
 
 
-def threshold_decomposition(group: QueryGroup) -> tuple[int, ...]:
-    """Split the weighted loss into one unweighted bipartite loss per threshold.
+def threshold_run_losses(group: QueryGroup) -> tuple[tuple[int, int], ...]:
+    """The threshold decomposition as (width, loss) runs, one per run of thresholds.
 
-    There is one entry for each threshold k below the group's top grade,
-    the thresholds that leave an item above them.  Entry k is the loss of
-    the group binarized at threshold k: the number of (grade 1, grade 0)
+    Every threshold of a run ``a <= k < b`` between consecutive grades
+    present (0 always included) binarizes the group alike, so each run is
+    binarized once, and its entry is ``(b - a, loss)``.  The loss is that of
+    the group binarized at threshold a: the number of (grade 1, grade 0)
     pairs whose grade-1 item scores strictly below the grade-0 item,
-    counted for each grade-1 item by bisecting the sorted grade-0 scores.  A pair with grade gap (b - a) is misranked at exactly
-    (b - a) thresholds, so the entries sum to the unnormalized weighted
-    loss.  Every threshold of a run ``a <= k < b`` between consecutive
-    grades present (0 always included) binarizes the group alike, so each
-    run is binarized once.
+    counted for each grade-1 item by bisecting the sorted grade-0 scores.
+    The widths sum to the top grade, and the sum of width * loss is the
+    unnormalized weighted loss.  The size of the result follows the number
+    of distinct grades, not their values.
     """
     levels = sorted({0, *group.grades})
-    entries: list[int] = []
+    runs = []
     for low, high in zip(levels, levels[1:]):
         binary = binarize(group, low)
         below = sorted(s for g, s in zip(binary.grades, binary.scores) if not g)
@@ -127,8 +127,21 @@ def threshold_decomposition(group: QueryGroup) -> tuple[int, ...]:
             for g, s in zip(binary.grades, binary.scores)
             if g
         )
-        entries += [loss] * (high - low)
-    return tuple(entries)
+        runs.append((high - low, loss))
+    return tuple(runs)
+
+
+def threshold_decomposition(group: QueryGroup) -> tuple[int, ...]:
+    """Split the weighted loss into one unweighted bipartite loss per threshold.
+
+    There is one entry for each threshold k below the group's top grade,
+    the thresholds that leave an item above them.  Entry k is the loss of
+    the group binarized at threshold k.  A pair with grade gap (b - a) is
+    misranked at exactly (b - a) thresholds, so the entries sum to the
+    unnormalized weighted loss.  This is ``threshold_run_losses`` with each
+    run repeated once per threshold, so its length is the top grade.
+    """
+    return tuple(loss for width, loss in threshold_run_losses(group) for _ in range(width))
 
 
 @dataclass(frozen=True, slots=True)

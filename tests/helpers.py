@@ -9,7 +9,6 @@ import re
 from lindcg.core import QueryGroup
 from lindcg.equivalence import VerificationRecord
 from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
-from lindcg.io import DatasetFile
 from lindcg.oracles import (
     binarize,
     dcg_linear,
@@ -27,6 +26,15 @@ def ideal(grades):
 def dcg_error(group: QueryGroup) -> int:
     """Ideal minus observed linear DCG, from the oracle references."""
     return dcg_linear(ideal(group.grades)) - dcg_linear(rank_by_score(group))
+
+
+def grouped(query_ids, grades, scores) -> list[QueryGroup]:
+    """Parallel columns as the readers return them: one group per query id,
+    sorted by id, with items in column order."""
+    rows: dict[str, list[tuple[int, float]]] = {}
+    for query_id, grade, score in zip(query_ids, grades, scores, strict=True):
+        rows.setdefault(query_id, []).append((grade, score))
+    return [QueryGroup(query_id, *zip(*items)) for query_id, items in sorted(rows.items())]
 
 
 def make_group(grades, scores, query_id="q"):
@@ -172,7 +180,7 @@ def parse_tsv_by_line(text: str, num_grades=None):
 def parse_svmlight_by_line(text: str, scores: str | None = None, num_grades=None):
     """SVMLight text, with an optional score-file text, parsed one line at a time.
 
-    Returns the ``DatasetFile`` that ``parse_svmlight`` returns, or raises
+    Returns the query groups that ``parse_svmlight`` returns, or raises
     the error it raises: the score file's malformed lines first, then a
     score count that differs from the data rows, then the data's malformed
     lines, then an empty file.  An oracle for the head-only block reads of
@@ -224,4 +232,4 @@ def parse_svmlight_by_line(text: str, scores: str | None = None, num_grades=None
         raise ParseError(errors, accepted_count=len(grades))
     if not grades:
         raise EmptyFileError("no records after discarding comments and blank lines")
-    return DatasetFile(tuple(query_ids), tuple(grades), tuple(row_scores))
+    return grouped(query_ids, grades, row_scores)

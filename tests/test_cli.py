@@ -495,6 +495,18 @@ def test_verify_rejects_an_exhaustive_pass_over_the_budget_unstarted(runner, mon
     assert "--exhaustive-limit" in result.stderr
 
 
+def test_verify_cost_does_not_follow_max_grades(runner, monkeypatch):
+    # A decomposition with one entry per threshold would need about 8 TB here.
+    def expanded(group):
+        raise AssertionError("the decomposition was expanded threshold by threshold")
+
+    monkeypatch.setattr(lindcg.oracles, "threshold_decomposition", expanded)
+    result = runner.invoke(main, ["verify", "--max-grades", str(10**12), "--trials", "20",
+                                  "--max-items", "5", "--exhaustive-limit", "0", "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    assert "random: groups=20 identity_failures=0 decomposition_failures=0" in result.output
+
+
 def test_verify_rejects_bad_option_values(runner):
     assert runner.invoke(main, ["verify", "--max-grades", "1"]).exit_code == 2
     assert runner.invoke(main, ["verify", "--trials", "-5"]).exit_code == 2

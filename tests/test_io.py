@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindcg.io
-from helpers import parse_svmlight_by_line, parse_tsv_by_line
+from helpers import grouped, parse_svmlight_by_line, parse_tsv_by_line
 from lindcg.errors import (
     EmptyFileError,
     GradeTooLargeError,
@@ -16,9 +16,9 @@ from lindcg.errors import (
 )
 from lindcg.io import (
     _BLOCK_CHARS,
-    DatasetFile,
     _data_lines,
     _read_chunks,
+    _rows,
     parse_svmlight,
     parse_tsv,
 )
@@ -36,23 +36,37 @@ q2\t0\t0.75
 
 
 def test_parse_tsv_reads_records_in_file_order():
-    dataset = parse_tsv(io.StringIO(GOOD_TSV))
-    assert dataset.query_ids == ("q2", "q1", "q1", "q2")
-    assert dataset.grades == (1, 0, 2, 0)
-    assert dataset.scores == (0.25, 0.9, 0.1, 0.75)
+    groups = parse_tsv(io.StringIO(GOOD_TSV))
+    assert groups == grouped(("q2", "q1", "q1", "q2"), (1, 0, 2, 0), (0.25, 0.9, 0.1, 0.75))
 
 
-def test_readers_keep_one_string_per_query_id():
-    tsv = parse_tsv(io.StringIO(GOOD_TSV)).query_ids
-    assert tsv[0] is tsv[3] and tsv[1] is tsv[2]
-    svmlight = parse_svmlight(io.StringIO(
-        "1 qid:7 # score=0.5\n0 qid:8 # score=0.1\n0 qid:7 # score=0.2\n")).query_ids
-    assert svmlight == ("7", "8", "7")
-    assert svmlight[0] is svmlight[2]
+def _query_id_objects(text, fmt, scores=None):
+    """The query-id column of every chunk ``_rows`` yields, joined."""
+    chunks = _rows(io.StringIO(text), fmt, scores and io.StringIO(scores))
+    return [query_id for query_ids, _, _ in chunks for query_id in query_ids]
+
+
+def test_readers_keep_one_string_per_query_id(monkeypatch):
+    # A comment line sends its block to the line rules, the other blocks take
+    # the block reads, so both keep the one string of each id.
+    rows = range(300)
+    inputs = {
+        "tsv": ("# rows\n" + "".join(f"q{i % 7}\t{i % 3}\t{i / 8}\n" for i in rows), None),
+        "inline": ("".join(f"{i % 3} qid:q{i % 7} 1:0.5 # score={i / 8}\n" for i in rows),
+                   None),
+        "scores": ("# rows\n" + "".join(f"{i % 3} qid:q{i % 7} 1:{i / 8}\n" for i in rows),
+                   "".join(f"{i / 16}\n" for i in rows)),
+    }
+    for block_chars in (1, 7, 4096):
+        monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
+        for fmt, (text, scores) in inputs.items():
+            query_ids = _query_id_objects(text, "tsv" if fmt == "tsv" else "svmlight", scores)
+            assert query_ids == [f"q{i % 7}" for i in rows]
+            assert len(set(map(id, query_ids))) == 7, (fmt, block_chars)
 
 
 def test_query_groups_sorted_by_id_with_file_order_items():
-    groups = parse_tsv(io.StringIO(GOOD_TSV)).query_groups()
+    groups = parse_tsv(io.StringIO(GOOD_TSV))
     assert [g.query_id for g in groups] == ["q1", "q2"]
     assert list(groups[0].grades) == [0, 2]
     assert list(groups[1].scores) == [0.25, 0.75]
@@ -115,7 +129,7 @@ def test_comment_only_input_is_empty():
 
 def test_score_ties_keep_file_order():
     text = "q\t1\t0.5\nq\t0\t0.5\nq\t2\t0.5\n"
-    (group,) = parse_tsv(io.StringIO(text)).query_groups()
+    (group,) = parse_tsv(io.StringIO(text))
     assert list(group.grades) == [1, 0, 2]
     assert has_score_ties(group)
 
@@ -141,11 +155,9 @@ def test_tsv_rejects_digit_separators_and_non_ascii_digits(grade, score):
 
 
 def test_parse_svmlight_with_inline_scores():
-    dataset = parse_svmlight(io.StringIO(GOOD_SVMLIGHT))
-    assert dataset.query_ids == ("7", "7", "3")
-    assert dataset.grades == (2, 0, 1)
-    assert dataset.scores == (0.9, 0.2, 0.7)
-    assert [g.query_id for g in dataset.query_groups()] == ["3", "7"]
+    groups = parse_svmlight(io.StringIO(GOOD_SVMLIGHT))
+    assert groups == grouped(("7", "7", "3"), (2, 0, 1), (0.9, 0.2, 0.7))
+    assert [g.query_id for g in groups] == ["3", "7"]
 
 
 def test_parse_svmlight_feature_vectors_are_ignored():
@@ -155,10 +167,10 @@ def test_parse_svmlight_feature_vectors_are_ignored():
 
 
 def test_companion_score_file_wins_over_inline_comments():
-    dataset = parse_svmlight(
+    groups = parse_svmlight(
         io.StringIO(GOOD_SVMLIGHT), scores=io.StringIO("0.1\n0.2\n0.3\n")
     )
-    assert list(dataset.scores) == [0.1, 0.2, 0.3]
+    assert groups == grouped(("7", "7", "3"), (2, 0, 1), (0.1, 0.2, 0.3))
 
 
 def test_companion_score_file_must_match_row_count():
@@ -205,8 +217,8 @@ def test_score_file_rejects_digit_separators_and_non_ascii_digits():
 
 
 def test_score_comment_key_must_be_a_whole_token():
-    dataset = parse_svmlight(io.StringIO("1 qid:1 1:0.5 # myscore=9 score=0.1\n"))
-    assert dataset.scores[0] == 0.1
+    (group,) = parse_svmlight(io.StringIO("1 qid:1 1:0.5 # myscore=9 score=0.1\n"))
+    assert group.scores == (0.1,)
     with pytest.raises(ParseError):
         parse_svmlight(io.StringIO("1 qid:1 # myscore=9\n"))
 
@@ -216,19 +228,8 @@ def test_svmlight_score_file_path(tmp_path):
     data.write_text("1 qid:1 1:0.2\n0 qid:1 1:0.4\n", encoding="utf-8")
     preds = tmp_path / "preds.txt"
     preds.write_text("0.8\n0.6\n", encoding="utf-8")
-    dataset = parse_svmlight(data, scores=preds)
-    assert list(dataset.scores) == [0.8, 0.6]
-
-
-def test_dataset_file_roundtrips_into_groups():
-    dataset = DatasetFile(
-        query_ids=("b", "a", "b"),
-        grades=(1, 0, 0),
-        scores=(0.5, 0.1, 0.4),
-    )
-    groups = dataset.query_groups()
-    assert [g.query_id for g in groups] == ["a", "b"]
-    assert len(groups[1]) == 2
+    (group,) = parse_svmlight(data, scores=preds)
+    assert group.scores == (0.8, 0.6)
 
 
 @pytest.mark.parametrize("scores", ["0.1\n", "0.1\n0.2\n0.3\n0.4\n"])
@@ -280,8 +281,8 @@ def test_a_grade_above_the_cap_is_rejected_unless_a_line_is_malformed(monkeypatc
 def test_lines_end_where_str_splitlines_ends_them(tmp_path):
     path = tmp_path / "breaks.tsv"
     path.write_bytes(BREAKS_TSV.encode("utf-8"))
-    for dataset in (parse_tsv(path), parse_tsv(io.StringIO(BREAKS_TSV))):
-        assert dataset.grades == (1, 0, 2, 0, 1)
+    for groups in (parse_tsv(path), parse_tsv(io.StringIO(BREAKS_TSV))):
+        assert [group.grades for group in groups] == [(1, 0, 2, 0, 1)]
     bad = BREAKS_TSV + "q\tx\t0.6\n"
     path.write_bytes(bad.encode("utf-8"))
     for source in (path, io.StringIO(bad)):
@@ -333,8 +334,8 @@ def test_a_long_line_costs_linear_time(monkeypatch, scored):
     comments = ("", "") if scored else (" # score=0.5", " # score=0.25")
     text = f"1 qid:a {features}{comments[0]}\n0 qid:a 1:0{comments[1]}\n"
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 8)
-    dataset = parse_svmlight(io.StringIO(text), io.StringIO("0.5\n0.25\n") if scored else None)
-    assert dataset == DatasetFile(("a", "a"), (1, 0), (0.5, 0.25))
+    groups = parse_svmlight(io.StringIO(text), io.StringIO("0.5\n0.25\n") if scored else None)
+    assert groups == grouped(("a", "a"), (1, 0), (0.5, 0.25))
 
 
 def _source(tmp_path, name, text, kind):
@@ -348,10 +349,10 @@ def _source(tmp_path, name, text, kind):
 @pytest.mark.parametrize("kind", ["path", "stream"])
 def test_a_leading_byte_order_mark_is_ignored(tmp_path, kind):
     tsv = parse_tsv(_source(tmp_path, "bom.tsv", "\ufeffq1\t1\t0.5\nq1\t0\t0.2\n", kind))
-    assert tsv.query_ids == ("q1", "q1")
+    assert tsv == grouped(("q1", "q1"), (1, 0), (0.5, 0.2))
     svm = parse_svmlight(_source(tmp_path, "bom.txt", "\ufeff1 qid:1 # score=0.5\n", kind))
-    assert (svm.query_ids, svm.grades, svm.scores) == (("1",), (1,), (0.5,))
-    scored = parse_svmlight(
+    assert svm == grouped(("1",), (1,), (0.5,))
+    (scored,) = parse_svmlight(
         io.StringIO("1 qid:1\n0 qid:1\n"),
         scores=_source(tmp_path, "bom.scores", "\ufeff0.5\n0.2\n", kind),
     )
@@ -359,8 +360,8 @@ def test_a_leading_byte_order_mark_is_ignored(tmp_path, kind):
 
 
 def test_only_the_first_byte_order_mark_is_dropped():
-    dataset = parse_tsv(io.StringIO("\ufeff\ufeffq1\t1\t0.5\n"))
-    assert dataset.query_ids == ("\ufeffq1",)
+    (group,) = parse_tsv(io.StringIO("\ufeff\ufeffq1\t1\t0.5\n"))
+    assert group.query_id == "\ufeffq1"
 
 
 # Rows whose cells int() and float() read, so that a block of them reaches
@@ -410,8 +411,8 @@ def test_block_parse_matches_a_line_by_line_parse(lines, block_chars, num_grades
             with pytest.raises(EmptyFileError):
                 parse_tsv(io.StringIO(text), num_grades)
         else:
-            dataset = parse_tsv(io.StringIO(text), num_grades)
-            assert dataset == DatasetFile(query_ids, grades, scores)
+            groups = parse_tsv(io.StringIO(text), num_grades)
+            assert groups == grouped(query_ids, grades, scores)
 
 
 @pytest.mark.parametrize("block_chars", [1, 7, 4096])
@@ -427,10 +428,11 @@ def test_valid_blocks_are_never_read_line_by_line(monkeypatch, block_chars):
 
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
     monkeypatch.setattr(lindcg.io, "_data_lines", spy)
-    dataset = parse_tsv(io.StringIO(text))
+    groups = parse_tsv(io.StringIO(text))
+    query_ids = _query_id_objects(text, "tsv")
     assert by_line == []
-    assert dataset == DatasetFile(*parse_tsv_by_line(text)[:3])
-    assert len(set(map(id, dataset.query_ids))) == 7
+    assert groups == grouped(*parse_tsv_by_line(text)[:3])
+    assert len(set(map(id, query_ids))) == 7
 
 
 @pytest.mark.parametrize("block_chars", [1, 7, 4096])
@@ -447,10 +449,11 @@ def test_valid_svmlight_and_score_blocks_are_never_read_line_by_line(monkeypatch
 
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
     monkeypatch.setattr(lindcg.io, "_data_lines", spy)
-    dataset = parse_svmlight(io.StringIO(text), scores=io.StringIO(scores))
+    groups = parse_svmlight(io.StringIO(text), scores=io.StringIO(scores))
+    query_ids = _query_id_objects(text, "svmlight", scores)
     assert by_line == []
-    assert dataset == parse_svmlight_by_line(text, scores)
-    assert len(set(map(id, dataset.query_ids))) == 7
+    assert groups == parse_svmlight_by_line(text, scores)
+    assert len(set(map(id, query_ids))) == 7
 
 
 def _outcome(parse, *args):

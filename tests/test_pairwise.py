@@ -13,6 +13,7 @@ from lindcg.oracles import (
     pairwise_loss_naive,
     rank_by_score,
     threshold_decomposition,
+    threshold_run_losses,
 )
 from lindcg.pairwise import loss_from_view
 
@@ -160,7 +161,9 @@ def test_threshold_decomposition_sums_to_weighted_loss():
     rng = random.Random(55)
     for _ in range(200):
         group = random_group(rng, max_items=40, allow_ties=True)
-        assert sum(threshold_decomposition(group)) == loss_from_view(rank_view(group)).unnormalized
+        loss = loss_from_view(rank_view(group)).unnormalized
+        assert sum(threshold_decomposition(group)) == loss
+        assert sum(width * run_loss for width, run_loss in threshold_run_losses(group)) == loss
 
 
 @st.composite
@@ -190,6 +193,11 @@ def test_threshold_decomposition_matches_a_rebuild_at_every_threshold(group):
         vector = threshold_decomposition(group)
     assert vector == rebuilt
     assert len(calls) <= len(set(group.grades)) + 1
+
+
+def test_a_run_of_thresholds_is_one_entry_whatever_its_width():
+    group = make_group([0, 10**12], [0.9, 0.1])
+    assert threshold_run_losses(group) == ((10**12, 1),)
 
 
 def test_perfect_ranking_decomposes_to_zeros():

@@ -1,0 +1,38 @@
+"""The package's public names change only on purpose."""
+
+import lindcg
+
+PUBLIC = [
+    "AggregateReport",
+    "EmptyFileError",
+    "EmptyGroupError",
+    "GradeTooLargeError",
+    "InvalidGradeError",
+    "InvalidScoreError",
+    "LindcgError",
+    "MetricReport",
+    "PairwiseLossValue",
+    "ParseError",
+    "QueryGroup",
+    "RankedView",
+    "ScoreCountMismatchError",
+    "VerificationRecord",
+    "VerificationSummary",
+    "bipartite_ideal_dcg",
+    "build_aggregate_report",
+    "compute_report",
+    "loss_from_view",
+    "parse_svmlight",
+    "parse_tsv",
+    "rank_view",
+    "render_csv",
+    "render_json",
+    "render_text",
+    "to_json_dict",
+    "verify_multipartite_identity",
+]
+
+
+def test_the_public_names_are_pinned_and_resolve():
+    assert sorted(lindcg.__all__) == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(lindcg, name)] == []
