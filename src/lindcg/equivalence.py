@@ -11,6 +11,12 @@ identity independently, are test oracles in ``lindcg.oracles``.
 Score ties break the identity (the pairwise indicator is strict while a
 realized ranking has to place tied items somewhere), so records carry a
 ``tie_afflicted`` flag and tied instances are exempt from hard assertions.
+
+``identity_sums`` computes the check's integers from a view, once.  The
+library call ``verify_multipartite_identity`` names each of them in a
+``VerificationRecord``.  The report asks ``identity_status`` for one status
+per query instead, which reads the same integers and builds the records
+only for a failed check.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .core import QueryGroup, RankedView, rank_view
 from .metrics import bipartite_ideal_dcg, view_dcg_linear, view_ideal_dcg_linear
@@ -48,6 +55,89 @@ class VerificationRecord:
             )
 
 
+def _record_ok(record: VerificationRecord) -> bool:
+    return record.passed and all(d.passed for d in record.details)
+
+
+class IdentitySums(NamedTuple):
+    """The integers of one query's identity check, each pair of which must be equal.
+
+    ``lhs`` is the linear DCG error and ``rhs`` the weighted pairwise loss.
+    ``run_lhs[j]`` is the DCG error of the bipartite group above the run of
+    thresholds ``levels[j] <= k < levels[j + 1]`` and ``run_losses[j]`` that
+    run's swept loss.  ``split_lhs`` is the observed DCG summed over
+    positions and ``split_rhs`` the same DCG summed over thresholds.
+    """
+
+    lhs: int
+    rhs: int
+    run_lhs: tuple[int, ...]
+    run_losses: tuple[int, ...]
+    split_lhs: int
+    split_rhs: int
+
+
+def identity_sums(view: RankedView) -> IdentitySums:
+    """The identity check's integers, read from one ranked view.
+
+    The losses are the view's score sweep, never the discount masses
+    rewritten, so every check compares two independent counts.
+    """
+    n = len(view)
+    widths = view.run_widths
+    losses = view.threshold_losses
+    # items and discount mass above each run: suffix sums over the levels
+    above_items = [*itertools.accumulate(view.counts[:0:-1])][::-1]
+    above_mass = [*itertools.accumulate(view.discount_mass[:0:-1])][::-1]
+    return IdentitySums(
+        lhs=view_ideal_dcg_linear(view) - view_dcg_linear(view),
+        rhs=sum(map(mul, widths, losses)),
+        run_lhs=tuple(bipartite_ideal_dcg(m, n - m) - mass
+                      for m, mass in zip(above_items, above_mass)),
+        run_losses=losses,
+        split_lhs=sum(map(mul, view.grades, range(n - 1, -1, -1))),
+        split_rhs=sum(map(mul, widths, above_mass)),
+    )
+
+
+def _records(query_id: str, view: RankedView, sums: IdentitySums) -> VerificationRecord:
+    """The check's records: one per run of thresholds and one for the split,
+    under the top-level record."""
+    ties = view.has_score_ties
+    levels = view.levels
+    details = []
+    for first, end, sub_lhs, loss in zip(levels, levels[1:], sums.run_lhs, sums.run_losses):
+        run = f"k={first}" if end - first == 1 else f"k={first}..{end - 1}"
+        details.append(
+            VerificationRecord(
+                instance_id=f"{query_id}[{run}]",
+                check_name="threshold_identity",
+                lhs=sub_lhs,
+                rhs=loss,
+                passed=sub_lhs == loss,
+                tie_afflicted=ties,
+            )
+        )
+    details.append(
+        VerificationRecord(
+            instance_id=f"{query_id}[split]",
+            check_name="dcg_split",
+            lhs=sums.split_lhs,
+            rhs=sums.split_rhs,
+            passed=sums.split_lhs == sums.split_rhs,
+        )
+    )
+    return VerificationRecord(
+        instance_id=query_id,
+        check_name="multipartite_identity",
+        lhs=sums.lhs,
+        rhs=sums.rhs,
+        passed=sums.lhs == sums.rhs,
+        tie_afflicted=ties,
+        details=tuple(details),
+    )
+
+
 def verify_multipartite_identity(
     group: QueryGroup, view: RankedView | None = None
 ) -> VerificationRecord:
@@ -70,50 +160,21 @@ def verify_multipartite_identity(
     """
     if view is None:
         view = rank_view(group)
-    n = len(view)
-    ties = view.has_score_ties
-    levels = view.levels
-    widths = view.run_widths
-    lhs = view_ideal_dcg_linear(view) - view_dcg_linear(view)
-    rhs = sum(map(mul, widths, view.threshold_losses))
+    return _records(group.query_id, view, identity_sums(view))
 
-    # items and discount mass above each run: suffix sums over the levels
-    above_items = [*itertools.accumulate(view.counts[:0:-1])][::-1]
-    above_mass = [*itertools.accumulate(view.discount_mass[:0:-1])][::-1]
 
-    details = []
-    for first, end, m, mass, loss in zip(
-        levels, levels[1:], above_items, above_mass, view.threshold_losses
-    ):
-        run = f"k={first}" if end - first == 1 else f"k={first}..{end - 1}"
-        sub_lhs = bipartite_ideal_dcg(m, n - m) - mass
-        details.append(
-            VerificationRecord(
-                instance_id=f"{group.query_id}[{run}]",
-                check_name="threshold_identity",
-                lhs=sub_lhs,
-                rhs=loss,
-                passed=sub_lhs == loss,
-                tie_afflicted=ties,
-            )
-        )
-    split_lhs = sum(map(mul, view.grades, range(n - 1, -1, -1)))
-    split_rhs = sum(map(mul, widths, above_mass))
-    details.append(
-        VerificationRecord(
-            instance_id=f"{group.query_id}[split]",
-            check_name="dcg_split",
-            lhs=split_lhs,
-            rhs=split_rhs,
-            passed=split_lhs == split_rhs,
-        )
-    )
-    return VerificationRecord(
-        instance_id=group.query_id,
-        check_name="multipartite_identity",
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs == rhs,
-        tie_afflicted=ties,
-        details=tuple(details),
-    )
+def identity_status(query_id: str, view: RankedView) -> tuple[str, VerificationRecord | None]:
+    """The query's status, ``passed``, ``failed`` or ``tie_flagged``, and its
+    record when the check failed.
+
+    A tied query is ``tie_flagged`` whatever its integers, as its record
+    is.  Otherwise the status is the records' verdict: every pair of
+    ``identity_sums`` must be equal.
+    """
+    if view.has_score_ties:
+        return "tie_flagged", None
+    sums = identity_sums(view)
+    if (sums.lhs == sums.rhs and sums.run_lhs == sums.run_losses
+            and sums.split_lhs == sums.split_rhs):
+        return "passed", None
+    return "failed", _records(query_id, view, sums)

@@ -184,7 +184,8 @@ def _grouped(chunks) -> list[QueryGroup]:
     """One QueryGroup per query id of the chunks' rows, sorted by query id.
 
     Items keep file order within each query, which fixes the
-    score-tie-break index.
+    score-tie-break index.  Each query's lists are freed as its group is
+    built, so the columns are not all held twice.
     """
     by_query: dict[str, tuple[list[int], list[float]]] = {}
     for chunk_ids, chunk_grades, chunk_scores in chunks:
@@ -192,10 +193,7 @@ def _grouped(chunks) -> list[QueryGroup]:
             columns = by_query.get(query_id) or by_query.setdefault(query_id, ([], []))
             columns[0].append(grade)
             columns[1].append(score)
-    return [
-        QueryGroup(query_id, grades, scores)
-        for query_id, (grades, scores) in sorted(by_query.items())
-    ]
+    return [QueryGroup(query_id, *by_query.pop(query_id)) for query_id in sorted(by_query)]
 
 
 def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | None]:

@@ -5,25 +5,30 @@ integers are emitted exactly, and every float is formatted to 6
 significant digits.  JSON is the machine-readable format; text is an
 aligned-column view; CSV carries the per-query rows only.
 
+The aggregate keeps each query's ``MetricReport`` and its identity status,
+and a ``VerificationRecord`` only for a query whose check failed.  Each
+format has a generator that yields its text in pieces: the head, one
+piece per query and the tail.  ``lindcg metrics`` writes the pieces as
+they come; ``render_json``, ``render_text`` and ``render_csv`` join them.
+
 The JSON report is exactly ``json.dumps(to_json_dict(report), indent=2)``
-plus a newline, but only its small head goes through the indenting
-encoder, which is pure Python.  Each query's flat dict is encoded by the C
-encoder with ``",\n      "`` between items, which puts every key on its own
-line six spaces in, as ``indent=2`` does at that depth; the fixed outer
-layout, ``"    {\n      "`` before each query, ``"\n    }"`` after it and
-``",\n"`` between queries, is added around it.
+plus a newline, but only its small head, which holds the means, goes
+through the indenting encoder, which is pure Python.  Each query's flat
+dict is encoded by the C encoder with ``",\n      "`` between items, which
+puts every key on its own line six spaces in, as ``indent=2`` does at that
+depth; the fixed outer layout, ``"    {\n      "`` before each query,
+``"\n    }"`` after it and ``",\n"`` between queries, is added around it.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import QueryGroup, rank_view
-from .equivalence import VerificationRecord, verify_multipartite_identity
+from .equivalence import VerificationRecord, identity_status
 from .metrics import MetricReport, compute_report
 
 
@@ -40,20 +45,20 @@ class VerificationSummary:
 class AggregateReport:
     """Per-query reports plus dataset-level aggregates.
 
-    Means are arithmetic over all queries, degenerate ones included (they
-    contribute their conventional 1.0).
+    ``statuses[i]`` is the identity status of ``per_query[i]``: ``passed``,
+    ``failed`` or ``tie_flagged``.  ``failures`` holds the full record of
+    each failed query, in the same order.  Means are arithmetic over all
+    queries, degenerate ones included (they contribute their conventional
+    1.0).
     """
 
     per_query: tuple[MetricReport, ...]
-    verifications: tuple[VerificationRecord, ...]
+    statuses: tuple[str, ...]
+    failures: tuple[VerificationRecord, ...]
     mean_ndcg_linear: float
     mean_ndcg_classic: float
     total_pairwise_loss: int
     verification_summary: VerificationSummary
-
-
-def _record_ok(record: VerificationRecord) -> bool:
-    return record.passed and all(d.passed for d in record.details)
 
 
 def build_aggregate_report(groups: Iterable[QueryGroup]) -> AggregateReport:
@@ -68,27 +73,22 @@ def build_aggregate_report(groups: Iterable[QueryGroup]) -> AggregateReport:
     results = []
     for group in groups:
         view = rank_view(group)
-        results.append((compute_report(group, view), verify_multipartite_identity(group, view)))
+        results.append((compute_report(group, view), *identity_status(group.query_id, view)))
     results.sort(key=lambda result: result[0].query_id)
-    per_query = [report for report, _ in results]
-    verifications = [record for _, record in results]
+    per_query = tuple(report for report, _, _ in results)
+    statuses = tuple(status for _, status, _ in results)
+    failures = tuple(record for _, _, record in results if record is not None)
 
     n = len(per_query)
-    passed = failed = tie_flagged = 0
-    for record in verifications:
-        if record.tie_afflicted:
-            tie_flagged += 1
-        elif _record_ok(record):
-            passed += 1
-        else:
-            failed += 1
     return AggregateReport(
-        per_query=tuple(per_query),
-        verifications=tuple(verifications),
+        per_query=per_query,
+        statuses=statuses,
+        failures=failures,
         mean_ndcg_linear=sum(r.ndcg_linear for r in per_query) / n if n else 0.0,
         mean_ndcg_classic=sum(r.ndcg_classic for r in per_query) / n if n else 0.0,
         total_pairwise_loss=sum(r.pairwise_loss for r in per_query),
-        verification_summary=VerificationSummary(passed, failed, tie_flagged),
+        verification_summary=VerificationSummary(
+            statuses.count("passed"), statuses.count("failed"), statuses.count("tie_flagged")),
     )
 
 
@@ -98,13 +98,7 @@ def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def _identity_status(record: VerificationRecord) -> str:
-    if record.tie_afflicted:
-        return "tie_flagged"
-    return "passed" if _record_ok(record) else "failed"
-
-
-def _query_dict(report: MetricReport, record: VerificationRecord) -> dict:
+def _query_dict(report: MetricReport, status: str) -> dict:
     return {
         "query_id": report.query_id,
         "num_items": report.num_items,
@@ -120,7 +114,7 @@ def _query_dict(report: MetricReport, record: VerificationRecord) -> dict:
         "normalized_pairwise_loss": _sig6(report.normalized_pairwise_loss),
         "degenerate_linear": report.degenerate_linear,
         "degenerate_classic": report.degenerate_classic,
-        "identity": _identity_status(record),
+        "identity": status,
     }
 
 
@@ -143,7 +137,7 @@ def to_json_dict(report: AggregateReport) -> dict:
     return {
         **_summary_dict(report),
         "queries": [
-            _query_dict(r, v) for r, v in zip(report.per_query, report.verifications)
+            _query_dict(r, s) for r, s in zip(report.per_query, report.statuses)
         ],
     }
 
@@ -153,16 +147,23 @@ def to_json_dict(report: AggregateReport) -> dict:
 _QUERY_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
-def render_json(report: AggregateReport) -> str:
-    """``json.dumps(to_json_dict(report), indent=2)`` and a newline, byte for byte."""
+def json_pieces(report: AggregateReport) -> Iterator[str]:
+    """``render_json``'s text: the head, one piece per query, then the tail."""
     head = json.dumps({**_summary_dict(report), "queries": []}, indent=2)
     if not report.per_query:
-        return head + "\n"
-    queries = ",\n".join(
-        "    {\n      " + _QUERY_ENCODER.encode(_query_dict(r, v))[1:-1] + "\n    }"
-        for r, v in zip(report.per_query, report.verifications)
-    )
-    return head.removesuffix("[]\n}") + "[\n" + queries + "\n  ]\n}\n"
+        yield head + "\n"
+        return
+    yield head.removesuffix("[]\n}") + "[\n"
+    separator = ""
+    for r, s in zip(report.per_query, report.statuses):
+        yield separator + "    {\n      " + _QUERY_ENCODER.encode(_query_dict(r, s))[1:-1] + "\n    }"
+        separator = ",\n"
+    yield "\n  ]\n}\n"
+
+
+def render_json(report: AggregateReport) -> str:
+    """``json.dumps(to_json_dict(report), indent=2)`` and a newline, byte for byte."""
+    return "".join(json_pieces(report))
 
 
 _CSV_COLUMNS = (
@@ -184,19 +185,40 @@ _CSV_COLUMNS = (
 )
 
 
-def render_csv(report: AggregateReport) -> str:
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in to_json_dict(report)["queries"]:
-        writer.writerow(
+class _Line:
+    """A file for ``csv.writer`` whose ``write`` returns the row's text, so
+    that ``writerow`` returns it too."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def csv_pieces(report: AggregateReport) -> Iterator[str]:
+    """``render_csv``'s text: the header row, then one row per query."""
+    writer = csv.writer(_Line(), lineterminator="\n")
+    yield writer.writerow(_CSV_COLUMNS)
+    for r, s in zip(report.per_query, report.statuses):
+        row = _query_dict(r, s)
+        yield writer.writerow(
             ["true" if v is True else "false" if v is False else v for v in
-             (row[c] for c in _CSV_COLUMNS)]
+             map(row.__getitem__, _CSV_COLUMNS)]
         )
-    return buffer.getvalue()
 
 
-def render_text(report: AggregateReport) -> str:
+def render_csv(report: AggregateReport) -> str:
+    return "".join(csv_pieces(report))
+
+
+_TEXT_STATUS = {"passed": "ok", "failed": "FAIL", "tie_flagged": "ties"}
+
+
+def text_pieces(report: AggregateReport) -> Iterator[str]:
+    """``render_text``'s text: the header line, one line per query, then the summary.
+
+    The column widths follow the widest cell, so every row is formatted
+    before the first line is yielded.
+    """
     header = (
         "query",
         "items",
@@ -211,15 +233,12 @@ def render_text(report: AggregateReport) -> str:
         "flags",
     )
     rows = []
-    for r, v in zip(report.per_query, report.verifications):
+    for r, s in zip(report.per_query, report.statuses):
         flags = []
         if r.degenerate_linear:
             flags.append("deg-lin")
         if r.degenerate_classic:
             flags.append("deg-cls")
-        status = {"passed": "ok", "failed": "FAIL", "tie_flagged": "ties"}[
-            _identity_status(v)
-        ]
         rows.append(
             (
                 r.query_id,
@@ -231,7 +250,7 @@ def render_text(report: AggregateReport) -> str:
                 str(r.dcg_error_linear),
                 str(r.pairwise_loss),
                 f"{r.normalized_pairwise_loss:.6g}",
-                status,
+                _TEXT_STATUS[s],
                 ",".join(flags),
             )
         )
@@ -239,19 +258,19 @@ def render_text(report: AggregateReport) -> str:
         max(len(header[col]), max((len(row[col]) for row in rows), default=0))
         for col in range(len(header))
     ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
+    yield "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n"
     for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        yield "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
     summary = report.verification_summary
-    lines.append("")
-    lines.append(
-        f"queries={len(report.per_query)}"
+    yield (
+        f"\nqueries={len(report.per_query)}"
         f" mean_ndcg_linear={report.mean_ndcg_linear:.6g}"
         f" mean_ndcg_classic={report.mean_ndcg_classic:.6g}"
-        f" total_pairwise_loss={report.total_pairwise_loss}"
-    )
-    lines.append(
+        f" total_pairwise_loss={report.total_pairwise_loss}\n"
         f"identity_checks: passed={summary.passed} failed={summary.failed}"
-        f" tie_flagged={summary.tie_flagged}"
+        f" tie_flagged={summary.tie_flagged}\n"
     )
-    return "\n".join(lines) + "\n"
+
+
+def render_text(report: AggregateReport) -> str:
+    return "".join(text_pieces(report))

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import os
+import subprocess
 import sys
 from functools import partial
 from pathlib import Path
@@ -9,12 +10,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import lindcg
 import lindcg.cli
+import lindcg.equivalence
 import lindcg.io
 import lindcg.oracles
 import lindcg.report
 from lindcg.cli import MAX_EXHAUSTIVE_PERMUTATIONS, exhaustive_permutations, main
-from lindcg.equivalence import VerificationRecord
 
 DATA = Path(__file__).parent / "data"
 
@@ -411,21 +413,79 @@ def test_metrics_never_rebuilds_or_re_ranks_a_group(runner, golden_file, monkeyp
     assert result.exit_code == 0, result.output
 
 
+def _rows_and_statuses(output, text):
+    """Each query's report row without its identity status, and the statuses."""
+    if output == "json":
+        rows = json.loads(text)["queries"]
+        return ([{k: v for k, v in row.items() if k != "identity"} for row in rows],
+                [row["identity"] for row in rows])
+    if output == "csv":
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        return [row[:-1] for row in rows], [row[-1] for row in rows]
+    rows = [line.split() for line in text.splitlines()[1:-3]]
+    return [row[:9] + row[10:] for row in rows], [row[9] for row in rows]
+
+
 def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
         runner, golden_file, monkeypatch):
-    args = ["metrics", "--input", golden_file, "--output", "json"]
-    expected = json.loads(runner.invoke(main, args).output)
-    for row in expected["queries"]:
-        row["identity"] = "failed"
-    expected["verification"] = {"passed": 0, "failed": 2, "tie_flagged": 0}
+    formats = {"json": "failed", "text": "FAIL", "csv": "failed"}
+    passing = {output: runner.invoke(main, ["metrics", "--input", golden_file,
+                                            "--output", output]) for output in formats}
+    identity_sums = lindcg.equivalence.identity_sums
 
-    def failing(group, view=None):
-        return VerificationRecord(group.query_id, "multipartite_identity", 1, 0, False)
+    def split_off_by_one(view):
+        sums = identity_sums(view)
+        return sums._replace(split_rhs=sums.split_rhs + 1)
 
-    monkeypatch.setattr(lindcg.report, "verify_multipartite_identity", failing)
-    result = runner.invoke(main, args)
-    assert result.exit_code == 1
-    assert json.loads(result.output) == expected
+    monkeypatch.setattr(lindcg.equivalence, "identity_sums", split_off_by_one)
+    for output, failed in formats.items():
+        result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", output])
+        assert (passing[output].exit_code, result.exit_code) == (0, 1), output
+        rows, statuses = _rows_and_statuses(output, result.output)
+        assert rows == _rows_and_statuses(output, passing[output].output)[0]
+        assert statuses == [failed] * 2
+        if output == "json":
+            assert json.loads(result.output)["verification"] == {
+                "passed": 0, "failed": 2, "tie_flagged": 0}
+        elif output == "text":
+            assert result.output.endswith("identity_checks: passed=0 failed=2 tie_flagged=0\n")
+
+
+def test_metrics_writes_the_golden_reports_without_the_joined_renderers(runner, monkeypatch):
+    """``lindcg metrics`` writes each report's pieces; it never builds the whole text."""
+    def forbidden(report):
+        raise AssertionError("the report was rendered whole")
+
+    for name in ("render_json", "render_text", "render_csv"):
+        monkeypatch.setattr(lindcg.report, name, forbidden)
+        monkeypatch.setattr(lindcg, name, forbidden)
+    monkeypatch.setattr(lindcg.cli, "_ECHO_CHARS", 100)  # several batches per report
+    for name, _, output, golden in GOLDEN_RUNS:  # _data_input_args finds the score file
+        args = ["metrics", *_data_input_args(name), "--output", output]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.output) == (
+            0, (DATA / golden).read_text(encoding="utf-8")), golden
+
+
+def test_metrics_exits_0_when_the_reader_closes_stdout_early(tmp_path):
+    """A reader that stops after one line, as ``| head -n 1`` does, is no failed check."""
+    data = tmp_path / "many.tsv"
+    data.write_text("".join(f"q{i:04d}\t{i % 3}\t0.{i}\n" for i in range(600)),
+                    encoding="utf-8")
+    src = str(Path(lindcg.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lindcg.cli", "metrics", "--input", str(data),
+         "--output", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # The report, about 260 kB, outgrows the pipe's buffer, so the child is
+    # still writing when the pipe closes.
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), stderr) == (0, b"")
 
 
 VERIFY_ARGS = [

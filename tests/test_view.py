@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lindcg.equivalence
 import lindcg.report
 from helpers import (
     group_from_ranking,
@@ -15,7 +18,7 @@ from helpers import (
     run_thresholds,
 )
 from lindcg.core import rank_view
-from lindcg.equivalence import verify_multipartite_identity
+from lindcg.equivalence import _record_ok, verify_multipartite_identity
 from lindcg.metrics import compute_report
 from lindcg.oracles import (
     dcg_classic,
@@ -123,10 +126,11 @@ def test_report_equals_the_single_purpose_helpers(group):
 
 
 def test_classical_dcg_keeps_the_rank_order_float_sum():
-    grades = [3, 0, 30, 1, 0, 2, 17]
-    report = compute_report(group_from_ranking(grades))
-    expected = sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(grades, start=1))
-    assert report.dcg_classic == expected == dcg_classic(grades)
+    # The second list runs past the ranks whose discounts are tabled.
+    for grades in ([3, 0, 30, 1, 0, 2, 17], [(i * 7) % 5 for i in range(5000)]):
+        report = compute_report(group_from_ranking(grades))
+        expected = sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(grades, start=1))
+        assert report.dcg_classic == expected == dcg_classic(grades)
 
 
 def test_aggregate_ranks_each_group_once(monkeypatch):
@@ -141,3 +145,116 @@ def test_aggregate_ranks_each_group_once(monkeypatch):
     report = lindcg.report.build_aggregate_report(groups)
     assert built == ["b", "a"]  # once each, as the groups arrive
     assert [r.query_id for r in report.per_query] == ["a", "b"]
+
+
+@st.composite
+def tie_free_groups(draw):
+    """Groups of up to 40 items with distinct scores and grades up to 4."""
+    size = draw(st.integers(1, 40))
+    grades = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    scores = draw(st.lists(st.integers(-99, 99), min_size=size, max_size=size, unique=True))
+    return make_group(grades, scores)
+
+
+@st.composite
+def wide_grade_groups(draw):
+    """Groups of up to 40 items with grades anywhere up to the classical cap of 30."""
+    size = draw(st.integers(1, 40))
+    grades = draw(st.lists(st.integers(0, 30), min_size=size, max_size=size))
+    scores = draw(st.lists(st.integers(-20, 20), min_size=size, max_size=size))
+    return make_group(grades, scores)
+
+
+def _records_status(record):
+    """The status the records give: what the report showed when it kept them."""
+    if record.tie_afflicted:
+        return "tie_flagged"
+    return "passed" if _record_ok(record) else "failed"
+
+
+def _kept(group, view):
+    """The status and failure records ``build_aggregate_report`` keeps when ``group`` ranks as ``view``."""
+    with mock.patch.object(lindcg.report, "rank_view", lambda _: view):
+        report = lindcg.report.build_aggregate_report([group])
+    return report.statuses, report.failures
+
+
+# The view's integers, with the largest index each may be corrupted at: the top
+# level stays within the classical-gain cap, so compute_report still accepts it.
+_VIEW_INTEGERS = {"grades": 0, "levels": 1, "counts": 0, "discount_mass": 0,
+                  "threshold_losses": 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tie_free_groups(), tied_groups(), wide_grade_groups()), st.data())
+def test_kept_status_is_the_records_verdict_on_any_view(group, data):
+    """The status compares every integer the records do: on the true view and
+    on one with any one integer changed."""
+    view = rank_view(group)
+    field = data.draw(st.sampled_from([None, *_VIEW_INTEGERS]))
+    if field is not None and len(getattr(view, field)) > _VIEW_INTEGERS[field]:
+        values = list(getattr(view, field))
+        index = data.draw(st.integers(0, len(values) - 1 - _VIEW_INTEGERS[field]))
+        if field == "grades":
+            values[index] = (values[index] + data.draw(st.integers(1, 30))) % 31
+        else:
+            values[index] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        view = dataclasses.replace(view, **{field: tuple(values)})
+    record = verify_multipartite_identity(group, view)
+    status = _records_status(record)
+    assert _kept(group, view) == ((status,), (record,) if status == "failed" else ())
+
+
+def test_a_corrupted_split_fails_only_the_split():
+    group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
+    view = rank_view(group)
+    grades = list(view.grades)
+    grades[0] = 1  # the top item's grade; the levels, counts and masses stay
+    statuses, (record,) = _kept(group, dataclasses.replace(view, grades=tuple(grades)))
+    assert statuses == ("failed",)
+    assert record.passed
+    assert [d.instance_id for d in record.details if not d.passed] == ["m[split]"]
+
+
+def test_a_corrupted_run_loss_fails_that_run_and_the_total():
+    group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
+    view = rank_view(group)
+    losses = list(view.threshold_losses)
+    losses[1] += 1  # the loss of the run k=1
+    statuses, (record,) = _kept(group, dataclasses.replace(view, threshold_losses=tuple(losses)))
+    assert statuses == ("failed",)
+    # The total is the runs' losses weighted by their widths, so it fails with the run.
+    assert (record.passed, record.lhs, record.rhs) == (False, 3, 4)
+    assert [d.instance_id for d in record.details if not d.passed] == ["m[k=1]"]
+
+
+@pytest.mark.parametrize("field, index, failing", [
+    ("lhs", None, "m"),
+    ("rhs", None, "m"),
+    ("run_lhs", 0, "m[k=0]"),
+    ("run_losses", 1, "m[k=1]"),
+    ("split_lhs", None, "m[split]"),
+    ("split_rhs", None, "m[split]"),
+])
+def test_each_integer_of_the_check_decides_the_status(field, index, failing):
+    """No view change fails the top level alone: its two sides differ by the
+    width-weighted sum of the runs' differences, whatever the view holds.  So
+    each integer is changed in the check's sums instead, one at a time."""
+    group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
+    identity_sums = lindcg.equivalence.identity_sums
+
+    def off_by_one(view):
+        sums = identity_sums(view)
+        value = getattr(sums, field)
+        if index is not None:
+            value = (*value[:index], value[index] + 1, *value[index + 1:])
+        else:
+            value += 1
+        return sums._replace(**{field: value})
+
+    with mock.patch.object(lindcg.equivalence, "identity_sums", off_by_one):
+        report = lindcg.report.build_aggregate_report([group])
+    assert report.statuses == ("failed",)
+    (record,) = report.failures
+    names = [r.instance_id for r in (record, *record.details) if not r.passed]
+    assert names == [failing]
