@@ -25,9 +25,6 @@ from .equivalence import _record_ok, verify_multipartite_identity
 from .errors import LindcgError
 from .io import _parse_grade, _stream_groups, _StreamAbandoned, parse_svmlight, parse_tsv
 from .report import build_aggregate_report, csv_pieces, json_pieces, text_pieces
-# `metrics` writes the pieces, not the joined text, but the traced benchmark in
-# perfbench/ still looks for render_json here.
-from .report import render_json  # noqa: F401
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2

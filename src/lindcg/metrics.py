@@ -17,7 +17,6 @@ aggregation over many queries must not abort on one of them.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul, truediv
@@ -69,20 +68,11 @@ def _check_classic_cap(view: RankedView) -> None:
 
 _GAINS = tuple(2**g - 1 for g in range(MAX_CLASSIC_GRADE + 1))
 
-# log2(i + 1) for the 1-based ranks i up to _TABLED_RANKS; deeper ranks are
-# computed as they are reached, so the table does not grow with the largest query.
-# An array holds the 4096 doubles in 32 KB, where a tuple of floats takes 130 KB,
-# and reads as fast.
-_TABLED_RANKS = 4096
-_LOG2_DISCOUNTS = array("d", map(math.log2, range(2, _TABLED_RANKS + 2)))
-
 
 def _classic_sum(grades: Sequence[int]) -> float:
     """Classical DCG of grades best-ranked first: sum of (2**r_i - 1) / log2(i + 1)
     over 1-based ranks i, for grades within the cap."""
-    discounts = _LOG2_DISCOUNTS
-    if len(grades) > _TABLED_RANKS:
-        discounts = chain(discounts, map(math.log2, range(_TABLED_RANKS + 2, len(grades) + 2)))
+    discounts = map(math.log2, range(2, len(grades) + 2))
     return sum(map(truediv, map(_GAINS.__getitem__, grades), discounts), 0.0)
 
 

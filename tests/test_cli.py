@@ -413,22 +413,29 @@ def test_metrics_never_rebuilds_or_re_ranks_a_group(runner, golden_file, monkeyp
     assert result.exit_code == 0, result.output
 
 
-def _rows_and_statuses(output, text):
-    """Each query's report row without its identity status, and the statuses."""
+def _with_every_check_failed(output, text):
+    """The report ``text`` with each query's identity status set to failed."""
     if output == "json":
-        rows = json.loads(text)["queries"]
-        return ([{k: v for k, v in row.items() if k != "identity"} for row in rows],
-                [row["identity"] for row in rows])
+        report = json.loads(text)
+        for row in report["queries"]:
+            row["identity"] = "failed"
+        report["verification"] = {"passed": 0, "failed": len(report["queries"]),
+                                  "tie_flagged": 0}
+        return report
+    lines = text.splitlines(keepends=True)
     if output == "csv":
-        rows = [line.split(",") for line in text.splitlines()[1:]]
-        return [row[:-1] for row in rows], [row[-1] for row in rows]
-    rows = [line.split() for line in text.splitlines()[1:-3]]
-    return [row[:9] + row[10:] for row in rows], [row[9] for row in rows]
+        return lines[0] + "".join(line.rpartition(",")[0] + ",failed\n" for line in lines[1:])
+    # The status column keeps its width: the header "identity" is wider than "FAIL".
+    start, end = lines[0].index("identity"), lines[0].index("flags")
+    rows = [(line[:start] + "FAIL".ljust(end - start) + line[end:]).rstrip() + "\n"
+            for line in lines[1:-3]]
+    return "".join([lines[0], *rows, *lines[-3:-1],
+                    f"identity_checks: passed=0 failed={len(rows)} tie_flagged=0\n"])
 
 
 def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
         runner, golden_file, monkeypatch):
-    formats = {"json": "failed", "text": "FAIL", "csv": "failed"}
+    formats = ("json", "text", "csv")
     passing = {output: runner.invoke(main, ["metrics", "--input", golden_file,
                                             "--output", output]) for output in formats}
     identity_sums = lindcg.equivalence.identity_sums
@@ -438,17 +445,12 @@ def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
         return sums._replace(split_rhs=sums.split_rhs + 1)
 
     monkeypatch.setattr(lindcg.equivalence, "identity_sums", split_off_by_one)
-    for output, failed in formats.items():
+    for output in formats:
         result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", output])
         assert (passing[output].exit_code, result.exit_code) == (0, 1), output
-        rows, statuses = _rows_and_statuses(output, result.output)
-        assert rows == _rows_and_statuses(output, passing[output].output)[0]
-        assert statuses == [failed] * 2
-        if output == "json":
-            assert json.loads(result.output)["verification"] == {
-                "passed": 0, "failed": 2, "tie_flagged": 0}
-        elif output == "text":
-            assert result.output.endswith("identity_checks: passed=0 failed=2 tie_flagged=0\n")
+        expected = _with_every_check_failed(output, passing[output].output)
+        actual = json.loads(result.output) if output == "json" else result.output
+        assert actual == expected, output
 
 
 def test_metrics_writes_the_golden_reports_without_the_joined_renderers(runner, monkeypatch):
