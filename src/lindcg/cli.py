@@ -1,9 +1,12 @@
 """Command-line surface: metrics reports, identity verification, permutation oracle.
 
-``metrics`` runs the ranked-view path on a dataset.  ``verify`` and
-``oracle`` confirm the identity with the independent test oracles of
+``metrics`` runs the ranked-view path on a dataset.  It streams a regular
+file a query at a time and reads the whole input into its query groups
+when the file's queries are interleaved, or when it is a pipe.  ``verify``
+and ``oracle`` confirm the identity with the independent test oracles of
 ``lindcg.oracles``: the permutation oracle and the threshold
-decomposition.
+decomposition.  ``verify`` also checks its random groups by the status
+that ``metrics`` reports for each query.
 
 Exit codes: 0 on success / all checks passed, 1 when any identity check
 failed, 2 for usage or parse errors.
@@ -20,10 +23,11 @@ from typing import Iterable
 
 import click
 
-from .core import QueryGroup
-from .equivalence import _record_ok, verify_multipartite_identity
+from .core import QueryGroup, rank_view
+from .equivalence import identity_status
 from .errors import LindcgError
-from .io import _parse_grade, _stream_groups, _StreamAbandoned, parse_svmlight, parse_tsv
+from .io import _grouped, _parse_grade, _rows, _stream_groups, _StreamAbandoned
+from .pairwise import loss_from_view
 from .report import build_aggregate_report, csv_pieces, json_pieces, text_pieces
 
 EXIT_CHECK_FAILED = 1
@@ -40,23 +44,6 @@ _ECHO_CHARS = 1 << 16
 @click.group()
 def main() -> None:
     """Ranking metrics and exact identity checks for graded ranking data."""
-
-
-def _load_groups(input_path: str, fmt: str, scores_path: str | None,
-                 num_grades: int | None) -> list[QueryGroup]:
-    """Read the whole input into its query groups: the in-memory path.
-
-    ``metrics`` streams regular files a query at a time and takes this
-    path when the stream gives up, on input whose queries are interleaved,
-    which costs one more read of the input.  A pipe or other input that
-    cannot be read twice always takes this path, and is read once.  Both
-    paths find input errors with the same reader, so every message, line
-    number and exit code is the same on both.  Each block's rows go
-    straight into their query's group.
-    """
-    if fmt == "tsv":
-        return parse_tsv(input_path, num_grades=num_grades)
-    return parse_svmlight(input_path, scores=scores_path, num_grades=num_grades)
 
 
 def _echo_pieces(pieces: Iterable[str]) -> None:
@@ -107,8 +94,10 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
             except _StreamAbandoned:
                 pass  # read whole below, once the stream's frames are freed
         if report is None:
+            # Read whole: a file whose queries are interleaved, for the second time,
+            # or a pipe, which cannot be read twice and so is read only here.
             report = build_aggregate_report(
-                _load_groups(input_path, fmt, scores_path, num_grades))
+                _grouped(_rows(input_path, fmt, scores_path, num_grades)))
     except LindcgError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
@@ -200,12 +189,13 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
     identity_failures = decomposition_failures = 0
     for index in range(trials):
         group = _random_tie_free_group(rng, max_items, max_grades, index)
-        record = verify_multipartite_identity(group)
-        if not _record_ok(record):
+        view = rank_view(group)
+        # The status `metrics` reports, so a fault in it cannot pass here.
+        if identity_status(group.query_id, view)[0] != "passed":
             identity_failures += 1
-        # record.rhs is the weighted loss the ranked view sweeps.  Summing by run
-        # keeps the cost off the grade values, which reach --max-grades.
-        if sum(width * loss for width, loss in threshold_run_losses(group)) != record.rhs:
+        # Summing by run keeps the cost off the grade values, which reach --max-grades.
+        if (sum(width * loss for width, loss in threshold_run_losses(group))
+                != loss_from_view(view).unnormalized):
             decomposition_failures += 1
     click.echo(
         f"random: groups={trials} identity_failures={identity_failures}"

@@ -14,7 +14,8 @@ realized ranking has to place tied items somewhere), so records carry a
 
 ``identity_sums`` computes the check's integers from a view, once.  The
 library call ``verify_multipartite_identity`` names each of them in a
-``VerificationRecord``.  The report asks ``identity_status`` for one status
+``VerificationRecord``, whose ``passed`` is read off its two integers.
+The report and ``lindcg verify`` ask ``identity_status`` for one status
 per query instead, which reads the same integers and builds the records
 only for a failed check.
 """
@@ -34,29 +35,22 @@ from .metrics import bipartite_ideal_dcg, view_dcg_linear, view_ideal_dcg_linear
 class VerificationRecord:
     """Outcome of one identity check: two integers that must be equal.
 
-    ``tie_afflicted`` marks instances with exact score ties, which are
-    exempt from hard pass requirements.  ``details`` carries per-threshold
-    sub-checks for multipartite instances.
+    ``passed`` is derived, ``lhs == rhs``, so no record can disagree with
+    its own integers.  ``tie_afflicted`` marks instances with exact score
+    ties, which are exempt from hard pass requirements.  ``details`` carries
+    per-threshold sub-checks for multipartite instances.
     """
 
     instance_id: str
     check_name: str
     lhs: int
     rhs: int
-    passed: bool
     tie_afflicted: bool = False
     details: tuple[VerificationRecord, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.lhs == self.rhs):
-            raise ValueError(
-                f"record {self.instance_id!r}: passed={self.passed} inconsistent "
-                f"with lhs={self.lhs}, rhs={self.rhs}"
-            )
-
-
-def _record_ok(record: VerificationRecord) -> bool:
-    return record.passed and all(d.passed for d in record.details)
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 class IdentitySums(NamedTuple):
@@ -114,7 +108,6 @@ def _records(query_id: str, view: RankedView, sums: IdentitySums) -> Verificatio
                 check_name="threshold_identity",
                 lhs=sub_lhs,
                 rhs=loss,
-                passed=sub_lhs == loss,
                 tie_afflicted=ties,
             )
         )
@@ -124,7 +117,6 @@ def _records(query_id: str, view: RankedView, sums: IdentitySums) -> Verificatio
             check_name="dcg_split",
             lhs=sums.split_lhs,
             rhs=sums.split_rhs,
-            passed=sums.split_lhs == sums.split_rhs,
         )
     )
     return VerificationRecord(
@@ -132,7 +124,6 @@ def _records(query_id: str, view: RankedView, sums: IdentitySums) -> Verificatio
         check_name="multipartite_identity",
         lhs=sums.lhs,
         rhs=sums.rhs,
-        passed=sums.lhs == sums.rhs,
         tie_afflicted=ties,
         details=tuple(details),
     )

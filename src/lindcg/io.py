@@ -299,7 +299,8 @@ def _tsv_chunks(source, num_grades: int | None, errors: list[tuple[int, str]]):
     """
     # One string per distinct query id, shared by its rows, so a block that the
     # stream holds keeps one string per query, not one per row.  Without it the
-    # fine-grades benchmark workload peaked at 21.11 MB of RSS instead of 20.84.
+    # svmlight-features benchmark workload peaked about 0.07 MB higher in RSS, in
+    # 13 of 16 alternating pairs of runs on a 2-vCPU host with Python 3.11.7.
     seen: dict[str, str] = {}
     return _read_chunks(source, partial(_tsv_columns, num_grades=num_grades, seen=seen),
                         partial(_tsv_lines, num_grades=num_grades, seen=seen, errors=errors))

@@ -211,7 +211,7 @@ def exchange_decrements(ex: ExchangeSequence) -> list[int]:
     return [ex.m + j - i for i, j in ex.pairs]
 
 
-def brute_force_oracle(grades, max_size: int = ORACLE_SIZE_CAP) -> list[VerificationRecord]:
+def brute_force_oracle(grades) -> list[VerificationRecord]:
     """Check the identity on every permutation of a grade multiset.
 
     Each permutation is read as a tie-free ranking (earlier position means
@@ -225,10 +225,9 @@ def brute_force_oracle(grades, max_size: int = ORACLE_SIZE_CAP) -> list[Verifica
     for g in grades:
         if not isinstance(g, int) or g < 0:
             raise InvalidGradeError(f"grade must be a non-negative integer, got {g!r}")
-    cap = min(max_size, ORACLE_SIZE_CAP)
     n = len(grades)
-    if n > cap:
-        raise TooLargeError(f"multiset of size {n} exceeds the cap of {cap}")
+    if n > ORACLE_SIZE_CAP:
+        raise TooLargeError(f"multiset of size {n} exceeds the cap of {ORACLE_SIZE_CAP}")
 
     last = n - 1
     ideal = sum(g * (n - i) for i, g in enumerate(sorted(grades, reverse=True), start=1))
@@ -250,7 +249,6 @@ def brute_force_oracle(grades, max_size: int = ORACLE_SIZE_CAP) -> list[Verifica
                 check_name="permutation_identity",
                 lhs=delta,
                 rhs=loss,
-                passed=delta == loss,
             )
         )
     return records

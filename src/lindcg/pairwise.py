@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
 
 from .core import RankedView
 
@@ -38,16 +37,6 @@ class PairwiseLossValue:
     normalized: float
 
 
-def _as_loss_value(unnormalized: int, counts: Sequence[int]) -> PairwiseLossValue:
-    total = sum(counts)
-    z = (total * total - sum(c * c for c in counts)) // 2
-    return PairwiseLossValue(
-        unnormalized=unnormalized,
-        normalizer_z=z,
-        normalized=unnormalized / z if z else 0.0,
-    )
-
-
 def loss_from_view(view: RankedView) -> PairwiseLossValue:
     """The weighted loss of a ranked view: the sum of its threshold losses.
 
@@ -57,4 +46,7 @@ def loss_from_view(view: RankedView) -> PairwiseLossValue:
     so it counts once per unit of the run's width.
     """
     loss = sum(map(mul, view.run_widths, view.threshold_losses))
-    return _as_loss_value(loss, view.counts)
+    n = len(view)
+    z = (n * n - sum(c * c for c in view.counts)) // 2
+    return PairwiseLossValue(unnormalized=loss, normalizer_z=z,
+                             normalized=loss / z if z else 0.0)

@@ -3,7 +3,8 @@
 Output is byte-stable for a given input: queries are sorted by query id,
 integers are emitted exactly, and every float is formatted to 6
 significant digits.  JSON is the machine-readable format; text is an
-aligned-column view; CSV carries the per-query rows only.
+aligned-column view; CSV carries the per-query rows only, with
+``MetricReport``'s fields in order and then ``identity`` as its columns.
 
 The aggregate keeps each query's ``MetricReport`` and its identity status,
 and a ``VerificationRecord`` only for a query whose check failed.  Each
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 from .core import QueryGroup, rank_view
@@ -166,23 +167,7 @@ def render_json(report: AggregateReport) -> str:
     return "".join(json_pieces(report))
 
 
-_CSV_COLUMNS = (
-    "query_id",
-    "num_items",
-    "dcg_linear",
-    "ideal_dcg_linear",
-    "ndcg_linear",
-    "dcg_classic",
-    "ideal_dcg_classic",
-    "ndcg_classic",
-    "dcg_error_linear",
-    "pairwise_loss",
-    "normalizer_z",
-    "normalized_pairwise_loss",
-    "degenerate_linear",
-    "degenerate_classic",
-    "identity",
-)
+_CSV_COLUMNS = (*(field.name for field in fields(MetricReport)), "identity")
 
 
 class _Line:

@@ -85,19 +85,19 @@ def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
         sub_rhs = pairwise_loss_naive(sub).unnormalized
         details.append(VerificationRecord(
             f"{group.query_id}[k={k}]", "threshold_identity",
-            sub_lhs, sub_rhs, sub_lhs == sub_rhs, ties,
+            sub_lhs, sub_rhs, ties,
         ))
     split_lhs = dcg_linear(observed)
     split_rhs = sum(
         dcg_linear(1 if g > k else 0 for g in observed) for k in range(max(group.grades))
     )
     details.append(VerificationRecord(
-        f"{group.query_id}[split]", "dcg_split", split_lhs, split_rhs, split_lhs == split_rhs,
+        f"{group.query_id}[split]", "dcg_split", split_lhs, split_rhs,
     ))
     lhs = dcg_error(group)
     rhs = pairwise_loss_naive(group).unnormalized
     return VerificationRecord(
-        group.query_id, "multipartite_identity", lhs, rhs, lhs == rhs, ties, tuple(details),
+        group.query_id, "multipartite_identity", lhs, rhs, ties, tuple(details),
     )
 
 

@@ -279,13 +279,13 @@ def test_metrics_matches_the_golden_report_streamed_and_read_whole(
         runner, tmp_path, monkeypatch, name, scores, output, golden):
     """Each golden input, as it is and interleaved, from a file and through a pipe."""
     read_whole = []
-    load_groups = lindcg.cli._load_groups
+    grouped = lindcg.cli._grouped
 
     def counted(*args):
         read_whole.append(args)
-        return load_groups(*args)
+        return grouped(*args)
 
-    monkeypatch.setattr(lindcg.cli, "_load_groups", counted)
+    monkeypatch.setattr(lindcg.cli, "_grouped", counted)
     expected = (DATA / golden).read_text(encoding="utf-8")
     as_is = (DATA / name, scores and DATA / scores)
     interleaved = _interleave(*as_is, tmp_path)
@@ -325,13 +325,13 @@ def test_metrics_reads_a_pipe_as_it_reads_a_file(runner, tmp_path, monkeypatch, 
     where the stream reads the file for several blocks.  The stream reports a faulty
     file itself, from its one read, and gives it up only on interleaved queries."""
     read_whole = []
-    load_groups = lindcg.cli._load_groups
+    grouped = lindcg.cli._grouped
 
     def counted(*args):
         read_whole.append(args)
-        return load_groups(*args)
+        return grouped(*args)
 
-    monkeypatch.setattr(lindcg.cli, "_load_groups", counted)
+    monkeypatch.setattr(lindcg.cli, "_grouped", counted)
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
     path = tmp_path / "data.tsv"
     path.write_text(text, encoding="utf-8")
@@ -469,18 +469,22 @@ def test_metrics_writes_the_golden_reports_without_the_joined_renderers(runner, 
             0, (DATA / golden).read_text(encoding="utf-8")), golden
 
 
+def _child_env():
+    """The environment of a child Python that imports this source tree's lindcg."""
+    src = str(Path(lindcg.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_metrics_exits_0_when_the_reader_closes_stdout_early(tmp_path):
     """A reader that stops after one line, as ``| head -n 1`` does, is no failed check."""
     data = tmp_path / "many.tsv"
     data.write_text("".join(f"q{i:04d}\t{i % 3}\t0.{i}\n" for i in range(600)),
                     encoding="utf-8")
-    src = str(Path(lindcg.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.Popen(
         [sys.executable, "-m", "lindcg.cli", "metrics", "--input", str(data),
          "--output", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     # The report, about 260 kB, outgrows the pipe's buffer, so the child is
     # still writing when the pipe closes.
     assert child.stdout.readline() == b"{\n"
@@ -488,6 +492,26 @@ def test_metrics_exits_0_when_the_reader_closes_stdout_early(tmp_path):
     stderr = child.stderr.read()
     child.stderr.close()
     assert (child.wait(timeout=60), stderr) == (0, b"")
+
+
+def test_metrics_never_imports_the_oracles():
+    """The test oracles stay out of the start-up of a ``metrics`` run."""
+    code = ("import sys\n"
+            "from lindcg.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(*sorted(name for name in sys.modules if name.startswith('lindcg')),\n"
+            "          file=sys.stderr)\n")
+    child = subprocess.run(
+        [sys.executable, "-c", code, "metrics", "--input", str(DATA / "metrics_fine.tsv"),
+         "--output", "json"],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (child.returncode, child.stdout) == (
+        0, (DATA / "metrics_fine.json").read_text(encoding="utf-8"))
+    loaded = child.stderr.split()
+    assert "lindcg.report" in loaded
+    assert "lindcg.oracles" not in loaded
 
 
 VERIFY_ARGS = [
@@ -515,6 +539,14 @@ def test_verify_output_is_deterministic_for_a_seed(runner):
     assert first.output == second.output
     different = runner.invoke(main, VERIFY_ARGS[:-4] + ["--seed", "8", "--exhaustive-limit", "3"])
     assert different.exit_code == 0
+
+
+def test_verify_checks_the_status_that_metrics_reports(runner, monkeypatch):
+    """A fault in the per-query status fails ``verify``, though the records would pass."""
+    monkeypatch.setattr(lindcg.cli, "identity_status", lambda query_id, view: ("failed", None))
+    result = runner.invoke(main, ["verify", "--trials", "3", "--exhaustive-limit", "0"])
+    assert result.exit_code == 1, result.output
+    assert "random: groups=3 identity_failures=3 decomposition_failures=0" in result.output
 
 
 def test_verify_accepts_zero_trials(runner):

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from helpers import dcg_error, group_from_ranking, make_group, random_group, run_thresholds
-from lindcg.equivalence import VerificationRecord, verify_multipartite_identity
+from lindcg.equivalence import verify_multipartite_identity
 from lindcg.errors import (
     EmptyGroupError,
     InvalidGradeError,
@@ -93,6 +94,7 @@ def test_bipartite_identity_on_golden_arrangement():
     assert not record.tie_afflicted
     threshold, _ = record.details
     assert (threshold.instance_id, threshold.lhs, threshold.rhs) == ("g[k=0]", 4, 4)
+    assert dataclasses.replace(record, rhs=record.rhs + 1).passed is False
 
 
 def test_bipartite_identity_on_ideal_and_reversed_arrangements():
@@ -178,8 +180,6 @@ def test_oracle_on_three_grade_multiset():
 def test_oracle_rejects_oversized_multisets():
     with pytest.raises(TooLargeError):
         brute_force_oracle((0,) * (ORACLE_SIZE_CAP + 1))
-    with pytest.raises(TooLargeError):
-        brute_force_oracle((1, 0, 1, 0, 1), max_size=4)
 
 
 def test_oracle_rejects_bad_multisets():
@@ -211,14 +211,3 @@ def test_dcg_splits_into_binarized_layers():
         )
         assert dcg_linear(grades) == total
         assert compute_report(group).dcg_linear == total
-
-
-def test_verification_record_rejects_inconsistent_flags():
-    with pytest.raises(ValueError):
-        VerificationRecord(
-            instance_id="x", check_name="bipartite_identity", lhs=1, rhs=2, passed=True
-        )
-    with pytest.raises(ValueError):
-        VerificationRecord(
-            instance_id="x", check_name="bipartite_identity", lhs=3, rhs=3, passed=False
-        )

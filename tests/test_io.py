@@ -378,17 +378,27 @@ _ROWS = st.builds(
               st.sampled_from(["1", "-1", "1_0", "7", "x", "", "\u0661"]),
               st.sampled_from(["0.5", "1_0", "nan", "inf", "-inf", "", "s"])),
 )
+# Rows whose cells hold characters that int(), float() or str.strip() skip as
+# whitespace, and number-like cells that neither int() nor float() reads.
+_SPACED_ROWS = st.builds(
+    "\t".join,
+    st.tuples(st.sampled_from(["q1", "\x1fq1", "q2\xa0", "\u3000q3", "q\x0b4"]),
+              st.sampled_from(["1", "\x1f2", "3\x0b", "\xa01", "2\u3000", "+", "-", ".", "-e1"]),
+              st.sampled_from(["0.5", "\x1f0.5", "1\x0b", "\xa0-1", "2\u3000", "+", ".",
+                               "-e1", "e1", "1e", "-.5", "5."])),
+)
 _OTHER_LINES = st.sampled_from([
     "", " ", "\t", " \t ", "# comment", "  # indented\tcomment", "#q1\t1\t0.5",
     " # q1\t1\t0.5", "q1\t1", "2\t0.5", "q1\t1\t0.5\textra", "q1\t1\t0.5\t3", "q1",
     "\t\t",
 ])
-_BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c"])
+_BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85"])
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    lines=st.lists(st.tuples(st.one_of(*[_NUMERIC_ROWS] * 4, _ROWS, _OTHER_LINES), _BREAKS),
+    lines=st.lists(st.tuples(st.one_of(*[_NUMERIC_ROWS] * 4, _SPACED_ROWS, _ROWS, _OTHER_LINES),
+                             _BREAKS),
                    max_size=40),
     block_chars=st.integers(1, 64),
     num_grades=st.one_of(st.none(), st.integers(4, 6)),
@@ -397,6 +407,11 @@ _BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c"])
 @example(lines=[("q1\t1\t0.5\t3", "\n"), ("2\t0.5", "\n")], block_chars=64, num_grades=None)
 # A first block that holds only the byte-order mark.
 @example(lines=[("\ufeffq1\t1\t0.5", "\n")], block_chars=1, num_grades=None)
+# Cells that strip() reads as padded, and number-like cells, in ASCII blocks and not.
+@example(lines=[("\x1fq1\t\xa01\t2\u3000", "\x85"), ("q2\xa0\t2\u3000\t\x1f0.5", "\n")],
+         block_chars=64, num_grades=None)
+@example(lines=[(line, "\n") for line in ["q1\t+\t0.5", "q1\t1\t.", "q1\t1\t-e1", "q1\t-\t5."]],
+         block_chars=64, num_grades=None)
 def test_block_parse_matches_a_line_by_line_parse(lines, block_chars, num_grades):
     text = "".join(line + end for line, end in lines)
     query_ids, grades, scores, errors = parse_tsv_by_line(text, num_grades)
@@ -467,23 +482,24 @@ def _outcome(parse, *args):
 
 # SVMLight lines whose heads the head-only block read takes, so that a block
 # of them with a score file reaches every whole-block check; a few grades
-# are out of range, negative, hold a "_" or are not integers.
+# are out of range, negative, hold a "_", are not integers or are no number.
 _HEADS = st.builds(
     "".join,
     st.tuples(st.sampled_from(["", "", " ", "\t"]),
-              st.sampled_from(["0", "1", "2", "3", "4", "-0", "+3", "7", "-1", "1_0", "x", "2.0"]),
+              st.sampled_from(["0", "1", "2", "3", "4", "-0", "+3", "7", "-1", "1_0", "x", "2.0",
+                               "+", ".", "-e1"]),
               st.sampled_from([" ", "\t", "  "]),
               st.sampled_from(["qid:1", "qid:a7", "qid:Q_9"]),
               st.sampled_from(["", " 1:0.5", " 1:0.5 2:3", "\t1:2 "])),
 )
 # Lines that send their block to the line rules: inline scores and other
-# comments, "#" in an id, "\x1f" (whitespace to str.split), non-ASCII text,
-# undecodable bytes and malformed heads.
+# comments, "#" in an id, whitespace to str.split other than space and tab,
+# non-ASCII text, undecodable bytes and malformed heads.
 _SVMLIGHT_ROWS = st.builds(
     "".join,
-    st.tuples(st.sampled_from(["", " ", "\x1f"]),
-              st.sampled_from(["1", "-1", "1_0", "x", "\u0661"]),
-              st.sampled_from([" ", "\x1f"]),
+    st.tuples(st.sampled_from(["", " ", "\x1f", "\x0b", "\xa0", "\u3000"]),
+              st.sampled_from(["1", "-1", "1_0", "x", "\u0661", "+", ".", "-e1", "1\xa0"]),
+              st.sampled_from([" ", "\x1f", "\xa0", "\u3000"]),
               st.sampled_from(["qid:1", "qid:", "qid:q#1", "qid:\u00e9", "query:1"]),
               st.sampled_from(["", " 1:\u00e9", " 2:\udcff"]),
               st.sampled_from(["", " # score=0.5", " #score=1", " # score=nan", " # myscore=3",
@@ -495,10 +511,12 @@ _SVMLIGHT_LINES = st.one_of(*[_HEADS] * 4, _SVMLIGHT_ROWS, st.sampled_from([
 # Mostly valid scores, so that the score file often passes and the data is read.
 _SCORE_LINES = st.one_of(*[st.sampled_from(["0.5", " -1.25", "3", "1e3 ", "+2", "-0.0", "\t7"])] * 16,
                          st.sampled_from(["1_0", "nan", "-inf", "1e400", "1 2"]),
-                         st.sampled_from(["", " ", "x", "\u0661", "# note", "\x1f0.5"]))
+                         st.sampled_from(["", " ", "x", "\u0661", "# note", "\x1f0.5"]),
+                         st.sampled_from(["\x0b0.5", "\xa0-1", "2\u3000", "+", ".", "-e1",
+                                          "1e", "-.5", "5."]))
 # "" joins two lines, or leaves the last line without a break.
 _SVMLIGHT_BREAKS = st.sampled_from(["\n"] * 8 + ["", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
-                                                 "\x1e"])
+                                                 "\x1e", "\x85"])
 
 
 @settings(max_examples=150, deadline=None)
@@ -531,6 +549,12 @@ _SVMLIGHT_BREAKS = st.sampled_from(["\n"] * 8 + ["", "\r\n", "\r", "\x0b", "\x0c
 @example(rows=[("1 qid:1", "\r\n", "0.5", "\r\n"), ("0 qid:1", "\x0c", "0.25", "\x0c"),
                ("2 qid:2", "\n", "0.75", "\n")],
          extra_scores=0, block_chars=4, num_grades=None)
+@example(rows=[("\u30001\xa0qid:1", "\x85", "\xa0-1", "\x85"), ("2 qid:1", "\n", "2\u3000", "\n")],
+         extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[(f"{grade} qid:1", "\n", "0.5", "\n") for grade in ["+", ".", "-e1"]],
+         extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("1 qid:1", "\n", score, "\n") for score in ["-.5", "5.", "+", "-e1"]],
+         extra_scores=0, block_chars=64, num_grades=None)
 # A "\x1c" break in ASCII text, and last lines without a break.
 @example(rows=[("1 qid:1", "\x1c", "0.5", "\n"), ("0 qid:2", "\n", "0.25", "\n")],
          extra_scores=0, block_chars=64, num_grades=None)

@@ -10,10 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindcg.io
-from lindcg.cli import _load_groups
 from lindcg.core import QueryGroup
 from lindcg.errors import LindcgError
-from lindcg.io import _stream_groups, _StreamAbandoned
+from lindcg.io import _grouped, _rows, _stream_groups, _StreamAbandoned
 from lindcg.report import build_aggregate_report, render_json
 
 _QUERY_IDS = ("a", "b", "c", "d")
@@ -83,7 +82,7 @@ def _in_memory(fmt, text, scores, num_grades):
     """The rendered report of the in-memory path, or the type and message of its error."""
     scores = None if scores is None else io.StringIO(scores)
     try:
-        groups = _load_groups(io.StringIO(text), fmt, scores, num_grades)
+        groups = _grouped(_rows(io.StringIO(text), fmt, scores, num_grades))
     except LindcgError as error:
         return type(error), str(error)
     return render_json(build_aggregate_report(groups))
