@@ -2,7 +2,8 @@
 
 Grades are non-negative integers; scores are finite floats produced by
 whatever model is under evaluation.
-``QueryGroup`` validates its invariants at construction.  ``RankedView``
+``QueryGroup`` validates its invariants at construction; the readers, which
+have already checked every value, build theirs without a second check.  ``RankedView``
 is built by ``rank_view`` from an already validated group and does not
 check them again.  Both are immutable, and every operation is a pure
 function, so values can be shared freely across concurrent workers.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError
 
@@ -51,6 +52,20 @@ class QueryGroup:
     def build(cls, query_id: str, grades: Sequence[int], scores: Sequence[float]) -> QueryGroup:
         """Assemble a group from parallel grade and score sequences, reading scores as floats."""
         return cls(query_id, tuple(grades), tuple(map(float, scores)))
+
+    @classmethod
+    def _from_checked(cls, query_id: str, grades: Iterable[int],
+                      scores: Iterable[float]) -> QueryGroup:
+        """A group of non-empty, equally long columns whose every value a reader has checked.
+
+        The columns become tuples, and ``__post_init__``'s second check of
+        each grade and score is skipped.
+        """
+        group = object.__new__(cls)
+        object.__setattr__(group, "query_id", query_id)
+        object.__setattr__(group, "grades", tuple(grades))
+        object.__setattr__(group, "scores", tuple(scores))
+        return group
 
     def __len__(self) -> int:
         return len(self.grades)

@@ -11,10 +11,14 @@ first non-blank character is ``#`` and blank lines are skipped, input is
 UTF-8 with an optional leading byte-order mark, and file order defines the
 tie-break index within each query.  Input is read in blocks, never whole,
 and each block becomes one chunk of three parallel columns: query id,
-grade and score.  ``parse_tsv`` and ``parse_svmlight`` group the rows of
-every chunk by query id into ``QueryGroup``s; ``_stream_groups`` consumes
-the same chunks and yields each query's group once the block that ends it
-is read.
+grade and score.  ``_grouped`` collects the rows of every chunk by query
+id, each query's grades as bytes and its scores as doubles, and once the
+input is read yields the ``QueryGroup``s one at a time, each built only
+when it is asked for; ``parse_tsv`` and ``parse_svmlight`` return them as
+a list.  ``_stream_groups`` consumes the same chunks and yields each
+query's group once the block that ends it is read.  Both build their
+groups without ``QueryGroup``'s second check of every value, which the
+readers have already checked.
 
 One reader cuts the input into blocks of whole lines.  A clean block, one
 that is ASCII and holds none of ``#``, ``\r``, ``\x0b``, ``\x0c`` and
@@ -180,20 +184,30 @@ def _read_chunks(source, read_block, read_lines):
         yield columns
 
 
-def _grouped(chunks) -> list[QueryGroup]:
-    """One QueryGroup per query id of the chunks' rows, sorted by query id.
+def _grouped(chunks):
+    """Yield one QueryGroup per query id of the chunks' rows, sorted by query id.
 
     Items keep file order within each query, which fixes the
-    score-tie-break index.  Each query's lists are freed as its group is
-    built, so the columns are not all held twice.
+    score-tie-break index.  Every chunk is read before the first group is
+    yielded, and until then each query's rows are held as bytes and
+    doubles: its grades in an ``array('B')`` and its scores in an
+    ``array('d')``.  A group is built only when it is yielded, and its
+    arrays are dropped then, so a caller that evaluates each group in turn
+    holds one group's tuples at a time.
     """
-    by_query: dict[str, tuple[list[int], list[float]]] = {}
+    from array import array  # here, so that a streamed run never loads the extension
+
+    by_query: dict[str, tuple[array, array]] = {}
     for chunk_ids, chunk_grades, chunk_scores in chunks:
         for query_id, grade, score in zip(chunk_ids, chunk_grades, chunk_scores, strict=True):
-            columns = by_query.get(query_id) or by_query.setdefault(query_id, ([], []))
+            # "B" holds 0 to 255: _rows yields no negative grade and none above
+            # MAX_CLASSIC_GRADE, so no grade can overflow it.
+            columns = by_query.get(query_id) or by_query.setdefault(
+                query_id, (array("B"), array("d")))
             columns[0].append(grade)
             columns[1].append(score)
-    return [QueryGroup(query_id, *by_query.pop(query_id)) for query_id in sorted(by_query)]
+    for query_id in sorted(by_query):
+        yield QueryGroup._from_checked(query_id, *by_query.pop(query_id))
 
 
 def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | None]:
@@ -311,7 +325,7 @@ def parse_tsv(source, num_grades: int | None = None) -> list[QueryGroup]:
 
     Returns one group per query, sorted by query id, with items in file order.
     """
-    return _grouped(_rows(source, "tsv", num_grades=num_grades))
+    return list(_grouped(_rows(source, "tsv", num_grades=num_grades)))
 
 
 def _score_column(block):
@@ -452,7 +466,7 @@ def parse_svmlight(
     otherwise each line must carry a trailing ``# score=V`` comment, and
     every block is read line by line.
     """
-    return _grouped(_rows(source, "svmlight", scores, num_grades))
+    return list(_grouped(_rows(source, "svmlight", scores, num_grades)))
 
 
 def _rows(source, fmt: str, scores=None, num_grades: int | None = None):
@@ -531,7 +545,7 @@ def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None)
             if run_id != query_id:
                 if query_id is not None:
                     finished.add(query_id)
-                    groups.append(QueryGroup(query_id, grades, row_scores))
+                    groups.append(QueryGroup._from_checked(query_id, grades, row_scores))
                 if run_id in finished:
                     raise _StreamAbandoned
                 query_id, grades, row_scores = run_id, [], []
@@ -541,4 +555,4 @@ def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None)
         groups.reverse()
         while groups:
             yield groups.pop()
-    yield QueryGroup(query_id, grades, row_scores)  # _rows raised if there was none
+    yield QueryGroup._from_checked(query_id, grades, row_scores)  # _rows raised if there was none

@@ -370,16 +370,25 @@ def test_metrics_reports_invalid_utf8_as_a_malformed_line(runner, tmp_path, fmt,
     assert result.stderr == f"error: 1 malformed line(s): {reason}\n"
 
 
-@pytest.mark.parametrize("grade", [31, 1000])
+@pytest.mark.parametrize("grade", [31, 255, 256, 1000])
 def test_metrics_rejects_a_grade_above_the_classical_cap(runner, tmp_path, grade):
+    """Streamed from a file, and read whole from a pipe, where the rows of the blocks
+    before the grade wait in arrays that hold a grade in one byte."""
+    message = f"error: query 'q1': grade {grade} exceeds the classical-gain cap of 30\n"
     data = tmp_path / "big.tsv"
     data.write_text(f"q0\t1\t0.1\nq1\t{grade}\t0.5\nq1\t0\t0.2\n", encoding="utf-8")
     result = runner.invoke(main, ["metrics", "--input", str(data)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # not a traceback
-    assert result.stderr == (
-        f"error: query 'q1': grade {grade} exceeds the classical-gain cap of 30\n"
-    )
+    assert result.stderr == message
+    # Interleaved rows, more than one 64 Ki-character block of them before the grade.
+    interleaved = "".join(f"q{i % 10}\t{i % 3}\t0.{i}\n" for i in range(6000))
+    child = subprocess.run(
+        [sys.executable, "-c", "from lindcg.cli import main; main()", "metrics",
+         "--input", "/dev/stdin"],
+        input=interleaved + f"q1\t{grade}\t0.5\n", capture_output=True, text=True,
+        env=_child_env(), timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", message)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -494,24 +503,37 @@ def test_metrics_exits_0_when_the_reader_closes_stdout_early(tmp_path):
     assert (child.wait(timeout=60), stderr) == (0, b"")
 
 
-def test_metrics_never_imports_the_oracles():
-    """The test oracles stay out of the start-up of a ``metrics`` run."""
+def _modules_loaded_by_metrics(path, *args):
+    """The exit code and stdout of ``metrics --output json`` on path, with args, in a
+    child process, and the names of the modules the child had loaded."""
     code = ("import sys\n"
             "from lindcg.cli import main\n"
             "try:\n"
             "    main(sys.argv[1:])\n"
             "finally:\n"
-            "    print(*sorted(name for name in sys.modules if name.startswith('lindcg')),\n"
-            "          file=sys.stderr)\n")
+            "    print(*sorted(sys.modules), file=sys.stderr)\n")
     child = subprocess.run(
-        [sys.executable, "-c", code, "metrics", "--input", str(DATA / "metrics_fine.tsv"),
-         "--output", "json"],
-        capture_output=True, text=True, env=_child_env(), timeout=60)
-    assert (child.returncode, child.stdout) == (
-        0, (DATA / "metrics_fine.json").read_text(encoding="utf-8"))
-    loaded = child.stderr.split()
+        [sys.executable, "-c", code, "metrics", "--input", str(path), "--output", "json",
+         *args], capture_output=True, text=True, env=_child_env(), timeout=60)
+    return child.returncode, child.stdout, child.stderr.split()
+
+
+def test_metrics_never_imports_the_oracles():
+    """The test oracles stay out of the start-up of a ``metrics`` run."""
+    exit_code, stdout, loaded = _modules_loaded_by_metrics(DATA / "metrics_fine.tsv")
+    assert (exit_code, stdout) == (0, (DATA / "metrics_fine.json").read_text(encoding="utf-8"))
     assert "lindcg.report" in loaded
     assert "lindcg.oracles" not in loaded
+
+
+def test_a_streamed_metrics_run_never_loads_array():
+    """Only the in-memory path, which holds interleaved rows in arrays, loads the
+    ``array`` extension; a query-contiguous file is streamed without it."""
+    exit_code, stdout, loaded = _modules_loaded_by_metrics(DATA / "metrics_inline.svmlight",
+                                                           "--format", "svmlight")
+    assert (exit_code, stdout) == (0, (DATA / "metrics_inline.json").read_text(encoding="utf-8"))
+    assert "lindcg.io" in loaded
+    assert "array" not in loaded
 
 
 VERIFY_ARGS = [
