@@ -1,15 +1,16 @@
 """Command-line surface: metrics reports, identity verification, permutation oracle.
 
-``metrics`` runs the ranked-view path on a dataset.  It streams a regular
-file a query at a time and reads the whole input into its query groups
-when the file's queries are interleaved, or when it is a pipe.  ``verify``
+``metrics`` runs the ranked-view path on a dataset.  It reads every
+input, a path or a pipe, once into its query groups, and then evaluates
+and writes them a query at a time.  ``verify``
 and ``oracle`` confirm the identity with the independent test oracles of
 ``lindcg.oracles``: the permutation oracle and the threshold
 decomposition.  ``verify`` also checks its random groups by the status
 that ``metrics`` reports for each query.
 
 Exit codes: 0 on success / all checks passed, 1 when any identity check
-failed, 2 for usage or parse errors.
+failed, 2 for usage or parse errors.  A reader that closes stdout early,
+as ``| head`` does, changes no exit code.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import click
 from .core import QueryGroup, rank_view
 from .equivalence import identity_status
 from .errors import LindcgError
-from .io import _grouped, _parse_grade, _rows, _stream_groups, _StreamAbandoned
+from .io import _grouped, _parse_grade, _rows
 from .pairwise import loss_from_view
 from .report import build_aggregate_report, csv_pieces, json_pieces, text_pieces
 
@@ -37,7 +38,7 @@ EXIT_USAGE = 2
 # permutation measured on a 2-vCPU Xeon host.
 MAX_EXHAUSTIVE_PERMUTATIONS = 5_000_000
 
-# Characters of report text handed to click.echo at a time.
+# Characters of output handed to click.echo at a time.
 _ECHO_CHARS = 1 << 16
 
 
@@ -47,21 +48,28 @@ def main() -> None:
 
 
 def _echo_pieces(pieces: Iterable[str]) -> None:
-    """Write the report's pieces to stdout, joined into batches of about 64 KiB.
+    """Write pieces of output to stdout, joined into batches of about 64 KiB.
 
-    click.echo flushes each batch and, when stdout is not a terminal,
-    strips ANSI codes from it, as it did for the whole text.  Only text and
-    CSV can hold an escape character, and their pieces end at line breaks,
-    which no ANSI code spans.
+    Every subcommand writes its stdout here.  click.echo flushes each batch
+    and, when stdout is not a terminal, strips ANSI codes from it, as it
+    did for the whole text.  Only text and CSV reports can hold an escape
+    character, and their pieces end at line breaks, which no ANSI code
+    spans.  Once the reader has closed stdout, the rest goes to devnull.
     """
     batch, size = [], 0
-    for piece in pieces:
-        batch.append(piece)
-        size += len(piece)
-        if size >= _ECHO_CHARS:
-            click.echo("".join(batch), nl=False)
-            batch, size = [], 0
-    click.echo("".join(batch), nl=False)
+    try:
+        for piece in pieces:
+            batch.append(piece)
+            size += len(piece)
+            if size >= _ECHO_CHARS:
+                click.echo("".join(batch), nl=False)
+                batch, size = [], 0
+        click.echo("".join(batch), nl=False)
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does, which is no failed
+        # check.  Python flushes stdout again at exit, so point it at devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
 
 
 @main.command("metrics")
@@ -84,31 +92,13 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
         raise click.UsageError(f"--num-grades must be at least 2, got {num_grades}")
     if scores_path is not None and fmt != "svmlight":
         raise click.UsageError("--scores is only valid with --format svmlight")
-    report = None
     try:
-        # The stream may give up after reading, and only a regular file can be read again.
-        if os.path.isfile(input_path) and (scores_path is None or os.path.isfile(scores_path)):
-            try:
-                report = build_aggregate_report(
-                    _stream_groups(input_path, fmt, scores_path, num_grades))
-            except _StreamAbandoned:
-                pass  # read whole below, once the stream's frames are freed
-        if report is None:
-            # Read whole: a file whose queries are interleaved, for the second time,
-            # or a pipe, which cannot be read twice and so is read only here.
-            report = build_aggregate_report(
-                _grouped(_rows(input_path, fmt, scores_path, num_grades)))
+        report = build_aggregate_report(_grouped(_rows(input_path, fmt, scores_path, num_grades)))
     except LindcgError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     pieces = {"json": json_pieces, "text": text_pieces, "csv": csv_pieces}[output_fmt]
-    try:
-        _echo_pieces(pieces(report))
-    except BrokenPipeError:
-        # The reader closed stdout early, as `| head` does, which is no failed
-        # check.  Python flushes stdout again at exit, so point it at devnull.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    _echo_pieces(pieces(report))
     if report.verification_summary.failed:
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -180,10 +170,10 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
                 permutations += 1
                 if not record.passed:
                     exhaustive_failures += 1
-    click.echo(
+    _echo_pieces([
         f"exhaustive: multisets={multisets} permutations={permutations}"
-        f" failures={exhaustive_failures}"
-    )
+        f" failures={exhaustive_failures}\n"
+    ])
 
     rng = random.Random(seed)
     identity_failures = decomposition_failures = 0
@@ -197,13 +187,13 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
         if (sum(width * loss for width, loss in threshold_run_losses(group))
                 != loss_from_view(view).unnormalized):
             decomposition_failures += 1
-    click.echo(
+    _echo_pieces([
         f"random: groups={trials} identity_failures={identity_failures}"
-        f" decomposition_failures={decomposition_failures}"
-    )
+        f" decomposition_failures={decomposition_failures}\n"
+    ])
 
     total = exhaustive_failures + identity_failures + decomposition_failures
-    click.echo("result: " + ("PASS" if total == 0 else f"FAIL ({total} failures)"))
+    _echo_pieces(["result: " + ("PASS" if total == 0 else f"FAIL ({total} failures)") + "\n"])
     if total:
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -233,21 +223,17 @@ def oracle_cmd(grades_spec: str) -> None:
         entry = tally.setdefault(record.instance_id, [0, record])
         entry[0] += 1
     width = max(len(pattern) for pattern in tally)
-    click.echo(
-        f"{'ranking'.ljust(width)}  perms  dcg_error  pair_loss  ok"
-    )
+    lines = [f"{'ranking'.ljust(width)}  perms  dcg_error  pair_loss  ok\n"]
     failures = 0
     for pattern in sorted(tally, key=lambda p: tuple(-int(g) for g in p.split(","))):
         count, record = tally[pattern]
         ok = "yes" if record.passed else "NO"
         if not record.passed:
             failures += count
-        click.echo(
-            f"{pattern.ljust(width)}  {count:5d}  {record.lhs:9d}  {record.rhs:9d}  {ok}"
-        )
-    click.echo(
-        f"permutations={len(records)} distinct={len(tally)} failures={failures}"
-    )
+        lines.append(
+            f"{pattern.ljust(width)}  {count:5d}  {record.lhs:9d}  {record.rhs:9d}  {ok}\n")
+    lines.append(f"permutations={len(records)} distinct={len(tally)} failures={failures}\n")
+    _echo_pieces(lines)
     if failures:
         sys.exit(EXIT_CHECK_FAILED)
 

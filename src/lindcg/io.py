@@ -15,10 +15,9 @@ grade and score.  ``_grouped`` collects the rows of every chunk by query
 id, each query's grades as bytes and its scores as doubles, and once the
 input is read yields the ``QueryGroup``s one at a time, each built only
 when it is asked for; ``parse_tsv`` and ``parse_svmlight`` return them as
-a list.  ``_stream_groups`` consumes the same chunks and yields each
-query's group once the block that ends it is read.  Both build their
-groups without ``QueryGroup``'s second check of every value, which the
-readers have already checked.
+a list.  It builds them without ``QueryGroup``'s second check of every
+value, which the readers have already checked.  Every input, a path or a
+pipe, is read this way, once.
 
 One reader cuts the input into blocks of whole lines.  A clean block, one
 that is ASCII and holds none of ``#``, ``\r``, ``\x0b``, ``\x0c`` and
@@ -50,28 +49,23 @@ malformed lines, and it gives every error its line number.  A score file
 is read in step with its data: each data block pulls the scores it needs,
 a score-file block at a time.
 
-The parsers and the stream read the chunks through ``_rows``, which alone
-decides which input fault is reported.  Every malformed line, including a
-data line that is not valid UTF-8, is collected with its line number and
-reason, and the input is read to its end before any fault is raised, so
-accepted + rejected always accounts for every non-comment, non-blank line.
-A grade above the classical-gain cap ``MAX_CLASSIC_GRADE`` is rejected
-too, but only on input with no other fault.
-
-The stream holds the rows of the query still open and of the queries that
-finished in the current block, so the rows it holds follow the largest
-query, not the file.  It raises the readers' errors.  On interleaved
-queries it raises _StreamAbandoned, and the input must then be parsed
-whole, which reads it once more.  So the stream suits only input that can
-be read twice from its start, such as a regular file, and never a pipe.
+The parsers and ``lindcg metrics`` read the chunks through ``_rows``,
+which alone decides which input fault is reported.  Every malformed line,
+including a data line that is not valid UTF-8, is collected with its line
+number and reason, and the input is read to its end before any fault is
+raised, so accepted + rejected always accounts for every non-comment,
+non-blank line.  A grade above the classical-gain cap
+``MAX_CLASSIC_GRADE`` is rejected too, but only on input with no other
+fault.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from functools import partial
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 
 from .core import QueryGroup
 from .errors import (
@@ -147,20 +141,19 @@ def _complete_lines_end(block: str) -> int:
     return len(block) - len(last)
 
 
-def _data_lines(blocks, errors: list[tuple[int, str]]):
-    """Yield (line number, line) for each non-blank, non-comment line of the blocks.
+def _data_lines(first: int, lines: list[str], errors: list[tuple[int, str]]):
+    """Yield (line number, line) for each non-blank, non-comment line, numbered from first.
 
     A line that is not valid UTF-8 goes to ``errors`` instead.
     """
-    for first, lines in blocks:
-        for lineno, line in enumerate(lines, first):
-            stripped = line.lstrip()
-            if not stripped or stripped[0] == "#":
-                continue
-            if not line.isascii() and _UNDECODABLE.search(line):
-                errors.append((lineno, "invalid UTF-8"))
-            else:
-                yield lineno, line
+    for lineno, line in enumerate(lines, first):
+        stripped = line.lstrip()
+        if not stripped or stripped[0] == "#":
+            continue
+        if not line.isascii() and _UNDECODABLE.search(line):
+            errors.append((lineno, "invalid UTF-8"))
+        else:
+            yield lineno, line
 
 
 def _read_chunks(source, read_block, read_lines):
@@ -191,12 +184,11 @@ def _grouped(chunks):
     score-tie-break index.  Every chunk is read before the first group is
     yielded, and until then each query's rows are held as bytes and
     doubles: its grades in an ``array('B')`` and its scores in an
-    ``array('d')``.  A group is built only when it is yielded, and its
-    arrays are dropped then, so a caller that evaluates each group in turn
-    holds one group's tuples at a time.
+    ``array('d')``.  So memory follows the rows, a grade byte and a score
+    double each, until the last row is read.  A group is built only when it
+    is yielded, and its arrays are dropped then, so a caller that evaluates
+    each group in turn holds one group's tuples at a time.
     """
-    from array import array  # here, so that a streamed run never loads the extension
-
     by_query: dict[str, tuple[array, array]] = {}
     for chunk_ids, chunk_grades, chunk_scores in chunks:
         for query_id, grade, score in zip(chunk_ids, chunk_grades, chunk_scores, strict=True):
@@ -282,7 +274,7 @@ def _tsv_lines(first: int, lines: list[str], num_grades: int | None, seen: dict[
                errors: list[tuple[int, str]]):
     """The columns of the TSV lines the line rules accept; the rest go to ``errors``."""
     query_ids, grades, scores = [], [], []
-    for lineno, line in _data_lines([(first, lines)], errors):
+    for lineno, line in _data_lines(first, lines, errors):
         fields = line.split("\t")
         if len(fields) != 3:
             errors.append((lineno, f"expected 3 tab-separated fields, got {len(fields)}"))
@@ -311,10 +303,8 @@ def _tsv_chunks(source, num_grades: int | None, errors: list[tuple[int, str]]):
     Each block is read a column at a time; a block that fails a whole-block
     check is read again line by line, which gives every error its line.
     """
-    # One string per distinct query id, shared by its rows, so a block that the
-    # stream holds keeps one string per query, not one per row.  Without it the
-    # svmlight-features benchmark workload peaked about 0.07 MB higher in RSS, in
-    # 13 of 16 alternating pairs of runs on a 2-vCPU host with Python 3.11.7.
+    # One string per distinct query id, shared by its rows, so a block's query-id
+    # column holds one string per query, not one per row.
     seen: dict[str, str] = {}
     return _read_chunks(source, partial(_tsv_columns, num_grades=num_grades, seen=seen),
                         partial(_tsv_lines, num_grades=num_grades, seen=seen, errors=errors))
@@ -350,7 +340,7 @@ def _score_column(block):
 def _score_lines(first: int, lines: list[str], errors: list[tuple[int, str]]):
     """The scores of the score-file lines the line rules accept; the rest go to ``errors``."""
     scores = []
-    for lineno, line in _data_lines([(first, lines)], errors):
+    for lineno, line in _data_lines(first, lines, errors):
         score, reason = _parse_score(line.strip())
         if reason:
             errors.append((lineno, reason))
@@ -397,7 +387,7 @@ def _svmlight_lines(first: int, lines: list[str], num_grades: int | None, seen: 
     file supplies the scores, and the columns are query ids and grades.
     """
     query_ids, grades, scores = [], [], []
-    for lineno, line in _data_lines([(first, lines)], errors):
+    for lineno, line in _data_lines(first, lines, errors):
         body, _, comment = line.partition("#")
         tokens = body.split(None, 2)  # the features are never read
         if len(tokens) < 2:
@@ -516,43 +506,3 @@ def _rows(source, fmt: str, scores=None, num_grades: int | None = None):
             f"query {too_large[0]!r}: grade {too_large[1]} exceeds "
             f"the classical-gain cap of {MAX_CLASSIC_GRADE}"
         )
-
-
-class _StreamAbandoned(Exception):
-    """A finished query id reappears, so the input must be read whole to group it."""
-
-
-def _stream_groups(source, fmt: str, scores=None, num_grades: int | None = None):
-    """Yield one QueryGroup per query of a ``fmt`` source, once the block that ends it is read.
-
-    The chunks are those of ``_rows``, which raises every input error.
-    Each chunk is grouped into its runs of one query id.  A query finishes
-    when a run of another id starts, or at the end of the input.  The
-    queries that finish in a block are yielded after it is grouped, and
-    each is dropped once yielded: building one group and evaluating it in
-    turn cost about 3 us a query more, on queries of 10 to 30 rows.  So
-    the rows held are those of the query still open and of the queries
-    that finished in the current block.  When a finished id reappears, the
-    queries are interleaved, and _StreamAbandoned is raised.
-    """
-    finished: set[str] = set()
-    query_id, grades, row_scores = None, [], []  # the query still open
-    for chunk_ids, chunk_grades, chunk_scores in _rows(source, fmt, scores, num_grades):
-        groups = []  # the queries that finish in this block
-        start = 0
-        for run_id, run in groupby(chunk_ids):
-            end = start + len(list(run))
-            if run_id != query_id:
-                if query_id is not None:
-                    finished.add(query_id)
-                    groups.append(QueryGroup._from_checked(query_id, grades, row_scores))
-                if run_id in finished:
-                    raise _StreamAbandoned
-                query_id, grades, row_scores = run_id, [], []
-            grades += chunk_grades[start:end]
-            row_scores += chunk_scores[start:end]
-            start = end
-        groups.reverse()
-        while groups:
-            yield groups.pop()
-    yield QueryGroup._from_checked(query_id, grades, row_scores)  # _rows raised if there was none

@@ -67,11 +67,10 @@ def build_aggregate_report(groups: Iterable[QueryGroup]) -> AggregateReport:
 
     Each group is evaluated as it arrives and ranked once; its view serves
     both the report and the check.  Only the per-query results are kept,
-    so a generator of groups, such as the stream's or ``io._grouped``'s,
-    is held one group at a time, and an input error that it raises while
-    it is consumed propagates from here.  The results are
-    sorted by query id at the end, stably, so groups of one id keep their
-    order.
+    so a generator of groups, such as ``io._grouped``'s, is held one group
+    at a time, and an input error that it raises while it is consumed
+    propagates from here.  The results are sorted by query id at the end,
+    stably, so groups of one id keep their order.
     """
     results = []
     for group in groups:

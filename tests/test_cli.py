@@ -277,7 +277,8 @@ needs_dev_fd = pytest.mark.skipif(not HAS_DEV_FD, reason="needs /dev/fd")
 @pytest.mark.parametrize("name, scores, output, golden", GOLDEN_RUNS)
 def test_metrics_matches_the_golden_report_streamed_and_read_whole(
         runner, tmp_path, monkeypatch, name, scores, output, golden):
-    """Each golden input, as it is and interleaved, from a file and through a pipe."""
+    """Each golden input, as it is and interleaved, from a file and through a pipe,
+    is read whole, once."""
     read_whole = []
     grouped = lindcg.cli._grouped
 
@@ -304,26 +305,19 @@ def test_metrics_matches_the_golden_report_streamed_and_read_whole(
                 for read_end in read_ends:
                     os.close(read_end)
             assert (result.exit_code, result.output) == (0, expected)
-            query_ids = [line.split("\t")[0] if fmt == "tsv" else line.split()[1]
-                         for line in _data_lines(data)]
-            runs = [query_id for query_id, _ in itertools.groupby(query_ids)]
-            # Contiguous queries in a file are streamed.  Interleaved ones are read
-            # whole, once, and so is a pipe, which cannot be read twice.
-            assert len(read_whole) == (piped or len(runs) != len(set(runs)))
-    assert len(read_whole) == 1
+            assert len(read_whole) == 1
 
 
 @needs_dev_fd
-@pytest.mark.parametrize("text, exit_code, file_reads_whole", [
-    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\tx\t0.5\n", 2, 0),
-    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t31\t0.5\n", 2, 0),
-    ("".join(f"q{i % 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t1\t0.5\n", 0, 1),
+@pytest.mark.parametrize("text, exit_code", [
+    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\tx\t0.5\n", 2),
+    ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t31\t0.5\n", 2),
+    ("".join(f"q{i % 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t1\t0.5\n", 0),
 ], ids=["malformed", "grade-31", "interleaved"])
 def test_metrics_reads_a_pipe_as_it_reads_a_file(runner, tmp_path, monkeypatch, text,
-                                                 exit_code, file_reads_whole):
-    """Errors through a pipe keep the messages and line numbers of a regular file,
-    where the stream reads the file for several blocks.  The stream reports a faulty
-    file itself, from its one read, and gives it up only on interleaved queries."""
+                                                 exit_code):
+    """A regular file and a pipe are each read whole, once, over several blocks, and
+    give the same report, or the same error with the same line numbers."""
     read_whole = []
     grouped = lindcg.cli._grouped
 
@@ -336,16 +330,50 @@ def test_metrics_reads_a_pipe_as_it_reads_a_file(runner, tmp_path, monkeypatch, 
     path = tmp_path / "data.tsv"
     path.write_text(text, encoding="utf-8")
     from_file = runner.invoke(main, ["metrics", "--input", str(path), "--output", "json"])
-    assert len(read_whole) == file_reads_whole
+    assert len(read_whole) == 1
     read_ends = []
     try:
         piped = runner.invoke(main, ["metrics", "--input", _piped(path, read_ends),
                                      "--output", "json"])
     finally:
         os.close(read_ends[0])
+    assert len(read_whole) == 2
     assert (piped.exit_code, piped.stdout, piped.stderr) == (
         from_file.exit_code, from_file.stdout, from_file.stderr)
     assert from_file.exit_code == exit_code
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "svmlight"])
+def test_metrics_reads_a_file_whose_last_row_reopens_its_first_query_once(
+        runner, tmp_path, monkeypatch, fmt):
+    """Query-contiguous rows whose last row reopens the first query: the data file,
+    and a score file, are each read once, over several blocks."""
+    reads = []
+    read_blocks = lindcg.io._read_blocks
+
+    def counted(source):
+        reads.append(source)
+        return read_blocks(source)
+
+    monkeypatch.setattr(lindcg.io, "_read_blocks", counted)
+    monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
+    rows = [(f"q{i // 4}", i % 3, f"0.{i}") for i in range(40)] + [("q0", 1, "0.5")]
+    data = tmp_path / "reopened.txt"
+    args = ["metrics", "--input", str(data), "--format", fmt, "--output", "json"]
+    paths = [str(data)]
+    if fmt == "tsv":
+        data.write_text("".join(f"{q}\t{g}\t{s}\n" for q, g, s in rows), encoding="utf-8")
+    else:
+        data.write_text("".join(f"{g} qid:{q} 1:0.5\n" for q, g, _ in rows), encoding="utf-8")
+        scores = tmp_path / "reopened.scores"
+        scores.write_text("".join(f"{s}\n" for _, _, s in rows), encoding="utf-8")
+        args += ["--scores", str(scores)]
+        paths.append(str(scores))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert [row["num_items"] for row in report["queries"]] == [5] + [4] * 9
+    assert sorted(reads) == sorted(paths)
 
 
 @pytest.mark.parametrize("fmt, data, scores, reason", [
@@ -485,27 +513,46 @@ def _child_env():
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def _exit_after_one_line(*args):
+    """The first line of ``lindcg args`` in a child process, and the child's exit code
+    and stderr once its reader has closed stdout after that line, as ``| head -n 1``
+    does."""
+    child = subprocess.Popen([sys.executable, "-m", "lindcg.cli", *args],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    first = child.stdout.readline()
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    return first, child.wait(timeout=60), stderr
+
+
 def test_metrics_exits_0_when_the_reader_closes_stdout_early(tmp_path):
     """A reader that stops after one line, as ``| head -n 1`` does, is no failed check."""
     data = tmp_path / "many.tsv"
     data.write_text("".join(f"q{i:04d}\t{i % 3}\t0.{i}\n" for i in range(600)),
                     encoding="utf-8")
-    child = subprocess.Popen(
-        [sys.executable, "-m", "lindcg.cli", "metrics", "--input", str(data),
-         "--output", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     # The report, about 260 kB, outgrows the pipe's buffer, so the child is
     # still writing when the pipe closes.
-    assert child.stdout.readline() == b"{\n"
-    child.stdout.close()
-    stderr = child.stderr.read()
-    child.stderr.close()
-    assert (child.wait(timeout=60), stderr) == (0, b"")
+    assert _exit_after_one_line("metrics", "--input", str(data), "--output", "json") == (
+        b"{\n", 0, b"")
 
 
-def _modules_loaded_by_metrics(path, *args):
-    """The exit code and stdout of ``metrics --output json`` on path, with args, in a
-    child process, and the names of the modules the child had loaded."""
+@pytest.mark.parametrize("args, first", [
+    # The random trials run after the first line is written.
+    (["verify", "--trials", "1000"],
+     b"exhaustive: multisets=251 permutations=17045 failures=0\n"),
+    # About 2 MB of table, which outgrows the pipe's buffer.
+    (["oracle", "--grades", "0,1,2,3,4,5,6,7"],
+     b"ranking          perms  dcg_error  pair_loss  ok\n"),
+], ids=["verify", "oracle"])
+def test_verify_and_oracle_exit_0_when_the_reader_closes_stdout_early(args, first):
+    """Both still write after their reader has closed stdout, which is no failed check."""
+    assert _exit_after_one_line(*args) == (first, 0, b"")
+
+
+def _modules_loaded_by_metrics(path):
+    """The exit code and stdout of ``metrics --output json`` on path in a child
+    process, and the names of the modules the child had loaded."""
     code = ("import sys\n"
             "from lindcg.cli import main\n"
             "try:\n"
@@ -513,8 +560,8 @@ def _modules_loaded_by_metrics(path, *args):
             "finally:\n"
             "    print(*sorted(sys.modules), file=sys.stderr)\n")
     child = subprocess.run(
-        [sys.executable, "-c", code, "metrics", "--input", str(path), "--output", "json",
-         *args], capture_output=True, text=True, env=_child_env(), timeout=60)
+        [sys.executable, "-c", code, "metrics", "--input", str(path), "--output", "json"],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
     return child.returncode, child.stdout, child.stderr.split()
 
 
@@ -524,16 +571,6 @@ def test_metrics_never_imports_the_oracles():
     assert (exit_code, stdout) == (0, (DATA / "metrics_fine.json").read_text(encoding="utf-8"))
     assert "lindcg.report" in loaded
     assert "lindcg.oracles" not in loaded
-
-
-def test_a_streamed_metrics_run_never_loads_array():
-    """Only the in-memory path, which holds interleaved rows in arrays, loads the
-    ``array`` extension; a query-contiguous file is streamed without it."""
-    exit_code, stdout, loaded = _modules_loaded_by_metrics(DATA / "metrics_inline.svmlight",
-                                                           "--format", "svmlight")
-    assert (exit_code, stdout) == (0, (DATA / "metrics_inline.json").read_text(encoding="utf-8"))
-    assert "lindcg.io" in loaded
-    assert "array" not in loaded
 
 
 VERIFY_ARGS = [

@@ -313,7 +313,7 @@ def test_reader_matches_splitlines_across_block_boundaries(tmp_path, source):
     errors = []
 
     def read_lines(first, lines):  # every block goes down the line path
-        return list(_data_lines([(first, lines)], errors))
+        return list(_data_lines(first, lines, errors))
 
     if source == "path":
         path = tmp_path / "blocks.txt"
@@ -436,10 +436,9 @@ def test_valid_blocks_are_never_read_line_by_line(monkeypatch, block_chars):
     by_line = []
     data_lines = lindcg.io._data_lines
 
-    def spy(blocks, errors):
-        blocks = list(blocks)
-        by_line.extend(line for _, lines in blocks for line in lines)
-        return data_lines(blocks, errors)
+    def spy(first, lines, errors):
+        by_line.extend(lines)
+        return data_lines(first, lines, errors)
 
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
     monkeypatch.setattr(lindcg.io, "_data_lines", spy)
@@ -457,10 +456,9 @@ def test_valid_svmlight_and_score_blocks_are_never_read_line_by_line(monkeypatch
     by_line = []
     data_lines = lindcg.io._data_lines
 
-    def spy(blocks, errors):
-        blocks = list(blocks)
-        by_line.extend(line for _, lines in blocks for line in lines)
-        return data_lines(blocks, errors)
+    def spy(first, lines, errors):
+        by_line.extend(lines)
+        return data_lines(first, lines, errors)
 
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
     monkeypatch.setattr(lindcg.io, "_data_lines", spy)
