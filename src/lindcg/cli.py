@@ -8,6 +8,11 @@ and ``oracle`` confirm the identity with the independent test oracles of
 decomposition.  ``verify`` also checks its random groups by the status
 that ``metrics`` reports for each query.
 
+Every subcommand writes its stdout through ``_echo_pieces``.  Every
+report format writes query ids as they were read: JSON escapes their
+control characters, and text and CSV keep them as they are, on a pipe and
+on a terminal alike, so a terminal interprets an escape sequence in an id.
+
 Exit codes: 0 on success / all checks passed, 1 when any identity check
 failed, 2 for usage or parse errors.  A reader that closes stdout early,
 as ``| head`` does, changes no exit code.
@@ -38,9 +43,6 @@ EXIT_USAGE = 2
 # permutation measured on a 2-vCPU Xeon host.
 MAX_EXHAUSTIVE_PERMUTATIONS = 5_000_000
 
-# Characters of output handed to click.echo at a time.
-_ECHO_CHARS = 1 << 16
-
 
 @click.group()
 def main() -> None:
@@ -48,23 +50,22 @@ def main() -> None:
 
 
 def _echo_pieces(pieces: Iterable[str]) -> None:
-    """Write pieces of output to stdout, joined into batches of about 64 KiB.
+    """Write pieces of output to stdout as they are, and flush it once.
 
-    Every subcommand writes its stdout here.  click.echo flushes each batch
-    and, when stdout is not a terminal, strips ANSI codes from it, as it
-    did for the whole text.  Only text and CSV reports can hold an escape
-    character, and their pieces end at line breaks, which no ANSI code
-    spans.  Once the reader has closed stdout, the rest goes to devnull.
+    Every subcommand writes its stdout here, through the text stream that
+    click resolves, whose own buffer batches the pieces.  That stream is
+    ``sys.stdout`` unless its encoding is ASCII; click's default ``errors``
+    of "strict" would also wrap a stdout that has another error handler,
+    as under the C locale, and flush that wrapper at every line.  Query ids
+    are written as they were read: JSON escapes their control characters,
+    and text and CSV reports keep them, escape sequences included, on a
+    pipe and on a terminal alike.  Once the reader has closed stdout, the
+    rest goes to devnull.
     """
-    batch, size = [], 0
+    stream = click.get_text_stream("stdout", errors=None)
     try:
-        for piece in pieces:
-            batch.append(piece)
-            size += len(piece)
-            if size >= _ECHO_CHARS:
-                click.echo("".join(batch), nl=False)
-                batch, size = [], 0
-        click.echo("".join(batch), nl=False)
+        stream.writelines(pieces)
+        stream.flush()
     except BrokenPipeError:
         # The reader closed stdout early, as `| head` does, which is no failed
         # check.  Python flushes stdout again at exit, so point it at devnull.

@@ -38,17 +38,24 @@ class TooLargeError(LindcgError):
 class ParseError(LindcgError):
     """One or more input lines violate the file grammar.
 
-    ``errors`` holds ``(line_number, reason)`` pairs for every rejected
-    line; ``accepted_count`` is the number of lines that parsed cleanly,
-    so accepted + rejected always covers every non-comment, non-blank
-    line of the input.
+    ``errors`` holds ``(line_number, reason)`` pairs for the first rejected
+    lines, the first 20 when the readers raise it, and ``rejected_count``
+    counts every rejected line; ``accepted_count`` is the number of lines
+    that parsed cleanly, so accepted + rejected always covers every
+    non-comment, non-blank line of the input.  The message names each pair
+    of ``errors`` and ends with how many more lines were rejected.
     """
 
-    def __init__(self, errors: list[tuple[int, str]], accepted_count: int = 0):
+    def __init__(self, errors: list[tuple[int, str]], accepted_count: int = 0,
+                 rejected_count: int | None = None):
         self.errors = list(errors)
         self.accepted_count = accepted_count
+        self.rejected_count = len(self.errors) if rejected_count is None else rejected_count
         detail = "; ".join(f"line {n}: {reason}" for n, reason in self.errors)
-        super().__init__(f"{len(self.errors)} malformed line(s): {detail}")
+        more = self.rejected_count - len(self.errors)
+        if more:
+            detail += f"; and {more} more"
+        super().__init__(f"{self.rejected_count} malformed line(s): {detail}")
 
 
 class ScoreCountMismatchError(LindcgError):

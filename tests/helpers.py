@@ -17,6 +17,9 @@ from lindcg.oracles import (
     rank_by_score,
 )
 
+# A ParseError counts every rejected line of its file and names the first 20.
+KEPT_FAULTS = 20
+
 
 def ideal(grades):
     """The grades in non-increasing order: the ranking of highest linear DCG."""
@@ -196,8 +199,8 @@ def parse_svmlight_by_line(text: str, scores: str | None = None, num_grades=None
             else:
                 row_scores.append(score)
         if errors:
-            raise ParseError([(n, f"score file: {reason}") for n, reason in errors],
-                             accepted_count=len(row_scores))
+            raise ParseError([(n, f"score file: {reason}") for n, reason in errors[:KEPT_FAULTS]],
+                             accepted_count=len(row_scores), rejected_count=len(errors))
     query_ids, grades, errors = [], [], []
     for lineno, line in _data_lines_by_line(text, errors):
         body, _, comment = line.partition("#")
@@ -229,7 +232,8 @@ def parse_svmlight_by_line(text: str, scores: str | None = None, num_grades=None
         raise ScoreCountMismatchError(
             f"{data_rows} data rows but {len(row_scores)} scores in the companion file")
     if errors:
-        raise ParseError(errors, accepted_count=len(grades))
+        raise ParseError(errors[:KEPT_FAULTS], accepted_count=len(grades),
+                         rejected_count=len(errors))
     if not grades:
         raise EmptyFileError("no records after discarding comments and blank lines")
     return grouped(query_ids, grades, row_scores)

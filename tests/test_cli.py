@@ -1,4 +1,5 @@
 import inspect
+import io
 import itertools
 import json
 import os
@@ -498,7 +499,6 @@ def test_metrics_writes_the_golden_reports_without_the_joined_renderers(runner, 
     for name in ("render_json", "render_text", "render_csv"):
         monkeypatch.setattr(lindcg.report, name, forbidden)
         monkeypatch.setattr(lindcg, name, forbidden)
-    monkeypatch.setattr(lindcg.cli, "_ECHO_CHARS", 100)  # several batches per report
     for name, _, output, golden in GOLDEN_RUNS:  # _data_input_args finds the score file
         args = ["metrics", *_data_input_args(name), "--output", output]
         result = runner.invoke(main, args)
@@ -548,6 +548,71 @@ def test_metrics_exits_0_when_the_reader_closes_stdout_early(tmp_path):
 def test_verify_and_oracle_exit_0_when_the_reader_closes_stdout_early(args, first):
     """Both still write after their reader has closed stdout, which is no failed check."""
     assert _exit_after_one_line(*args) == (first, 0, b"")
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_stdout_is_written_in_blocks_not_a_line_at_a_time(monkeypatch, errors):
+    """Whatever stdout's error handler, "surrogateescape" under the C locale among
+    them, the pieces reach its binary buffer in blocks."""
+    writes = []
+
+    class Raw(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return len(data)
+
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(Raw()),
+                                                        encoding="utf-8", errors=errors))
+    lines = [f"line {i}\n" for i in range(1000)]
+    lindcg.cli._echo_pieces(lines)
+    assert b"".join(writes) == "".join(lines).encode("utf-8")
+    assert len(writes) < 10
+
+
+def _run_child(*args):
+    """The exit code, stdout bytes and stderr bytes of ``lindcg args`` in a child
+    process whose stdout and stderr are pipes."""
+    child = subprocess.run([sys.executable, "-m", "lindcg.cli", *args],
+                           capture_output=True, env=_child_env(), timeout=60)
+    return child.returncode, child.stdout, child.stderr
+
+
+# The query ids of metrics_escape.tsv: one holds an ANSI escape sequence, and
+# stripping it would leave the other.
+ESCAPE_IDS = ["a\x1b[31mb", "ab"]
+
+
+def test_metrics_csv_writes_each_query_id_as_read_through_a_pipe():
+    code, stdout, stderr = _run_child("metrics", "--input", str(DATA / "metrics_escape.tsv"),
+                                      "--output", "csv")
+    assert (code, stderr) == (0, b"")
+    assert [line.split(b",")[0] for line in stdout.splitlines()[1:]] == [
+        query_id.encode("utf-8") for query_id in ESCAPE_IDS]
+
+
+def test_metrics_text_aligns_its_columns_on_the_characters_it_writes():
+    code, stdout, stderr = _run_child("metrics", "--input", str(DATA / "metrics_escape.tsv"))
+    assert (code, stderr) == (0, b"")
+    header, *rows = stdout.decode("utf-8").split("\n\n")[0].splitlines()
+    items = header.index("items")
+    assert [(row[:items].rstrip(), row[items:].split()[0]) for row in rows] == [
+        (ESCAPE_IDS[0], "2"), (ESCAPE_IDS[1], "3")]
+
+
+def test_metrics_counts_every_malformed_line_and_names_the_first_twenty(tmp_path):
+    """Thousands of malformed lines give one short message, not one reason each."""
+    data = tmp_path / "two_fields.tsv"
+    data.write_text("q0\t1\t0.5\n" + "q1\t1\n" * 5000, encoding="utf-8")
+    code, stdout, stderr = _run_child("metrics", "--input", str(data))
+    assert (code, stdout) == (2, b"")
+    assert len(stderr) < 4096
+    reasons = "; ".join(f"line {n}: expected 3 tab-separated fields, got 2"
+                        for n in range(2, 22))
+    assert stderr.decode("utf-8") == (
+        f"error: 5000 malformed line(s): {reasons}; and 4980 more\n")
 
 
 def _modules_loaded_by_metrics(path):

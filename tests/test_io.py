@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindcg.io
-from helpers import grouped, parse_svmlight_by_line, parse_tsv_by_line
+from helpers import KEPT_FAULTS, grouped, parse_svmlight_by_line, parse_tsv_by_line
 from lindcg.errors import (
     EmptyFileError,
     GradeTooLargeError,
@@ -412,6 +412,9 @@ _BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85"])
          block_chars=64, num_grades=None)
 @example(lines=[(line, "\n") for line in ["q1\t+\t0.5", "q1\t1\t.", "q1\t1\t-e1", "q1\t-\t5."]],
          block_chars=64, num_grades=None)
+# More malformed lines than a ParseError names.
+@example(lines=[("q1\t1", "\n")] * 12 + [("q1\t1\t0.5", "\n")] + [("q1", "\n")] * 12,
+         block_chars=64, num_grades=None)
 def test_block_parse_matches_a_line_by_line_parse(lines, block_chars, num_grades):
     text = "".join(line + end for line, end in lines)
     query_ids, grades, scores, errors = parse_tsv_by_line(text, num_grades)
@@ -420,7 +423,8 @@ def test_block_parse_matches_a_line_by_line_parse(lines, block_chars, num_grades
         if errors:
             with pytest.raises(ParseError) as info:
                 parse_tsv(io.StringIO(text), num_grades)
-            assert info.value.errors == errors
+            assert info.value.errors == errors[:KEPT_FAULTS]
+            assert info.value.rejected_count == len(errors)
             assert info.value.accepted_count == len(grades)
         elif not grades:
             with pytest.raises(EmptyFileError):
@@ -470,12 +474,12 @@ def test_valid_svmlight_and_score_blocks_are_never_read_line_by_line(monkeypatch
 
 
 def _outcome(parse, *args):
-    """What a parse returns, or the type, message, errors and accepted count of what it raises."""
+    """What a parse returns, or the type, message, errors and counts of what it raises."""
     try:
         return parse(*args)
     except LindcgError as error:
         return (type(error), str(error), getattr(error, "errors", None),
-                getattr(error, "accepted_count", None))
+                getattr(error, "accepted_count", None), getattr(error, "rejected_count", None))
 
 
 # SVMLight lines whose heads the head-only block read takes, so that a block
@@ -562,6 +566,10 @@ _SVMLIGHT_BREAKS = st.sampled_from(["\n"] * 8 + ["", "\r\n", "\r", "\x0b", "\x0c
          extra_scores=-1, block_chars=64, num_grades=None)
 @example(rows=[("1 qid:1", "\n", "0.5", "\n"), ("0 qid:1", "\n", "0.25", "\n")],
          extra_scores=1, block_chars=64, num_grades=None)
+# More malformed lines than a ParseError names, in the data and in the score file.
+@example(rows=[("1", "\n", "0.5", "\n")] * 25, extra_scores=0, block_chars=64, num_grades=None)
+@example(rows=[("1 qid:1", "\n", "x", "\n")] * 25, extra_scores=0, block_chars=64,
+         num_grades=None)
 def test_svmlight_block_parse_matches_a_line_by_line_parse(rows, extra_scores, block_chars,
                                                            num_grades):
     text = "".join(line + end for line, end, _, _ in rows)
