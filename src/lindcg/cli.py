@@ -30,10 +30,9 @@ from typing import Iterable
 import click
 
 from .core import QueryGroup, rank_view
-from .equivalence import identity_status
+from .equivalence import identity_status, identity_sums
 from .errors import LindcgError
 from .io import _grouped, _parse_grade, _rows
-from .pairwise import loss_from_view
 from .report import build_aggregate_report, csv_pieces, json_pieces, text_pieces
 
 EXIT_CHECK_FAILED = 1
@@ -181,12 +180,12 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
     for index in range(trials):
         group = _random_tie_free_group(rng, max_items, max_grades, index)
         view = rank_view(group)
+        sums = identity_sums(view)
         # The status `metrics` reports, so a fault in it cannot pass here.
-        if identity_status(group.query_id, view)[0] != "passed":
+        if identity_status(view, sums) != "passed":
             identity_failures += 1
         # Summing by run keeps the cost off the grade values, which reach --max-grades.
-        if (sum(width * loss for width, loss in threshold_run_losses(group))
-                != loss_from_view(view).unnormalized):
+        if sum(width * loss for width, loss in threshold_run_losses(group)) != sums.loss:
             decomposition_failures += 1
     _echo_pieces([
         f"random: groups={trials} identity_failures={identity_failures}"

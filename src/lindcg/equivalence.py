@@ -12,12 +12,13 @@ Score ties break the identity (the pairwise indicator is strict while a
 realized ranking has to place tied items somewhere), so records carry a
 ``tie_afflicted`` flag and tied instances are exempt from hard assertions.
 
-``identity_sums`` computes the check's integers from a view, once.  The
+``identity_sums`` computes a query's linear integers from a view, once:
+the DCG, ideal DCG and weighted loss that ``compute_report`` reports, and
+the run and split sums of the check.  ``compute_report`` asks
+``identity_status`` for the query's status from those same integers.  The
 library call ``verify_multipartite_identity`` names each of them in a
-``VerificationRecord``, whose ``passed`` is read off its two integers.
-The report and ``lindcg verify`` ask ``identity_status`` for one status
-per query instead, which reads the same integers and builds the records
-only for a failed check.
+``VerificationRecord``, whose ``passed`` is read off its two integers; the
+report builds the records only for a failed check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .core import QueryGroup, RankedView, rank_view
-from .metrics import bipartite_ideal_dcg, view_dcg_linear, view_ideal_dcg_linear
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,38 +54,54 @@ class VerificationRecord:
 
 
 class IdentitySums(NamedTuple):
-    """The integers of one query's identity check, each pair of which must be equal.
+    """One query's linear integers, which its report and its identity check read.
 
-    ``lhs`` is the linear DCG error and ``rhs`` the weighted pairwise loss.
+    ``ideal_dcg - dcg``, the linear DCG error, must equal ``loss``, the
+    weighted pairwise loss.
     ``run_lhs[j]`` is the DCG error of the bipartite group above the run of
     thresholds ``levels[j] <= k < levels[j + 1]`` and ``run_losses[j]`` that
     run's swept loss.  ``split_lhs`` is the observed DCG summed over
     positions and ``split_rhs`` the same DCG summed over thresholds.
     """
 
-    lhs: int
-    rhs: int
+    dcg: int
+    ideal_dcg: int
+    loss: int
     run_lhs: tuple[int, ...]
     run_losses: tuple[int, ...]
     split_lhs: int
     split_rhs: int
 
 
-def identity_sums(view: RankedView) -> IdentitySums:
-    """The identity check's integers, read from one ranked view.
+def bipartite_ideal_dcg(m: int, n: int) -> int:
+    """Closed form for the ideal linear DCG of m positives and n negatives:
+    m*n + m*(m - 1)/2."""
+    return m * n + m * (m - 1) // 2
 
-    The losses are the view's score sweep, never the discount masses
-    rewritten, so every check compares two independent counts.
+
+def identity_sums(view: RankedView) -> IdentitySums:
+    """A query's linear integers, each computed once from its ranked view.
+
+    In non-increasing grade order, the c items of each grade fill one block
+    of positions f+1..f+c below the f items of higher grades; that block's
+    discounts sum to c*(|S| - f) - c*(c + 1)/2, which gives the ideal DCG a
+    closed form per level.  The losses are the view's score sweep, never
+    the discount masses rewritten, so every check compares two independent
+    counts.  No grade is capped here, so ``lindcg verify`` checks any.
     """
     n = len(view)
+    levels, counts, masses = view.levels, view.counts, view.discount_mass
     widths = view.run_widths
     losses = view.threshold_losses
     # items and discount mass above each run: suffix sums over the levels
-    above_items = [*itertools.accumulate(view.counts[:0:-1])][::-1]
-    above_mass = [*itertools.accumulate(view.discount_mass[:0:-1])][::-1]
+    above_items = [*itertools.accumulate(counts[:0:-1])][::-1]
+    above_mass = [*itertools.accumulate(masses[:0:-1])][::-1]
     return IdentitySums(
-        lhs=view_ideal_dcg_linear(view) - view_dcg_linear(view),
-        rhs=sum(map(mul, widths, losses)),
+        dcg=sum(map(mul, levels, masses)),
+        # f, the items above level j, is above_items[j]; none are above the top
+        ideal_dcg=sum(g * (c * (n - f) - c * (c + 1) // 2)
+                      for g, c, f in zip(levels[1:], counts[1:], [*above_items[1:], 0])),
+        loss=sum(map(mul, widths, losses)),
         run_lhs=tuple(bipartite_ideal_dcg(m, n - m) - mass
                       for m, mass in zip(above_items, above_mass)),
         run_losses=losses,
@@ -122,8 +138,8 @@ def _records(query_id: str, view: RankedView, sums: IdentitySums) -> Verificatio
     return VerificationRecord(
         instance_id=query_id,
         check_name="multipartite_identity",
-        lhs=sums.lhs,
-        rhs=sums.rhs,
+        lhs=sums.ideal_dcg - sums.dcg,
+        rhs=sums.loss,
         tie_afflicted=ties,
         details=tuple(details),
     )
@@ -154,18 +170,17 @@ def verify_multipartite_identity(
     return _records(group.query_id, view, identity_sums(view))
 
 
-def identity_status(query_id: str, view: RankedView) -> tuple[str, VerificationRecord | None]:
-    """The query's status, ``passed``, ``failed`` or ``tie_flagged``, and its
-    record when the check failed.
+def identity_status(view: RankedView, sums: IdentitySums) -> str:
+    """The query's status, ``passed``, ``failed`` or ``tie_flagged``, from its
+    view's ``identity_sums``.
 
     A tied query is ``tie_flagged`` whatever its integers, as its record
-    is.  Otherwise the status is the records' verdict: every pair of
-    ``identity_sums`` must be equal.
+    is.  Otherwise the status is the records' verdict: every pair of the
+    sums must be equal.
     """
     if view.has_score_ties:
-        return "tie_flagged", None
-    sums = identity_sums(view)
-    if (sums.lhs == sums.rhs and sums.run_lhs == sums.run_losses
+        return "tie_flagged"
+    if (sums.ideal_dcg - sums.dcg == sums.loss and sums.run_lhs == sums.run_losses
             and sums.split_lhs == sums.split_rhs):
-        return "passed", None
-    return "failed", _records(query_id, view, sums)
+        return "passed"
+    return "failed"

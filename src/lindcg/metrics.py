@@ -9,6 +9,10 @@ equality instead of tolerances.  Every kernel reads one ranked view per
 query (core.rank_view); the rank-order sums they are checked against are
 the references in ``lindcg.oracles``.
 
+``compute_report`` evaluates a query in one pass: the linear integers of
+the report and of its ``identity`` status come from one call of
+``equivalence.identity_sums``.
+
 NDCG of a group whose ideal DCG is zero is reported as 1.0 and flagged as
 degenerate: every ranking of such a group is vacuously ideal, and
 aggregation over many queries must not abort on one of them.
@@ -19,43 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import mul, truediv
+from operator import truediv
 from typing import Sequence
 
 from .core import QueryGroup, RankedView, rank_view
+# bipartite_ideal_dcg is re-exported: it is defined with the check that uses it.
+from .equivalence import bipartite_ideal_dcg, identity_status, identity_sums
 from .errors import GradeTooLargeError
-from .pairwise import loss_from_view
+from .pairwise import loss_value
 
 # 2**grade must stay exactly representable in a double.
 MAX_CLASSIC_GRADE = 30
-
-
-def view_dcg_linear(view: RankedView) -> int:
-    """Linear DCG of a ranked view: each level's grade times its discount mass."""
-    return sum(map(mul, view.levels, view.discount_mass))
-
-
-def view_ideal_dcg_linear(view: RankedView) -> int:
-    """Ideal linear DCG from the view's per-level counts.
-
-    In non-increasing grade order, the c items of each grade fill one block
-    of positions f+1..f+c below the f items of higher grades; that block's
-    discounts sum to c*(|S| - f) - c*(c + 1)/2.  Level 0 is grade 0 and
-    adds nothing.
-    """
-    n = len(view)
-    total = filled = 0
-    for j in range(len(view.levels) - 1, 0, -1):
-        c = view.counts[j]
-        total += view.levels[j] * (c * (n - filled) - c * (c + 1) // 2)
-        filled += c
-    return total
-
-
-def bipartite_ideal_dcg(m: int, n: int) -> int:
-    """Closed form for the ideal linear DCG of m positives and n negatives:
-    m*n + m*(m - 1)/2."""
-    return m * n + m * (m - 1) // 2
 
 
 def _check_classic_cap(view: RankedView) -> None:
@@ -84,6 +62,8 @@ class MetricReport:
     DCG is zero in the respective family; their NDCG is reported as 1.0 by
     convention.  ``normalized_pairwise_loss`` divides by the raw
     cross-grade pair count and may exceed 1 (see the pairwise module).
+    ``identity`` is the status of the query's identity check: ``passed``,
+    ``failed`` or ``tie_flagged``.
     """
 
     query_id: str
@@ -100,10 +80,11 @@ class MetricReport:
     normalized_pairwise_loss: float
     degenerate_linear: bool
     degenerate_classic: bool
+    identity: str
 
 
 def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricReport:
-    """Evaluate both DCG families and the pairwise loss for one group.
+    """Evaluate both DCG families, the pairwise loss and the identity check for one group.
 
     ``view`` is the group's rank_view when the caller already holds it.
     """
@@ -115,11 +96,11 @@ def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricR
         chain.from_iterable(map(repeat, view.levels[:0:-1], view.counts[:0:-1]))
     )
 
-    lin = view_dcg_linear(view)
-    lin_ideal = view_ideal_dcg_linear(view)
+    sums = identity_sums(view)
+    lin, lin_ideal = sums.dcg, sums.ideal_dcg
     cls = _classic_sum(view.grades)
     cls_ideal = _classic_sum(ideal_grades)
-    loss = loss_from_view(view)
+    loss = loss_value(view, sums.loss)
 
     return MetricReport(
         query_id=group.query_id,
@@ -136,4 +117,5 @@ def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricR
         normalized_pairwise_loss=loss.normalized,
         degenerate_linear=lin_ideal == 0,
         degenerate_classic=cls_ideal == 0.0,
+        identity=identity_status(view, sums),
     )

@@ -19,9 +19,9 @@ pairs that it is checked against is ``oracles.pairwise_loss_naive``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .core import RankedView
+from .equivalence import identity_sums
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,14 +38,12 @@ class PairwiseLossValue:
 
 
 def loss_from_view(view: RankedView) -> PairwiseLossValue:
-    """The weighted loss of a ranked view: the sum of its threshold losses.
+    """The weighted loss of a ranked view, the ``loss`` of its ``identity_sums``."""
+    return loss_value(view, identity_sums(view).loss)
 
-    A pair with grade gap (b - a) is misranked at exactly (b - a)
-    thresholds, so the unweighted per-threshold counts add up to the
-    weighted loss.  Each run's loss holds for every threshold in the run,
-    so it counts once per unit of the run's width.
-    """
-    loss = sum(map(mul, view.run_widths, view.threshold_losses))
+
+def loss_value(view: RankedView, loss: int) -> PairwiseLossValue:
+    """``loss``, the weighted loss of a ranked view, with the view's normalizer Z."""
     n = len(view)
     z = (n * n - sum(c * c for c in view.counts)) // 2
     return PairwiseLossValue(unnormalized=loss, normalizer_z=z,

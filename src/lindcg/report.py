@@ -4,9 +4,9 @@ Output is byte-stable for a given input: queries are sorted by query id,
 integers are emitted exactly, and every float is formatted to 6
 significant digits.  JSON is the machine-readable format; text is an
 aligned-column view; CSV carries the per-query rows only, with
-``MetricReport``'s fields in order and then ``identity`` as its columns.
+``MetricReport``'s fields in order as its columns.
 
-The aggregate keeps each query's ``MetricReport`` and its identity status,
+The aggregate keeps each query's ``MetricReport``, its status included,
 and a ``VerificationRecord`` only for a query whose check failed.  Each
 format has a generator that yields its text in pieces: the head, one
 piece per query and the tail.  ``lindcg metrics`` writes the pieces as
@@ -26,10 +26,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .core import QueryGroup, rank_view
-from .equivalence import VerificationRecord, identity_status
+from .equivalence import VerificationRecord, verify_multipartite_identity
 from .metrics import MetricReport, compute_report
 
 
@@ -46,15 +47,13 @@ class VerificationSummary:
 class AggregateReport:
     """Per-query reports plus dataset-level aggregates.
 
-    ``statuses[i]`` is the identity status of ``per_query[i]``: ``passed``,
-    ``failed`` or ``tie_flagged``.  ``failures`` holds the full record of
-    each failed query, in the same order.  Means are arithmetic over all
-    queries, degenerate ones included (they contribute their conventional
-    1.0).
+    ``failures`` holds the full record of each query whose ``identity`` is
+    ``failed``, in the order of ``per_query``.  Means are arithmetic over
+    all queries, degenerate ones included (they contribute their
+    conventional 1.0).
     """
 
     per_query: tuple[MetricReport, ...]
-    statuses: tuple[str, ...]
     failures: tuple[VerificationRecord, ...]
     mean_ndcg_linear: float
     mean_ndcg_classic: float
@@ -66,31 +65,32 @@ def build_aggregate_report(groups: Iterable[QueryGroup]) -> AggregateReport:
     """Evaluate metrics and identity checks for every group, sorted by query id.
 
     Each group is evaluated as it arrives and ranked once; its view serves
-    both the report and the check.  Only the per-query results are kept,
-    so a generator of groups, such as ``io._grouped``'s, is held one group
-    at a time, and an input error that it raises while it is consumed
-    propagates from here.  The results are sorted by query id at the end,
+    its report, status included, and the records of a failed check.  Only
+    the per-query results are kept, so a generator of groups, such as
+    ``io._grouped``'s, is held one group at a time, and an input error that
+    it raises while it is consumed propagates from here.  The results are sorted by query id at the end,
     stably, so groups of one id keep their order.
     """
-    results = []
+    per_query = []
+    failures = []
     for group in groups:
         view = rank_view(group)
-        results.append((compute_report(group, view), *identity_status(group.query_id, view)))
-    results.sort(key=lambda result: result[0].query_id)
-    per_query = tuple(report for report, _, _ in results)
-    statuses = tuple(status for _, status, _ in results)
-    failures = tuple(record for _, _, record in results if record is not None)
+        per_query.append(report := compute_report(group, view))
+        if report.identity == "failed":
+            failures.append(verify_multipartite_identity(group, view))
+    per_query.sort(key=attrgetter("query_id"))
+    failures.sort(key=attrgetter("instance_id"))
+    identities = [r.identity for r in per_query]
 
     n = len(per_query)
     return AggregateReport(
-        per_query=per_query,
-        statuses=statuses,
-        failures=failures,
+        per_query=tuple(per_query),
+        failures=tuple(failures),
         mean_ndcg_linear=sum(r.ndcg_linear for r in per_query) / n if n else 0.0,
         mean_ndcg_classic=sum(r.ndcg_classic for r in per_query) / n if n else 0.0,
         total_pairwise_loss=sum(r.pairwise_loss for r in per_query),
         verification_summary=VerificationSummary(
-            statuses.count("passed"), statuses.count("failed"), statuses.count("tie_flagged")),
+            *map(identities.count, ("passed", "failed", "tie_flagged"))),
     )
 
 
@@ -100,7 +100,7 @@ def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def _query_dict(report: MetricReport, status: str) -> dict:
+def _query_dict(report: MetricReport) -> dict:
     return {
         "query_id": report.query_id,
         "num_items": report.num_items,
@@ -116,7 +116,7 @@ def _query_dict(report: MetricReport, status: str) -> dict:
         "normalized_pairwise_loss": _sig6(report.normalized_pairwise_loss),
         "degenerate_linear": report.degenerate_linear,
         "degenerate_classic": report.degenerate_classic,
-        "identity": status,
+        "identity": report.identity,
     }
 
 
@@ -138,9 +138,7 @@ def _summary_dict(report: AggregateReport) -> dict:
 def to_json_dict(report: AggregateReport) -> dict:
     return {
         **_summary_dict(report),
-        "queries": [
-            _query_dict(r, s) for r, s in zip(report.per_query, report.statuses)
-        ],
+        "queries": [_query_dict(r) for r in report.per_query],
     }
 
 
@@ -157,8 +155,8 @@ def json_pieces(report: AggregateReport) -> Iterator[str]:
         return
     yield head.removesuffix("[]\n}") + "[\n"
     separator = ""
-    for r, s in zip(report.per_query, report.statuses):
-        yield separator + "    {\n      " + _QUERY_ENCODER.encode(_query_dict(r, s))[1:-1] + "\n    }"
+    for r in report.per_query:
+        yield separator + "    {\n      " + _QUERY_ENCODER.encode(_query_dict(r))[1:-1] + "\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n"
 
@@ -168,7 +166,7 @@ def render_json(report: AggregateReport) -> str:
     return "".join(json_pieces(report))
 
 
-_CSV_COLUMNS = (*(field.name for field in fields(MetricReport)), "identity")
+_CSV_COLUMNS = tuple(field.name for field in fields(MetricReport))
 
 
 class _Line:
@@ -184,8 +182,8 @@ def csv_pieces(report: AggregateReport) -> Iterator[str]:
     """``render_csv``'s text: the header row, then one row per query."""
     writer = csv.writer(_Line(), lineterminator="\n")
     yield writer.writerow(_CSV_COLUMNS)
-    for r, s in zip(report.per_query, report.statuses):
-        row = _query_dict(r, s)
+    for r in report.per_query:
+        row = _query_dict(r)
         yield writer.writerow(
             ["true" if v is True else "false" if v is False else v for v in
              map(row.__getitem__, _CSV_COLUMNS)]
@@ -219,7 +217,7 @@ def text_pieces(report: AggregateReport) -> Iterator[str]:
         "flags",
     )
     rows = []
-    for r, s in zip(report.per_query, report.statuses):
+    for r in report.per_query:
         flags = []
         if r.degenerate_linear:
             flags.append("deg-lin")
@@ -236,7 +234,7 @@ def text_pieces(report: AggregateReport) -> Iterator[str]:
                 str(r.dcg_error_linear),
                 str(r.pairwise_loss),
                 f"{r.normalized_pairwise_loss:.6g}",
-                _TEXT_STATUS[s],
+                _TEXT_STATUS[r.identity],
                 ",".join(flags),
             )
         )

@@ -15,6 +15,7 @@ import lindcg
 import lindcg.cli
 import lindcg.equivalence
 import lindcg.io
+import lindcg.metrics
 import lindcg.oracles
 import lindcg.report
 from lindcg.cli import MAX_EXHAUSTIVE_PERMUTATIONS, exhaustive_permutations, main
@@ -482,7 +483,7 @@ def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
         sums = identity_sums(view)
         return sums._replace(split_rhs=sums.split_rhs + 1)
 
-    monkeypatch.setattr(lindcg.equivalence, "identity_sums", split_off_by_one)
+    monkeypatch.setattr(lindcg.metrics, "identity_sums", split_off_by_one)
     for output in formats:
         result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", output])
         assert (passing[output].exit_code, result.exit_code) == (0, 1), output
@@ -667,7 +668,7 @@ def test_verify_output_is_deterministic_for_a_seed(runner):
 
 def test_verify_checks_the_status_that_metrics_reports(runner, monkeypatch):
     """A fault in the per-query status fails ``verify``, though the records would pass."""
-    monkeypatch.setattr(lindcg.cli, "identity_status", lambda query_id, view: ("failed", None))
+    monkeypatch.setattr(lindcg.cli, "identity_status", lambda view, sums: "failed")
     result = runner.invoke(main, ["verify", "--trials", "3", "--exhaustive-limit", "0"])
     assert result.exit_code == 1, result.output
     assert "random: groups=3 identity_failures=3 decomposition_failures=0" in result.output

@@ -13,4 +13,5 @@ def test_library_use_block_runs_with_the_values_its_comments_state():
     exec(blocks[0], namespace)
     report, record = namespace["report"], namespace["record"]
     assert (report.dcg_linear, report.ideal_dcg_linear, report.pairwise_loss) == (8, 12, 4)
+    assert report.identity == "passed"
     assert record.passed

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindcg.equivalence
+import lindcg.metrics
 import lindcg.report
 from helpers import (
     group_from_ranking,
@@ -17,7 +20,7 @@ from helpers import (
     rebuilt_multipartite_record,
     run_thresholds,
 )
-from lindcg.core import rank_view
+from lindcg.core import RankedView, rank_view
 from lindcg.equivalence import verify_multipartite_identity
 from lindcg.metrics import compute_report
 from lindcg.oracles import (
@@ -123,6 +126,7 @@ def test_report_equals_the_single_purpose_helpers(group):
     assert report.normalized_pairwise_loss == naive.normalized
     assert report.degenerate_linear == (lin_ideal == 0)
     assert report.degenerate_classic == (cls_ideal == 0.0)
+    assert report.identity == ("tie_flagged" if len(set(group.scores)) < len(group) else "passed")
 
 
 def test_classical_dcg_keeps_the_rank_order_float_sum():
@@ -144,6 +148,40 @@ def test_aggregate_ranks_each_group_once(monkeypatch):
     report = lindcg.report.build_aggregate_report(groups)
     assert built == ["b", "a"]  # once each, as the groups arrive
     assert [r.query_id for r in report.per_query] == ["a", "b"]
+
+
+def test_aggregate_computes_each_querys_linear_integers_once(monkeypatch):
+    """``identity_sums`` computes a query's linear DCG, ideal DCG and weighted
+    loss, and the report and the check both read its one result: over k
+    tie-free groups it runs k times, and the run widths, discount masses and
+    threshold losses that those integers come from are each read k times."""
+    calls = Counter()
+    identity_sums = lindcg.equivalence.identity_sums
+
+    def counted_sums(view):
+        calls["identity_sums"] += 1
+        return identity_sums(view)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").partition(".")[0] == "lindcg"
+                and getattr(module, "identity_sums", None) is identity_sums):
+            monkeypatch.setattr(module, "identity_sums", counted_sums)
+
+    def counted(name, descriptor):
+        def get(view):
+            calls[name] += 1
+            return descriptor.__get__(view)
+        return property(get, getattr(descriptor, "__set__", None))
+
+    for name in ("run_widths", "discount_mass", "threshold_losses"):
+        monkeypatch.setattr(RankedView, name, counted(name, RankedView.__dict__[name]))
+
+    rankings = [[2, 0, 1, 0, 1, 0, 0], [1, 0, 0, 1, 1, 0], [0, 3, 1], [4], [30, 0, 7, 7]]
+    groups = [group_from_ranking(grades, query_id=f"q{i}") for i, grades in enumerate(rankings)]
+    report = lindcg.report.build_aggregate_report(groups)
+    assert [r.identity for r in report.per_query] == ["passed"] * len(groups)
+    assert calls == dict.fromkeys(
+        ("identity_sums", "run_widths", "discount_mass", "threshold_losses"), len(groups))
 
 
 @st.composite
@@ -175,7 +213,7 @@ def _kept(group, view):
     """The status and failure records ``build_aggregate_report`` keeps when ``group`` ranks as ``view``."""
     with mock.patch.object(lindcg.report, "rank_view", lambda _: view):
         report = lindcg.report.build_aggregate_report([group])
-    return report.statuses, report.failures
+    return tuple(r.identity for r in report.per_query), report.failures
 
 
 # The view's integers, with the largest index each may be corrupted at: the top
@@ -228,8 +266,9 @@ def test_a_corrupted_run_loss_fails_that_run_and_the_total():
 
 
 @pytest.mark.parametrize("field, index, failing", [
-    ("lhs", None, "m"),
-    ("rhs", None, "m"),
+    ("dcg", None, "m"),
+    ("ideal_dcg", None, "m"),
+    ("loss", None, "m"),
     ("run_lhs", 0, "m[k=0]"),
     ("run_losses", 1, "m[k=1]"),
     ("split_lhs", None, "m[split]"),
@@ -251,9 +290,11 @@ def test_each_integer_of_the_check_decides_the_status(field, index, failing):
             value += 1
         return sums._replace(**{field: value})
 
-    with mock.patch.object(lindcg.equivalence, "identity_sums", off_by_one):
+    # The report's status and the failed query's records read the sums alike.
+    with mock.patch.object(lindcg.metrics, "identity_sums", off_by_one), \
+            mock.patch.object(lindcg.equivalence, "identity_sums", off_by_one):
         report = lindcg.report.build_aggregate_report([group])
-    assert report.statuses == ("failed",)
+    assert tuple(r.identity for r in report.per_query) == ("failed",)
     (record,) = report.failures
     names = [r.instance_id for r in (record, *record.details) if not r.passed]
     assert names == [failing]
