@@ -21,7 +21,6 @@ from .errors import (
 )
 from .io import parse_svmlight, parse_tsv
 from .metrics import MetricReport, bipartite_ideal_dcg, compute_report
-from .pairwise import PairwiseLossValue, loss_from_view
 from .report import (
     AggregateReport,
     VerificationSummary,
@@ -43,7 +42,6 @@ __all__ = [
     "InvalidScoreError",
     "LindcgError",
     "MetricReport",
-    "PairwiseLossValue",
     "ParseError",
     "QueryGroup",
     "RankedView",
@@ -53,7 +51,6 @@ __all__ = [
     "bipartite_ideal_dcg",
     "build_aggregate_report",
     "compute_report",
-    "loss_from_view",
     "parse_svmlight",
     "parse_tsv",
     "rank_view",

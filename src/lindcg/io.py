@@ -54,9 +54,10 @@ which alone decides which input fault is reported.  Every malformed line,
 including a data line that is not valid UTF-8, is counted, the first 20
 are kept with their line number and reason, and the input is read to its
 end before any fault is raised, so accepted + rejected always accounts
-for every non-comment, non-blank line.  A grade above the classical-gain
-cap ``MAX_CLASSIC_GRADE`` is rejected too, but only on input with no
-other fault.
+for every non-comment, non-blank line.  A fault message quotes at most
+the first 40 characters of a cell, followed by ``...``.  A grade above
+the classical-gain cap ``MAX_CLASSIC_GRADE`` is rejected too, but only on
+input with no other fault.
 """
 
 from __future__ import annotations
@@ -85,6 +86,18 @@ _UNCLEAN = "#\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _HEAD = re.compile(r"[ \t]*([^ \t\n]+)[ \t]+qid:([^ \t\n]+)")  # "grade qid:ID" of a clean line
 _BLOCK_CHARS = 1 << 16
 _KEPT_FAULTS = 20  # rejected lines a ParseError names; it counts them all
+_QUOTED_CHARS = 40  # the most of a cell that a fault message quotes
+
+
+def _quoted(cell: str) -> str:
+    """The repr of a cell, or of its first ``_QUOTED_CHARS`` characters followed by "...".
+
+    A fault message quotes a cell through this, so a long cell makes it no longer
+    than a short one.
+    """
+    if len(cell) > _QUOTED_CHARS:
+        return f"{cell[:_QUOTED_CHARS]!r}..."
+    return repr(cell)
 
 
 class _Faults:
@@ -233,7 +246,7 @@ def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | Non
             raise ValueError(text)
         grade = int(text)
     except ValueError:
-        return None, f"grade {text!r} is not an integer"
+        return None, f"grade {_quoted(text)} is not an integer"
     if grade < 0:
         return None, f"negative grade {grade}"
     if declared is not None and grade >= declared:
@@ -248,9 +261,9 @@ def _parse_score(text: str) -> tuple[float | None, str | None]:
             raise ValueError(text)
         score = float(text)
     except ValueError:
-        return None, f"score {text!r} is not a number"
+        return None, f"score {_quoted(text)} is not a number"
     if not math.isfinite(score):
-        return None, f"non-finite score {text!r}"
+        return None, f"non-finite score {_quoted(text)}"
     return score, None
 
 
@@ -422,7 +435,7 @@ def _svmlight_lines(first: int, lines: list[str], num_grades: int | None, seen: 
             errors.append((lineno, reason))
             continue
         if not tokens[1].startswith("qid:") or len(tokens[1]) == 4:
-            errors.append((lineno, f"second token {tokens[1]!r} is not 'qid:ID'"))
+            errors.append((lineno, f"second token {_quoted(tokens[1])} is not 'qid:ID'"))
             continue
         if inline:
             match = _SCORE_COMMENT.search(comment)
@@ -528,6 +541,6 @@ def _rows(source, fmt: str, scores=None, num_grades: int | None = None):
         raise EmptyFileError("no records after discarding comments and blank lines")
     if too_large:
         raise GradeTooLargeError(
-            f"query {too_large[0]!r}: grade {too_large[1]} exceeds "
+            f"query {_quoted(too_large[0])}: grade {too_large[1]} exceeds "
             f"the classical-gain cap of {MAX_CLASSIC_GRADE}"
         )

@@ -13,6 +13,23 @@ the references in ``lindcg.oracles``.
 the report and of its ``identity`` status come from one call of
 ``equivalence.identity_sums``.
 
+The weighted pairwise loss is that call's ``loss``.  A pair of items with
+grades a < b is misranked when the higher-graded item scores strictly
+below the lower-graded one; each such pair costs the grade gap (b - a).
+Score ties never count: the indicator is strict, so tied pairs contribute
+zero rather than half credit.  The loss is read off the per-threshold
+counts of the histogram sweep in core.rank_view, in
+O(|S|*d + |S| log |S|) for the d distinct grades of a query, whatever
+their values.  The naive double loop over all item pairs that it is
+checked against is ``oracles.pairwise_loss_naive``.
+
+The normalizer Z is the raw number of cross-grade pairs,
+sum over a < b of |S_a| * |S_b|, deliberately without the (b - a)
+weights.  The normalized loss can therefore exceed 1; its true ceiling is
+the largest grade gap.  This asymmetry is kept on purpose rather than "fixed".
+When every item shares one grade, Z = 0 and the normalized loss is
+reported as 0.0.
+
 NDCG of a group whose ideal DCG is zero is reported as 1.0 and flagged as
 degenerate: every ranking of such a group is vacuously ideal, and
 aggregation over many queries must not abort on one of them.
@@ -30,7 +47,6 @@ from .core import QueryGroup, RankedView, rank_view
 # bipartite_ideal_dcg is re-exported: it is defined with the check that uses it.
 from .equivalence import bipartite_ideal_dcg, identity_status, identity_sums
 from .errors import GradeTooLargeError
-from .pairwise import loss_value
 
 # 2**grade must stay exactly representable in a double.
 MAX_CLASSIC_GRADE = 30
@@ -61,7 +77,7 @@ class MetricReport:
     ``degenerate_linear`` / ``degenerate_classic`` mark groups whose ideal
     DCG is zero in the respective family; their NDCG is reported as 1.0 by
     convention.  ``normalized_pairwise_loss`` divides by the raw
-    cross-grade pair count and may exceed 1 (see the pairwise module).
+    cross-grade pair count Z and may exceed 1 (see the module docstring).
     ``identity`` is the status of the query's identity check: ``passed``,
     ``failed`` or ``tie_flagged``.
     """
@@ -100,11 +116,12 @@ def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricR
     lin, lin_ideal = sums.dcg, sums.ideal_dcg
     cls = _classic_sum(view.grades)
     cls_ideal = _classic_sum(ideal_grades)
-    loss = loss_value(view, sums.loss)
+    n = len(view)
+    z = (n * n - sum(c * c for c in view.counts)) // 2
 
     return MetricReport(
         query_id=group.query_id,
-        num_items=len(view),
+        num_items=n,
         dcg_linear=lin,
         ideal_dcg_linear=lin_ideal,
         ndcg_linear=lin / lin_ideal if lin_ideal else 1.0,
@@ -112,9 +129,9 @@ def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricR
         ideal_dcg_classic=cls_ideal,
         ndcg_classic=cls / cls_ideal if cls_ideal else 1.0,
         dcg_error_linear=lin_ideal - lin,
-        pairwise_loss=loss.unnormalized,
-        normalizer_z=loss.normalizer_z,
-        normalized_pairwise_loss=loss.normalized,
+        pairwise_loss=sums.loss,
+        normalizer_z=z,
+        normalized_pairwise_loss=sums.loss / z if z else 0.0,
         degenerate_linear=lin_ideal == 0,
         degenerate_classic=cls_ideal == 0.0,
         identity=identity_status(view, sums),

@@ -4,12 +4,11 @@ Every quantity here is computed again from plain grades and scores, the
 slow and obvious way: a double loop over item pairs, every permutation of
 a grade multiset, explicit position swaps, one bipartite count per
 threshold.  The module shares no code with the path it checks
-(``core.rank_view``, ``pairwise.loss_from_view``, the ``metrics`` kernels
+(``core.rank_view``, ``equivalence.identity_sums``, the ``metrics`` kernels
 and ``equivalence.verify_multipartite_identity``); from the rest of the
-package it takes only the errors and the data types ``QueryGroup``,
-``PairwiseLossValue`` and ``VerificationRecord``.  A test that checks the
-view path against an oracle therefore cannot pass because both share a
-mistake.
+package it takes only the errors and the data types ``QueryGroup`` and
+``VerificationRecord``.  A test that checks the view path against an
+oracle therefore cannot pass because both share a mistake.
 
 The sequence references take grade tuples read best-ranked first:
 ``rank_by_score`` gives the one a group's scores induce, and sorting the
@@ -33,7 +32,6 @@ from .errors import (
     ThresholdOutOfRangeError,
     TooLargeError,
 )
-from .pairwise import PairwiseLossValue
 
 # 8! = 40_320 permutations, exhaustive in well under a second.
 ORACLE_SIZE_CAP = 8
@@ -66,8 +64,8 @@ def dcg_classic(grades: Iterable[int]) -> float:
     return sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(grades, start=1))
 
 
-def pairwise_loss_naive(group: QueryGroup) -> PairwiseLossValue:
-    """Count misranked pairs, and the cross-grade pairs Z, over every item pair.
+def pairwise_loss_naive(group: QueryGroup) -> tuple[int, int]:
+    """The weighted loss and the cross-grade pair count Z, counted over every item pair.
 
     Quadratic in |S|.  A pair with grades a < b costs b - a when the
     grade-b item scores strictly below the grade-a item; tied pairs cost
@@ -84,11 +82,7 @@ def pairwise_loss_naive(group: QueryGroup) -> PairwiseLossValue:
             z += 1
             if score_a < score_b:
                 loss += grade_a - grade_b
-    return PairwiseLossValue(
-        unnormalized=loss,
-        normalizer_z=z,
-        normalized=loss / z if z else 0.0,
-    )
+    return loss, z
 
 
 def binarize(group: QueryGroup, k: int) -> QueryGroup:

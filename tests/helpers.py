@@ -85,7 +85,7 @@ def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
     for k in range(max(group.grades)):
         sub = binarize(group, k)
         sub_lhs = dcg_error(sub)
-        sub_rhs = pairwise_loss_naive(sub).unnormalized
+        sub_rhs, _ = pairwise_loss_naive(sub)
         details.append(VerificationRecord(
             f"{group.query_id}[k={k}]", "threshold_identity",
             sub_lhs, sub_rhs, ties,
@@ -98,7 +98,7 @@ def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
         f"{group.query_id}[split]", "dcg_split", split_lhs, split_rhs,
     ))
     lhs = dcg_error(group)
-    rhs = pairwise_loss_naive(group).unnormalized
+    rhs, _ = pairwise_loss_naive(group)
     return VerificationRecord(
         group.query_id, "multipartite_identity", lhs, rhs, ties, tuple(details),
     )
@@ -124,10 +124,15 @@ def _data_lines_by_line(text: str, errors: list):
             yield lineno, line
 
 
+def _quoted_by_line(cell: str) -> str:
+    """The cell as a fault message quotes it: its repr, cut to 40 characters and "..."."""
+    return repr(cell) if len(cell) <= 40 else repr(cell[:40]) + "..."
+
+
 def _grade_by_line(text: str, num_grades):
     """(grade, None) for an ASCII integer grade the readers accept, else (None, reason)."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
-        return None, f"grade {text!r} is not an integer"
+        return None, f"grade {_quoted_by_line(text)} is not an integer"
     grade = int(text)
     if grade < 0:
         return None, f"negative grade {grade}"
@@ -143,9 +148,9 @@ def _score_by_line(text: str):
             raise ValueError(text)
         score = float(text)
     except ValueError:
-        return None, f"score {text!r} is not a number"
+        return None, f"score {_quoted_by_line(text)} is not a number"
     if not math.isfinite(score):
-        return None, f"non-finite score {text!r}"
+        return None, f"non-finite score {_quoted_by_line(text)}"
     return score, None
 
 
@@ -213,7 +218,7 @@ def parse_svmlight_by_line(text: str, scores: str | None = None, num_grades=None
             errors.append((lineno, reason))
             continue
         if not tokens[1].startswith("qid:") or tokens[1] == "qid:":
-            errors.append((lineno, f"second token {tokens[1]!r} is not 'qid:ID'"))
+            errors.append((lineno, f"second token {_quoted_by_line(tokens[1])} is not 'qid:ID'"))
             continue
         if scores is None:
             found = re.search(r"(?:^|\s)score\s*=\s*(\S+)", comment)

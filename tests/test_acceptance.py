@@ -18,7 +18,6 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from helpers import group_from_ranking, ideal, random_group
-from lindcg.core import rank_view
 from lindcg.metrics import bipartite_ideal_dcg, compute_report
 from lindcg.oracles import (
     binarize,
@@ -31,7 +30,6 @@ from lindcg.oracles import (
     rank_by_score,
     threshold_decomposition,
 )
-from lindcg.pairwise import loss_from_view
 
 
 def _announce(criterion: int, description: str, passed: bool, detail: str = "") -> None:
@@ -133,15 +131,15 @@ def test_criterion_3_exhaustive_identity_to_size_seven():
 def test_criterion_4_threshold_decomposition(random_groups):
     loss_failures = dcg_failures = 0
     for group in random_groups:
-        view = rank_view(group)
-        if sum(threshold_decomposition(group)) != loss_from_view(view).unnormalized:
+        report = compute_report(group)
+        if sum(threshold_decomposition(group)) != report.pairwise_loss:
             loss_failures += 1
         layered = sum(
             dcg_linear(rank_by_score(binarize(group, k)))
             for k in range(max(group.grades))
         )
         observed = dcg_linear(rank_by_score(group))
-        if not observed == compute_report(group, view).dcg_linear == layered:
+        if not observed == report.dcg_linear == layered:
             dcg_failures += 1
 
     ok = loss_failures == 0 and dcg_failures == 0
@@ -190,9 +188,10 @@ def test_criterion_5_exchange_construction_exhaustive():
 
 
 def test_criterion_6_fast_counter_equals_naive(random_groups):
+    reports = map(compute_report, random_groups)
     failures = sum(
-        1 for g in random_groups
-        if loss_from_view(rank_view(g)) != pairwise_loss_naive(g)
+        1 for g, r in zip(random_groups, reports)
+        if (r.pairwise_loss, r.normalizer_z) != pairwise_loss_naive(g)
     )
     tied = sum(1 for g in random_groups if has_score_ties(g))
 

@@ -616,6 +616,46 @@ def test_metrics_counts_every_malformed_line_and_names_the_first_twenty(tmp_path
         f"error: 5000 malformed line(s): {reasons}; and 4980 more\n")
 
 
+# One cell far longer than a fault message quotes, in each place a message quotes
+# a cell: (format, data, score file, cell, stderr), where "{cell}" marks the cell
+# in the files and "{cut}" its quoted first 40 characters in stderr.
+LONG_CELLS = [
+    pytest.param("tsv", "q1\t{cell}\t0.5\n", None, "7" * 10**6,
+                 "error: 1 malformed line(s): line 1: grade {cut} is not an integer\n",
+                 id="grade"),
+    pytest.param("tsv", "".join(f"q{i}\t1\t{{cell}}\n" for i in range(30)), None,
+                 "9" * 200_000 + "x",
+                 "error: 30 malformed line(s): "
+                 + "; ".join(f"line {n}: score {{cut}} is not a number" for n in range(1, 21))
+                 + "; and 10 more\n", id="score"),
+    pytest.param("tsv", "{cell}\t31\t0.5\n", None, "q" * 10**6,
+                 "error: query {cut}: grade 31 exceeds the classical-gain cap of 30\n",
+                 id="query-id"),
+    pytest.param("svmlight", "1 {cell} 1:0.5 # score=0.5\n", None, "x" * 500_000,
+                 "error: 1 malformed line(s): line 1: second token {cut} is not 'qid:ID'\n",
+                 id="second-token"),
+    pytest.param("svmlight", "1 qid:1 1:0.5\n", "{cell}\n", "y" * 300_000,
+                 "error: 1 malformed line(s): line 1: score file: score {cut} is not a number\n",
+                 id="score-file"),
+]
+
+
+@pytest.mark.parametrize("fmt, data, scores, cell, stderr", LONG_CELLS)
+def test_a_fault_message_quotes_at_most_forty_characters_of_a_cell(
+        tmp_path, fmt, data, scores, cell, stderr):
+    """A malformed cell of a megabyte gives a message of one short line."""
+    path = tmp_path / f"data.{fmt}"
+    path.write_text(data.replace("{cell}", cell), encoding="utf-8")
+    args = ["metrics", "--input", str(path), "--format", fmt]
+    if scores is not None:
+        (tmp_path / "data.scores").write_text(scores.replace("{cell}", cell), encoding="utf-8")
+        args += ["--scores", str(tmp_path / "data.scores")]
+    code, stdout, actual = _run_child(*args)
+    assert (code, stdout) == (2, b"")
+    assert len(actual) < 16 * 1024
+    assert actual.decode("utf-8") == stderr.replace("{cut}", f"'{cell[:40]}'...")
+
+
 def _modules_loaded_by_metrics(path):
     """The exit code and stdout of ``metrics --output json`` on path in a child
     process, and the names of the modules the child had loaded."""
@@ -632,11 +672,15 @@ def _modules_loaded_by_metrics(path):
 
 
 def test_metrics_never_imports_the_oracles():
-    """The test oracles stay out of the start-up of a ``metrics`` run."""
+    """The test oracles, and any module the run does not use, stay out of the
+    start-up of a ``metrics`` run."""
     exit_code, stdout, loaded = _modules_loaded_by_metrics(DATA / "metrics_fine.tsv")
     assert (exit_code, stdout) == (0, (DATA / "metrics_fine.json").read_text(encoding="utf-8"))
     assert "lindcg.report" in loaded
     assert "lindcg.oracles" not in loaded
+    assert {name for name in loaded if name.partition(".")[0] == "lindcg"} == {
+        "lindcg", "lindcg.cli", "lindcg.core", "lindcg.equivalence", "lindcg.errors",
+        "lindcg.io", "lindcg.metrics", "lindcg.report"}
 
 
 VERIFY_ARGS = [

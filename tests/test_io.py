@@ -412,6 +412,10 @@ _BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85"])
          block_chars=64, num_grades=None)
 @example(lines=[(line, "\n") for line in ["q1\t+\t0.5", "q1\t1\t.", "q1\t1\t-e1", "q1\t-\t5."]],
          block_chars=64, num_grades=None)
+# Grade and score cells longer than a fault message quotes.
+@example(lines=[("q1\t" + "7x" * 30 + "\t0.5", "\n"), ("q1\t1\t" + "y" * 41, "\n"),
+                ("q1\t1\t" + "1" * 40 + "e999", "\n"), ("q1\t1\t" + "z" * 40, "\n")],
+         block_chars=64, num_grades=None)
 # More malformed lines than a ParseError names.
 @example(lines=[("q1\t1", "\n")] * 12 + [("q1\t1\t0.5", "\n")] + [("q1", "\n")] * 12,
          block_chars=64, num_grades=None)
@@ -566,6 +570,12 @@ _SVMLIGHT_BREAKS = st.sampled_from(["\n"] * 8 + ["", "\r\n", "\r", "\x0b", "\x0c
          extra_scores=-1, block_chars=64, num_grades=None)
 @example(rows=[("1 qid:1", "\n", "0.5", "\n"), ("0 qid:1", "\n", "0.25", "\n")],
          extra_scores=1, block_chars=64, num_grades=None)
+# Second tokens and scores longer than a fault message quotes, inline and in the score file.
+@example(rows=[("1 " + "x" * 45 + " # score=0.5", "\n", "0.5", "\n"),
+               ("1 qid:1 # score=" + "s" * 50, "\n", "0.5", "\n")],
+         extra_scores=None, block_chars=64, num_grades=None)
+@example(rows=[("1 qid:1", "\n", "w" * 50, "\n"), ("0 qid:1", "\n", "0.5", "\n")],
+         extra_scores=0, block_chars=64, num_grades=None)
 # More malformed lines than a ParseError names, in the data and in the score file.
 @example(rows=[("1", "\n", "0.5", "\n")] * 25, extra_scores=0, block_chars=64, num_grades=None)
 @example(rows=[("1 qid:1", "\n", "x", "\n")] * 25, extra_scores=0, block_chars=64,

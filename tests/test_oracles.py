@@ -6,11 +6,10 @@ from pathlib import Path
 import lindcg.oracles
 
 # What lindcg.oracles may take from the rest of the package, by module:
-# every error, and three plain data types.  Nothing from metrics.
+# every error, and two plain data types.  Nothing from metrics.
 ALLOWED = {
     "errors": None,
     "core": {"QueryGroup"},
-    "pairwise": {"PairwiseLossValue"},
     "equivalence": {"VerificationRecord"},
 }
 

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from helpers import group_from_ranking, make_group, random_group
 import lindcg.oracles
-from lindcg.core import QueryGroup, rank_view
+from lindcg.core import QueryGroup
 from lindcg.errors import ThresholdOutOfRangeError
+from lindcg.metrics import compute_report
 from lindcg.oracles import (
     binarize,
     pairwise_loss_naive,
@@ -15,39 +16,44 @@ from lindcg.oracles import (
     threshold_decomposition,
     threshold_run_losses,
 )
-from lindcg.pairwise import loss_from_view
+
+
+def loss_and_z(group):
+    """The weighted loss and its normalizer Z, as ``compute_report`` reports them."""
+    report = compute_report(group)
+    return report.pairwise_loss, report.normalizer_z
 
 
 def test_naive_loss_golden_values():
-    assert pairwise_loss_naive(group_from_ranking([1, 0, 0, 1, 1, 0])).unnormalized == 4
-    assert pairwise_loss_naive(group_from_ranking([2, 0, 1, 0, 1, 0, 0])).unnormalized == 3
-    assert pairwise_loss_naive(group_from_ranking([2, 1, 0])).unnormalized == 0
+    assert pairwise_loss_naive(group_from_ranking([1, 0, 0, 1, 1, 0]))[0] == 4
+    assert pairwise_loss_naive(group_from_ranking([2, 0, 1, 0, 1, 0, 0]))[0] == 3
+    assert pairwise_loss_naive(group_from_ranking([2, 1, 0]))[0] == 0
 
 
 def test_normalizer_counts_cross_grade_pairs():
-    assert pairwise_loss_naive(group_from_ranking([1, 0, 0, 1, 1, 0])).normalizer_z == 9
-    assert pairwise_loss_naive(group_from_ranking([2, 0, 1, 0, 1, 0, 0])).normalizer_z == 14
-    assert pairwise_loss_naive(group_from_ranking([3, 0])).normalizer_z == 1
+    assert pairwise_loss_naive(group_from_ranking([1, 0, 0, 1, 1, 0]))[1] == 9
+    assert pairwise_loss_naive(group_from_ranking([2, 0, 1, 0, 1, 0, 0]))[1] == 14
+    assert pairwise_loss_naive(group_from_ranking([3, 0]))[1] == 1
 
 
 def test_normalized_loss_can_exceed_one():
-    value = loss_from_view(rank_view(group_from_ranking([0, 2])))
-    assert value.unnormalized == 2
-    assert value.normalizer_z == 1
-    assert value.normalized == 2.0
+    report = compute_report(group_from_ranking([0, 2]))
+    assert report.pairwise_loss == 2
+    assert report.normalizer_z == 1
+    assert report.normalized_pairwise_loss == 2.0
 
 
 def test_single_grade_group_is_degenerate():
-    value = loss_from_view(rank_view(make_group([1, 1, 1], [0.5, 0.2, 0.9])))
-    assert value.unnormalized == 0
-    assert value.normalizer_z == 0
-    assert value.normalized == 0.0
+    report = compute_report(make_group([1, 1, 1], [0.5, 0.2, 0.9]))
+    assert report.pairwise_loss == 0
+    assert report.normalizer_z == 0
+    assert report.normalized_pairwise_loss == 0.0
 
 
 def test_score_ties_never_count_as_misorderings():
     group = make_group([2, 1, 0, 2], [0.5, 0.5, 0.5, 0.5])
-    assert pairwise_loss_naive(group).unnormalized == 0
-    assert loss_from_view(rank_view(group)).unnormalized == 0
+    assert pairwise_loss_naive(group)[0] == 0
+    assert compute_report(group).pairwise_loss == 0
 
 
 def test_fast_matches_naive_on_random_groups():
@@ -55,7 +61,7 @@ def test_fast_matches_naive_on_random_groups():
     for trial in range(300):
         group = random_group(rng, max_items=40, allow_ties=trial % 2 == 1)
         naive = pairwise_loss_naive(group)
-        fast = loss_from_view(rank_view(group))
+        fast = loss_and_z(group)
         assert fast == naive, f"trial {trial}: {fast} != {naive}"
 
 
@@ -73,7 +79,7 @@ def test_fast_matches_naive_with_heavy_integer_score_ties(pairs):
         grades=tuple(g for g, _ in pairs),
         scores=tuple(float(s) for _, s in pairs),
     )
-    assert loss_from_view(rank_view(group)) == pairwise_loss_naive(group)
+    assert loss_and_z(group) == pairwise_loss_naive(group)
 
 
 def test_fast_handles_large_groups():
@@ -81,38 +87,37 @@ def test_fast_handles_large_groups():
     grades = [rng.randrange(5) for _ in range(10_000)]
     scores = [rng.random() for _ in range(10_000)]
     big = make_group(grades, scores)
-    value = loss_from_view(rank_view(big))
-    assert value.unnormalized > 0
+    assert compute_report(big).pairwise_loss > 0
     sub = make_group(grades[:500], scores[:500])
-    assert loss_from_view(rank_view(sub)) == pairwise_loss_naive(sub)
+    assert loss_and_z(sub) == pairwise_loss_naive(sub)
 
 
 def test_monotone_score_transforms_preserve_loss():
     rng = random.Random(21)
     for _ in range(50):
         group = random_group(rng, max_items=30, allow_ties=True)
-        base = loss_from_view(rank_view(group)).unnormalized
+        base = compute_report(group).pairwise_loss
         shifted = QueryGroup(
             query_id=group.query_id,
             grades=group.grades,
             scores=tuple(3.0 * s + 7.0 for s in group.scores),
         )
-        assert loss_from_view(rank_view(shifted)).unnormalized == base
+        assert compute_report(shifted).pairwise_loss == base
 
 
 def test_loss_bounded_by_weight_cap_times_normalizer():
     rng = random.Random(33)
     for _ in range(100):
         group = random_group(rng, max_items=30, allow_ties=True)
-        value = loss_from_view(rank_view(group))
-        assert value.unnormalized <= max(group.grades) * value.normalizer_z
+        loss, z = loss_and_z(group)
+        assert loss <= max(group.grades) * z
 
 
 def test_reversed_bipartite_ranking_inverts_every_pair():
     for m in range(1, 7):
         for n in range(1, 7):
             group = group_from_ranking([0] * n + [1] * m)
-            assert loss_from_view(rank_view(group)).unnormalized == m * n
+            assert compute_report(group).pairwise_loss == m * n
 
 
 def test_binarize_thresholds_a_three_grade_group():
@@ -154,14 +159,14 @@ def test_threshold_decomposition_of_bipartite_group_is_the_loss_itself():
     group = group_from_ranking([1, 0, 0, 1, 1, 0])
     vector = threshold_decomposition(group)
     assert vector == (4,)
-    assert sum(vector) == loss_from_view(rank_view(group)).unnormalized
+    assert sum(vector) == compute_report(group).pairwise_loss
 
 
 def test_threshold_decomposition_sums_to_weighted_loss():
     rng = random.Random(55)
     for _ in range(200):
         group = random_group(rng, max_items=40, allow_ties=True)
-        loss = loss_from_view(rank_view(group)).unnormalized
+        loss = compute_report(group).pairwise_loss
         assert sum(threshold_decomposition(group)) == loss
         assert sum(width * run_loss for width, run_loss in threshold_run_losses(group)) == loss
 
@@ -179,7 +184,7 @@ def _gapped_groups(draw):
 @example(make_group([0, 199_999, 7, 150_000, 7], [0.3, 0.1, 0.9, 0.5, 0.2]))
 def test_threshold_decomposition_matches_a_rebuild_at_every_threshold(group):
     rebuilt = tuple(
-        pairwise_loss_naive(binarize(group, k)).unnormalized
+        pairwise_loss_naive(binarize(group, k))[0]
         for k in range(max(group.grades))
     )
     calls = []

@@ -11,7 +11,6 @@ PUBLIC = [
     "InvalidScoreError",
     "LindcgError",
     "MetricReport",
-    "PairwiseLossValue",
     "ParseError",
     "QueryGroup",
     "RankedView",
@@ -21,7 +20,6 @@ PUBLIC = [
     "bipartite_ideal_dcg",
     "build_aggregate_report",
     "compute_report",
-    "loss_from_view",
     "parse_svmlight",
     "parse_tsv",
     "rank_view",

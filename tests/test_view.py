@@ -30,7 +30,6 @@ from lindcg.oracles import (
     rank_by_score,
     threshold_decomposition,
 )
-from lindcg.pairwise import loss_from_view
 
 
 @st.composite
@@ -74,7 +73,8 @@ def test_view_and_check_follow_the_grades_present_not_the_alphabet():
     # Runs 0..2 and 3..6: the 0, and then also the 3, outscore the second 7 and
     # the 30; run 7..29: all four others outscore the 30.
     assert view.threshold_losses == (2, 4, 4)
-    assert loss_from_view(view) == pairwise_loss_naive(group)
+    report = compute_report(group, view)
+    assert (report.pairwise_loss, report.normalizer_z) == pairwise_loss_naive(group)
     record = verify_multipartite_identity(group, view)
     assert [d.instance_id for d in record.details] == [
         "q[k=0..2]", "q[k=3..6]", "q[k=7..29]", "q[split]"]
@@ -100,7 +100,7 @@ def test_identity_check_equals_the_rebuild_path_record_by_record(group):
     ]
     assert expanded == per_k
     assert len(expanded) == max(group.grades)
-    assert record.rhs == pairwise_loss_naive(group).unnormalized
+    assert record.rhs == pairwise_loss_naive(group)[0]
     assert tuple(d.rhs for d in expanded) == threshold_decomposition(group)
 
 
@@ -109,7 +109,7 @@ def test_identity_check_equals_the_rebuild_path_record_by_record(group):
 def test_report_equals_the_single_purpose_helpers(group):
     report = compute_report(group)
     observed = rank_by_score(group)
-    naive = pairwise_loss_naive(group)
+    loss, z = pairwise_loss_naive(group)
     lin, lin_ideal = dcg_linear(observed), dcg_linear(ideal(group.grades))
     cls, cls_ideal = dcg_classic(observed), dcg_classic(ideal(group.grades))
     assert report.query_id == group.query_id
@@ -121,9 +121,9 @@ def test_report_equals_the_single_purpose_helpers(group):
     assert report.ideal_dcg_classic == cls_ideal
     assert report.ndcg_classic == (cls / cls_ideal if cls_ideal else 1.0)
     assert report.dcg_error_linear == lin_ideal - lin
-    assert report.pairwise_loss == naive.unnormalized
-    assert report.normalizer_z == naive.normalizer_z
-    assert report.normalized_pairwise_loss == naive.normalized
+    assert report.pairwise_loss == loss
+    assert report.normalizer_z == z
+    assert report.normalized_pairwise_loss == (loss / z if z else 0.0)
     assert report.degenerate_linear == (lin_ideal == 0)
     assert report.degenerate_classic == (cls_ideal == 0.0)
     assert report.identity == ("tie_flagged" if len(set(group.scores)) < len(group) else "passed")
