@@ -7,8 +7,7 @@ raises.  The independent test oracles are in ``lindcg.oracles``; the errors
 only they raise stay in ``lindcg.errors``.
 """
 
-from .core import QueryGroup, RankedView, rank_view
-from .equivalence import VerificationRecord, verify_multipartite_identity
+from .core import QueryGroup, RankedView, VerificationRecord, rank_view
 from .errors import (
     EmptyFileError,
     EmptyGroupError,
@@ -20,7 +19,12 @@ from .errors import (
     ScoreCountMismatchError,
 )
 from .io import parse_svmlight, parse_tsv
-from .metrics import MetricReport, bipartite_ideal_dcg, compute_report
+from .metrics import (
+    MetricReport,
+    bipartite_ideal_dcg,
+    compute_report,
+    verify_multipartite_identity,
+)
 from .report import (
     AggregateReport,
     VerificationSummary,

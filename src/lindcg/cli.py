@@ -30,9 +30,9 @@ from typing import Iterable
 import click
 
 from .core import QueryGroup, rank_view
-from .equivalence import identity_status, identity_sums
 from .errors import LindcgError
-from .io import _grouped, _parse_grade, _rows
+from .io import _grouped, _parse_grade, _quoted, _rows, _shortened
+from .metrics import identity_status, identity_sums
 from .report import build_aggregate_report, csv_pieces, json_pieces, text_pieces
 
 EXIT_CHECK_FAILED = 1
@@ -156,9 +156,11 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
         )
     planned = exhaustive_permutations(max_grades, exhaustive_limit)
     if planned > MAX_EXHAUSTIVE_PERMUTATIONS:
+        # str() refuses an int of more than 4,300 digits; past 40 its size says enough.
+        count = f"{planned:,}" if planned < 10**40 else "at least 10**40"
         raise click.UsageError(
-            f"--max-grades {max_grades} with --exhaustive-limit {exhaustive_limit}"
-            f" makes {planned:,} permutations, more than {MAX_EXHAUSTIVE_PERMUTATIONS:,}"
+            f"--max-grades {_shortened(max_grades)} with --exhaustive-limit {exhaustive_limit}"
+            f" makes {count} permutations, more than {MAX_EXHAUSTIVE_PERMUTATIONS:,}"
             " (about 40 s); lower --max-grades or --exhaustive-limit"
         )
 
@@ -210,7 +212,7 @@ def oracle_cmd(grades_spec: str) -> None:
         # The file readers' rule: ASCII digits only, no "_" separators, not negative.
         grade, reason = _parse_grade(part.strip(), None)
         if reason:
-            raise click.UsageError(f"--grades {grades_spec!r}: {reason}")
+            raise click.UsageError(f"--grades {_quoted(grades_spec)}: {reason}")
         grades.append(grade)
     try:
         records = brute_force_oracle(grades)

@@ -5,8 +5,10 @@ whatever model is under evaluation.
 ``QueryGroup`` validates its invariants at construction; the readers, which
 have already checked every value, build theirs without a second check.  ``RankedView``
 is built by ``rank_view`` from an already validated group and does not
-check them again.  Both are immutable, and every operation is a pure
-function, so values can be shared freely across concurrent workers.
+check them again.  ``VerificationRecord`` holds the outcome of one identity
+check, which ``metrics`` and the test oracles both write.  All three are
+immutable, and every operation is a pure function, so values can be
+shared freely across concurrent workers.
 """
 
 from __future__ import annotations
@@ -104,6 +106,28 @@ class RankedView:
 
     def __len__(self) -> int:
         return len(self.grades)
+
+
+@dataclass(frozen=True, slots=True)
+class VerificationRecord:
+    """Outcome of one identity check: two integers that must be equal.
+
+    ``passed`` is derived, ``lhs == rhs``, so no record can disagree with
+    its own integers.  ``tie_afflicted`` marks instances with exact score
+    ties, which are exempt from hard pass requirements.  ``details`` carries
+    per-threshold sub-checks for multipartite instances.
+    """
+
+    instance_id: str
+    check_name: str
+    lhs: int
+    rhs: int
+    tie_afflicted: bool = False
+    details: tuple[VerificationRecord, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 def _score_order(group: QueryGroup) -> list[int]:

@@ -55,9 +55,10 @@ including a data line that is not valid UTF-8, is counted, the first 20
 are kept with their line number and reason, and the input is read to its
 end before any fault is raised, so accepted + rejected always accounts
 for every non-comment, non-blank line.  A fault message quotes at most
-the first 40 characters of a cell, followed by ``...``.  A grade above
-the classical-gain cap ``MAX_CLASSIC_GRADE`` is rejected too, but only on
-input with no other fault.
+the first 40 characters of a cell, followed by ``...``, and writes a
+number of more than 40 characters as its first 40 and ``...``, unquoted.
+A grade above the classical-gain cap ``MAX_CLASSIC_GRADE`` is rejected
+too, but only on input with no other fault.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ _UNCLEAN = "#\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _HEAD = re.compile(r"[ \t]*([^ \t\n]+)[ \t]+qid:([^ \t\n]+)")  # "grade qid:ID" of a clean line
 _BLOCK_CHARS = 1 << 16
 _KEPT_FAULTS = 20  # rejected lines a ParseError names; it counts them all
-_QUOTED_CHARS = 40  # the most of a cell that a fault message quotes
+_QUOTED_CHARS = 40  # the most of a cell or a number that a fault message writes
 
 
 def _quoted(cell: str) -> str:
@@ -98,6 +99,15 @@ def _quoted(cell: str) -> str:
     if len(cell) > _QUOTED_CHARS:
         return f"{cell[:_QUOTED_CHARS]!r}..."
     return repr(cell)
+
+
+def _shortened(number: int) -> str:
+    """A number as a fault message writes it: whole, or its first ``_QUOTED_CHARS``
+    characters followed by "...", without quotes."""
+    text = str(number)
+    if len(text) > _QUOTED_CHARS:
+        return f"{text[:_QUOTED_CHARS]}..."
+    return text
 
 
 class _Faults:
@@ -248,9 +258,10 @@ def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | Non
     except ValueError:
         return None, f"grade {_quoted(text)} is not an integer"
     if grade < 0:
-        return None, f"negative grade {grade}"
+        return None, f"negative grade {_shortened(grade)}"
     if declared is not None and grade >= declared:
-        return None, f"grade {grade} outside declared alphabet of {declared}"
+        return None, (f"grade {_shortened(grade)} outside declared alphabet"
+                      f" of {_shortened(declared)}")
     return grade, None
 
 
@@ -541,6 +552,6 @@ def _rows(source, fmt: str, scores=None, num_grades: int | None = None):
         raise EmptyFileError("no records after discarding comments and blank lines")
     if too_large:
         raise GradeTooLargeError(
-            f"query {_quoted(too_large[0])}: grade {too_large[1]} exceeds "
+            f"query {_quoted(too_large[0])}: grade {_shortened(too_large[1])} exceeds "
             f"the classical-gain cap of {MAX_CLASSIC_GRADE}"
         )

@@ -4,11 +4,11 @@ Every quantity here is computed again from plain grades and scores, the
 slow and obvious way: a double loop over item pairs, every permutation of
 a grade multiset, explicit position swaps, one bipartite count per
 threshold.  The module shares no code with the path it checks
-(``core.rank_view``, ``equivalence.identity_sums``, the ``metrics`` kernels
-and ``equivalence.verify_multipartite_identity``); from the rest of the
-package it takes only the errors and the data types ``QueryGroup`` and
-``VerificationRecord``.  A test that checks the view path against an
-oracle therefore cannot pass because both share a mistake.
+(``core.rank_view`` and the ``metrics`` kernels, ``metrics.identity_sums``
+and ``metrics.verify_multipartite_identity`` among them); from the rest of
+the package it takes only the errors and the ``core`` data types
+``QueryGroup`` and ``VerificationRecord``.  A test that checks the view
+path against an oracle therefore cannot pass because both share a mistake.
 
 The sequence references take grade tuples read best-ranked first:
 ``rank_by_score`` gives the one a group's scores induce, and sorting the
@@ -23,8 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import QueryGroup
-from .equivalence import VerificationRecord
+from .core import QueryGroup, VerificationRecord
 from .errors import (
     EmptyGroupError,
     InvalidGradeError,

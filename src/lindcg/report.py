@@ -26,12 +26,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, fields
+from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .core import QueryGroup, rank_view
-from .equivalence import VerificationRecord, verify_multipartite_identity
-from .metrics import MetricReport, compute_report
+from .core import QueryGroup, VerificationRecord, rank_view
+from .metrics import MetricReport, compute_report, verify_multipartite_identity
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,7 +194,25 @@ def render_csv(report: AggregateReport) -> str:
     return "".join(csv_pieces(report))
 
 
+# The text report's columns up to its identity and flags: (header, MetricReport field).
+_TEXT_COLUMNS = (
+    ("query", "query_id"),
+    ("items", "num_items"),
+    ("ndcg_lin", "ndcg_linear"),
+    ("ndcg_cls", "ndcg_classic"),
+    ("dcg", "dcg_linear"),
+    ("ideal", "ideal_dcg_linear"),
+    ("error", "dcg_error_linear"),
+    ("loss", "pairwise_loss"),
+    ("norm_loss", "normalized_pairwise_loss"),
+)
+_TEXT_HEADER = (*(header for header, _ in _TEXT_COLUMNS), "identity", "flags")
+_text_fields = attrgetter(*(field for _, field in _TEXT_COLUMNS))
 _TEXT_STATUS = {"passed": "ok", "failed": "FAIL", "tie_flagged": "ties"}
+
+
+def _text_cell(value) -> str:
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def text_pieces(report: AggregateReport) -> Iterator[str]:
@@ -203,48 +221,14 @@ def text_pieces(report: AggregateReport) -> Iterator[str]:
     The column widths follow the widest cell, so every row is formatted
     before the first line is yielded.
     """
-    header = (
-        "query",
-        "items",
-        "ndcg_lin",
-        "ndcg_cls",
-        "dcg",
-        "ideal",
-        "error",
-        "loss",
-        "norm_loss",
-        "identity",
-        "flags",
-    )
-    rows = []
-    for r in report.per_query:
-        flags = []
-        if r.degenerate_linear:
-            flags.append("deg-lin")
-        if r.degenerate_classic:
-            flags.append("deg-cls")
-        rows.append(
-            (
-                r.query_id,
-                str(r.num_items),
-                f"{r.ndcg_linear:.6g}",
-                f"{r.ndcg_classic:.6g}",
-                str(r.dcg_linear),
-                str(r.ideal_dcg_linear),
-                str(r.dcg_error_linear),
-                str(r.pairwise_loss),
-                f"{r.normalized_pairwise_loss:.6g}",
-                _TEXT_STATUS[r.identity],
-                ",".join(flags),
-            )
-        )
-    widths = [
-        max(len(header[col]), max((len(row[col]) for row in rows), default=0))
-        for col in range(len(header))
+    rows = [
+        (*map(_text_cell, _text_fields(r)), _TEXT_STATUS[r.identity],
+         ",".join(compress(("deg-lin", "deg-cls"), (r.degenerate_linear, r.degenerate_classic))))
+        for r in report.per_query
     ]
-    yield "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n"
-    for row in rows:
-        yield "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+    widths = [max(map(len, column)) for column in zip(_TEXT_HEADER, *rows)]
+    for row in (_TEXT_HEADER, *rows):
+        yield "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
     summary = report.verification_summary
     yield (
         f"\nqueries={len(report.per_query)}"

@@ -6,8 +6,7 @@ import math
 import random
 import re
 
-from lindcg.core import QueryGroup
-from lindcg.equivalence import VerificationRecord
+from lindcg.core import QueryGroup, VerificationRecord
 from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
 from lindcg.oracles import (
     binarize,
@@ -129,15 +128,22 @@ def _quoted_by_line(cell: str) -> str:
     return repr(cell) if len(cell) <= 40 else repr(cell[:40]) + "..."
 
 
+def _number_by_line(number: int) -> str:
+    """The number as a fault message writes it: unquoted, cut to 40 characters and "..."."""
+    text = str(number)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _grade_by_line(text: str, num_grades):
     """(grade, None) for an ASCII integer grade the readers accept, else (None, reason)."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         return None, f"grade {_quoted_by_line(text)} is not an integer"
     grade = int(text)
     if grade < 0:
-        return None, f"negative grade {grade}"
+        return None, f"negative grade {_number_by_line(grade)}"
     if num_grades is not None and grade >= num_grades:
-        return None, f"grade {grade} outside declared alphabet of {num_grades}"
+        return None, (f"grade {_number_by_line(grade)} outside declared alphabet"
+                      f" of {_number_by_line(num_grades)}")
     return grade, None
 
 

@@ -10,7 +10,7 @@ import pytest
 from lindcg.core import QueryGroup
 
 # Every module between the readers and the report, and the test oracles.
-EVALUATION_MODULES = ("core", "metrics", "equivalence", "report", "oracles")
+EVALUATION_MODULES = ("core", "metrics", "report", "oracles")
 
 
 def alphabet_uses(source: str) -> list[str]:

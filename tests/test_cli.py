@@ -13,7 +13,6 @@ from click.testing import CliRunner
 
 import lindcg
 import lindcg.cli
-import lindcg.equivalence
 import lindcg.io
 import lindcg.metrics
 import lindcg.oracles
@@ -477,7 +476,7 @@ def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
     formats = ("json", "text", "csv")
     passing = {output: runner.invoke(main, ["metrics", "--input", golden_file,
                                             "--output", output]) for output in formats}
-    identity_sums = lindcg.equivalence.identity_sums
+    identity_sums = lindcg.metrics.identity_sums
 
     def split_off_by_one(view):
         sums = identity_sums(view)
@@ -619,41 +618,58 @@ def test_metrics_counts_every_malformed_line_and_names_the_first_twenty(tmp_path
 # One cell far longer than a fault message quotes, in each place a message quotes
 # a cell: (format, data, score file, cell, stderr), where "{cell}" marks the cell
 # in the files and "{cut}" its quoted first 40 characters in stderr.
+# {cut} is the cell as a message quotes it, {number} the number it writes unquoted.
 LONG_CELLS = [
-    pytest.param("tsv", "q1\t{cell}\t0.5\n", None, "7" * 10**6,
+    pytest.param("tsv", "q1\t{cell}\t0.5\n", None, (), "7" * 10**6,
                  "error: 1 malformed line(s): line 1: grade {cut} is not an integer\n",
                  id="grade"),
-    pytest.param("tsv", "".join(f"q{i}\t1\t{{cell}}\n" for i in range(30)), None,
+    pytest.param("tsv", "".join(f"q{i}\t1\t{{cell}}\n" for i in range(30)), None, (),
                  "9" * 200_000 + "x",
                  "error: 30 malformed line(s): "
                  + "; ".join(f"line {n}: score {{cut}} is not a number" for n in range(1, 21))
                  + "; and 10 more\n", id="score"),
-    pytest.param("tsv", "{cell}\t31\t0.5\n", None, "q" * 10**6,
+    pytest.param("tsv", "{cell}\t31\t0.5\n", None, (), "q" * 10**6,
                  "error: query {cut}: grade 31 exceeds the classical-gain cap of 30\n",
                  id="query-id"),
-    pytest.param("svmlight", "1 {cell} 1:0.5 # score=0.5\n", None, "x" * 500_000,
+    pytest.param("svmlight", "1 {cell} 1:0.5 # score=0.5\n", None, (), "x" * 500_000,
                  "error: 1 malformed line(s): line 1: second token {cut} is not 'qid:ID'\n",
                  id="second-token"),
-    pytest.param("svmlight", "1 qid:1 1:0.5\n", "{cell}\n", "y" * 300_000,
+    pytest.param("svmlight", "1 qid:1 1:0.5\n", "{cell}\n", (), "y" * 300_000,
                  "error: 1 malformed line(s): line 1: score file: score {cut} is not a number\n",
                  id="score-file"),
+    pytest.param("tsv", "".join(f"q{i}\t{{cell}}\t0.5\n" for i in range(30)), None, (),
+                 "-" + "9" * 4000,
+                 "error: 30 malformed line(s): "
+                 + "; ".join(f"line {n}: negative grade {{number}}" for n in range(1, 21))
+                 + "; and 10 more\n", id="negative-grade"),
+    pytest.param("tsv", "q1\t{cell}\t0.5\n", None, ("--num-grades", "5"), "9" * 4000,
+                 "error: 1 malformed line(s): line 1: grade {number} outside declared"
+                 " alphabet of 5\n", id="declared-alphabet"),
+    pytest.param("tsv", "q1\t{cell}\t0.5\n", None, (), "9" * 4000,
+                 "error: query 'q1': grade {number} exceeds the classical-gain cap of 30\n",
+                 id="cap-tsv"),
+    pytest.param("svmlight", "{cell} qid:1 1:0.5 # score=0.5\n", None, (), "9" * 4000,
+                 "error: query '1': grade {number} exceeds the classical-gain cap of 30\n",
+                 id="cap-svmlight"),
 ]
 
 
-@pytest.mark.parametrize("fmt, data, scores, cell, stderr", LONG_CELLS)
+@pytest.mark.parametrize("fmt, data, scores, options, cell, stderr", LONG_CELLS)
 def test_a_fault_message_quotes_at_most_forty_characters_of_a_cell(
-        tmp_path, fmt, data, scores, cell, stderr):
-    """A malformed cell of a megabyte gives a message of one short line."""
+        tmp_path, fmt, data, scores, options, cell, stderr):
+    """A malformed cell of a megabyte, or a grade of 4,000 digits, gives a
+    message of one short line."""
     path = tmp_path / f"data.{fmt}"
     path.write_text(data.replace("{cell}", cell), encoding="utf-8")
-    args = ["metrics", "--input", str(path), "--format", fmt]
+    args = ["metrics", "--input", str(path), "--format", fmt, *options]
     if scores is not None:
         (tmp_path / "data.scores").write_text(scores.replace("{cell}", cell), encoding="utf-8")
         args += ["--scores", str(tmp_path / "data.scores")]
     code, stdout, actual = _run_child(*args)
     assert (code, stdout) == (2, b"")
     assert len(actual) < 16 * 1024
-    assert actual.decode("utf-8") == stderr.replace("{cut}", f"'{cell[:40]}'...")
+    assert actual.decode("utf-8") == (stderr.replace("{cut}", f"'{cell[:40]}'...")
+                                      .replace("{number}", f"{cell[:40]}..."))
 
 
 def _modules_loaded_by_metrics(path):
@@ -679,8 +695,8 @@ def test_metrics_never_imports_the_oracles():
     assert "lindcg.report" in loaded
     assert "lindcg.oracles" not in loaded
     assert {name for name in loaded if name.partition(".")[0] == "lindcg"} == {
-        "lindcg", "lindcg.cli", "lindcg.core", "lindcg.equivalence", "lindcg.errors",
-        "lindcg.io", "lindcg.metrics", "lindcg.report"}
+        "lindcg", "lindcg.cli", "lindcg.core", "lindcg.errors", "lindcg.io", "lindcg.metrics",
+        "lindcg.report"}
 
 
 VERIFY_ARGS = [
@@ -758,6 +774,19 @@ def test_verify_rejects_an_exhaustive_pass_over_the_budget_unstarted(runner, mon
     assert "--exhaustive-limit" in result.stderr
 
 
+def test_verify_rejects_a_max_grades_of_a_thousand_digits_in_a_short_message(runner):
+    """The count of such a pass has more digits than ``str`` writes; the
+    message gives a bound instead, and the option's first 40 digits."""
+    result = runner.invoke(main, ["verify", "--max-grades", "1" + "0" * 1000])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert len(result.stderr.encode()) < 1024
+    assert result.stderr.endswith(
+        f"Error: --max-grades 1{'0' * 39}... with --exhaustive-limit 5 makes at least 10**40"
+        " permutations, more than 5,000,000 (about 40 s); lower --max-grades or"
+        " --exhaustive-limit\n")
+
+
 def test_verify_cost_does_not_follow_max_grades(runner, monkeypatch):
     # A decomposition with one entry per threshold would need about 8 TB here.
     def expanded(group):
@@ -800,6 +829,15 @@ def test_oracle_rejects_garbage_grades(runner):
     # The file readers reject digit separators and non-ASCII digits, and so does --grades.
     assert runner.invoke(main, ["oracle", "--grades", "1_0,0"]).exit_code == 2
     assert runner.invoke(main, ["oracle", "--grades", "\u0661,0"]).exit_code == 2
+
+
+def test_oracle_quotes_at_most_forty_characters_of_its_grades(runner):
+    grades = "-" + "9" * 4000
+    result = runner.invoke(main, ["oracle", "--grades", grades])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert len(result.stderr.encode()) < 16 * 1024
+    assert result.stderr.endswith(
+        f"Error: --grades '{grades[:40]}'...: negative grade {grades[:40]}...\n")
 
 
 def test_oracle_rejects_oversized_multisets(runner):

@@ -5,14 +5,13 @@ import random
 import pytest
 
 from helpers import dcg_error, group_from_ranking, make_group, random_group, run_thresholds
-from lindcg.equivalence import verify_multipartite_identity
 from lindcg.errors import (
     EmptyGroupError,
     InvalidGradeError,
     NonBipartiteError,
     TooLargeError,
 )
-from lindcg.metrics import compute_report
+from lindcg.metrics import compute_report, verify_multipartite_identity
 from lindcg.oracles import (
     ORACLE_SIZE_CAP,
     ExchangeSequence,

@@ -416,6 +416,10 @@ _BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85"])
 @example(lines=[("q1\t" + "7x" * 30 + "\t0.5", "\n"), ("q1\t1\t" + "y" * 41, "\n"),
                 ("q1\t1\t" + "1" * 40 + "e999", "\n"), ("q1\t1\t" + "z" * 40, "\n")],
          block_chars=64, num_grades=None)
+# Grades longer than a fault message writes, negative and above a declared alphabet.
+@example(lines=[("q1\t-" + "9" * 40 + "\t0.5", "\n"), ("q1\t-" + "9" * 39 + "\t0.5", "\n"),
+                ("q1\t" + "8" * 41 + "\t0.5", "\n"), ("q1\t" + "8" * 40 + "\t0.5", "\n")],
+         block_chars=64, num_grades=5)
 # More malformed lines than a ParseError names.
 @example(lines=[("q1\t1", "\n")] * 12 + [("q1\t1\t0.5", "\n")] + [("q1", "\n")] * 12,
          block_chars=64, num_grades=None)
@@ -576,6 +580,10 @@ _SVMLIGHT_BREAKS = st.sampled_from(["\n"] * 8 + ["", "\r\n", "\r", "\x0b", "\x0c
          extra_scores=None, block_chars=64, num_grades=None)
 @example(rows=[("1 qid:1", "\n", "w" * 50, "\n"), ("0 qid:1", "\n", "0.5", "\n")],
          extra_scores=0, block_chars=64, num_grades=None)
+# Grades longer than a fault message writes, negative and above a declared alphabet.
+@example(rows=[("-" + "9" * 45 + " qid:1", "\n", "0.5", "\n"),
+               ("7" * 45 + " qid:1", "\n", "0.5", "\n")],
+         extra_scores=0, block_chars=64, num_grades=5)
 # More malformed lines than a ParseError names, in the data and in the score file.
 @example(rows=[("1", "\n", "0.5", "\n")] * 25, extra_scores=0, block_chars=64, num_grades=None)
 @example(rows=[("1 qid:1", "\n", "x", "\n")] * 25, extra_scores=0, block_chars=64,

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lindcg.equivalence
 import lindcg.metrics
 import lindcg.report
 from helpers import (
@@ -21,8 +20,7 @@ from helpers import (
     run_thresholds,
 )
 from lindcg.core import RankedView, rank_view
-from lindcg.equivalence import verify_multipartite_identity
-from lindcg.metrics import compute_report
+from lindcg.metrics import compute_report, verify_multipartite_identity
 from lindcg.oracles import (
     dcg_classic,
     dcg_linear,
@@ -156,7 +154,7 @@ def test_aggregate_computes_each_querys_linear_integers_once(monkeypatch):
     tie-free groups it runs k times, and the run widths, discount masses and
     threshold losses that those integers come from are each read k times."""
     calls = Counter()
-    identity_sums = lindcg.equivalence.identity_sums
+    identity_sums = lindcg.metrics.identity_sums
 
     def counted_sums(view):
         calls["identity_sums"] += 1
@@ -279,7 +277,7 @@ def test_each_integer_of_the_check_decides_the_status(field, index, failing):
     width-weighted sum of the runs' differences, whatever the view holds.  So
     each integer is changed in the check's sums instead, one at a time."""
     group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
-    identity_sums = lindcg.equivalence.identity_sums
+    identity_sums = lindcg.metrics.identity_sums
 
     def off_by_one(view):
         sums = identity_sums(view)
@@ -291,8 +289,7 @@ def test_each_integer_of_the_check_decides_the_status(field, index, failing):
         return sums._replace(**{field: value})
 
     # The report's status and the failed query's records read the sums alike.
-    with mock.patch.object(lindcg.metrics, "identity_sums", off_by_one), \
-            mock.patch.object(lindcg.equivalence, "identity_sums", off_by_one):
+    with mock.patch.object(lindcg.metrics, "identity_sums", off_by_one):
         report = lindcg.report.build_aggregate_report([group])
     assert tuple(r.identity for r in report.per_query) == ("failed",)
     (record,) = report.failures
