@@ -89,7 +89,7 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
                 num_grades: int | None, output_fmt: str) -> None:
     """Compute per-query and aggregate ranking metrics for a dataset."""
     if num_grades is not None and num_grades < 2:
-        raise click.UsageError(f"--num-grades must be at least 2, got {num_grades}")
+        raise click.UsageError(f"--num-grades must be at least 2, got {_shortened(num_grades)}")
     if scores_path is not None and fmt != "svmlight":
         raise click.UsageError("--scores is only valid with --format svmlight")
     try:
@@ -145,15 +145,14 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
     from .oracles import ORACLE_SIZE_CAP, brute_force_oracle, threshold_run_losses
 
     if trials < 0:
-        raise click.UsageError(f"--trials must be >= 0, got {trials}")
+        raise click.UsageError(f"--trials must be >= 0, got {_shortened(trials)}")
     if max_items < 1:
-        raise click.UsageError(f"--max-items must be >= 1, got {max_items}")
+        raise click.UsageError(f"--max-items must be >= 1, got {_shortened(max_items)}")
     if max_grades < 2:
-        raise click.UsageError(f"--max-grades must be >= 2, got {max_grades}")
+        raise click.UsageError(f"--max-grades must be >= 2, got {_shortened(max_grades)}")
     if not 0 <= exhaustive_limit <= ORACLE_SIZE_CAP:
-        raise click.UsageError(
-            f"--exhaustive-limit must be in 0..{ORACLE_SIZE_CAP}, got {exhaustive_limit}"
-        )
+        raise click.UsageError(f"--exhaustive-limit must be in 0..{ORACLE_SIZE_CAP},"
+                               f" got {_shortened(exhaustive_limit)}")
     planned = exhaustive_permutations(max_grades, exhaustive_limit)
     if planned > MAX_EXHAUSTIVE_PERMUTATIONS:
         # str() refuses an int of more than 4,300 digits; past 40 its size says enough.

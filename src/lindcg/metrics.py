@@ -11,12 +11,14 @@ query (core.rank_view); the rank-order sums they are checked against are
 the references in ``lindcg.oracles``.
 
 ``identity_sums`` computes a query's linear integers from its view, once:
-the DCG, ideal DCG and weighted loss that ``compute_report`` reports, and
-the run and split sums of the identity check.  ``compute_report`` asks
-``identity_status`` for the query's ``identity`` from those same
-integers.  The library call ``verify_multipartite_identity`` names each
-of them in a ``core.VerificationRecord``, whose ``passed`` is read off its
-two integers; the report builds the records only for a failed check.
+the DCG summed over ranked positions, the ideal DCG and weighted loss that
+``compute_report`` reports, and the run and split sums of the identity
+check, whose split compares that DCG with its sum over grade thresholds.
+``compute_report`` asks ``identity_status`` for the query's ``identity``
+from those same integers.  The library call ``verify_multipartite_identity``
+names each of them in a ``core.VerificationRecord``, whose ``passed`` is
+read off its two integers; the report builds the records only for a
+failed check.
 
 The weighted pairwise loss is the ``loss`` of ``identity_sums``.  A pair
 of items with grades a < b is misranked when the higher-graded item
@@ -90,12 +92,12 @@ def _classic_sum(grades: Sequence[int]) -> float:
 class IdentitySums(NamedTuple):
     """One query's linear integers, which its report and its identity check read.
 
-    ``ideal_dcg - dcg``, the linear DCG error, must equal ``loss``, the
-    weighted pairwise loss.
+    ``dcg`` is the observed DCG summed over positions and ``split_rhs`` the
+    same DCG summed over thresholds.  ``ideal_dcg - dcg``, the linear DCG
+    error, must equal ``loss``, the weighted pairwise loss.
     ``run_lhs[j]`` is the DCG error of the bipartite group above the run of
     thresholds ``levels[j] <= k < levels[j + 1]`` and ``run_losses[j]`` that
-    run's swept loss.  ``split_lhs`` is the observed DCG summed over
-    positions and ``split_rhs`` the same DCG summed over thresholds.
+    run's swept loss.
     """
 
     dcg: int
@@ -103,7 +105,6 @@ class IdentitySums(NamedTuple):
     loss: int
     run_lhs: tuple[int, ...]
     run_losses: tuple[int, ...]
-    split_lhs: int
     split_rhs: int
 
 
@@ -131,7 +132,7 @@ def identity_sums(view: RankedView) -> IdentitySums:
     above_items = [*accumulate(counts[:0:-1])][::-1]
     above_mass = [*accumulate(masses[:0:-1])][::-1]
     return IdentitySums(
-        dcg=sum(map(mul, levels, masses)),
+        dcg=sum(map(mul, view.grades, range(n - 1, -1, -1))),
         # f, the items above level j, is above_items[j]; none are above the top
         ideal_dcg=sum(g * (c * (n - f) - c * (c + 1) // 2)
                       for g, c, f in zip(levels[1:], counts[1:], [*above_items[1:], 0])),
@@ -139,7 +140,6 @@ def identity_sums(view: RankedView) -> IdentitySums:
         run_lhs=tuple(bipartite_ideal_dcg(m, n - m) - mass
                       for m, mass in zip(above_items, above_mass)),
         run_losses=losses,
-        split_lhs=sum(map(mul, view.grades, range(n - 1, -1, -1))),
         split_rhs=sum(map(mul, widths, above_mass)),
     )
 
@@ -155,7 +155,7 @@ def identity_status(view: RankedView, sums: IdentitySums) -> str:
     if view.has_score_ties:
         return "tie_flagged"
     if (sums.ideal_dcg - sums.dcg == sums.loss and sums.run_lhs == sums.run_losses
-            and sums.split_lhs == sums.split_rhs):
+            and sums.dcg == sums.split_rhs):
         return "passed"
     return "failed"
 
@@ -200,7 +200,7 @@ def verify_multipartite_identity(
         VerificationRecord(
             instance_id=f"{query_id}[split]",
             check_name="dcg_split",
-            lhs=sums.split_lhs,
+            lhs=sums.dcg,
             rhs=sums.split_rhs,
         )
     )

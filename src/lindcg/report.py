@@ -209,6 +209,7 @@ _TEXT_COLUMNS = (
 _TEXT_HEADER = (*(header for header, _ in _TEXT_COLUMNS), "identity", "flags")
 _text_fields = attrgetter(*(field for _, field in _TEXT_COLUMNS))
 _TEXT_STATUS = {"passed": "ok", "failed": "FAIL", "tie_flagged": "ties"}
+_TEXT_PAD = 40  # the widest a column is padded, as fault messages quote a cell
 
 
 def _text_cell(value) -> str:
@@ -218,7 +219,9 @@ def _text_cell(value) -> str:
 def text_pieces(report: AggregateReport) -> Iterator[str]:
     """``render_text``'s text: the header line, one line per query, then the summary.
 
-    The column widths follow the widest cell, so every row is formatted
+    Each column is padded to its widest cell, but to no more than
+    ``_TEXT_PAD`` characters: a longer cell, such as a long query id, is
+    written whole and shifts only its own row.  Every row is formatted
     before the first line is yielded.
     """
     rows = [
@@ -226,7 +229,7 @@ def text_pieces(report: AggregateReport) -> Iterator[str]:
          ",".join(compress(("deg-lin", "deg-cls"), (r.degenerate_linear, r.degenerate_classic))))
         for r in report.per_query
     ]
-    widths = [max(map(len, column)) for column in zip(_TEXT_HEADER, *rows)]
+    widths = [min(max(map(len, column)), _TEXT_PAD) for column in zip(_TEXT_HEADER, *rows)]
     for row in (_TEXT_HEADER, *rows):
         yield "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
     summary = report.verification_summary

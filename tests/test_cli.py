@@ -602,6 +602,19 @@ def test_metrics_text_aligns_its_columns_on_the_characters_it_writes():
         (ESCAPE_IDS[0], "2"), (ESCAPE_IDS[1], "3")]
 
 
+def test_metrics_text_pads_no_column_past_forty_characters(tmp_path):
+    """One query id of 10,000 characters is written whole on its own row and
+    pads none of the 1,000 others."""
+    long_id = "q" * 10_000
+    data = tmp_path / "long_id.tsv"
+    data.write_text("".join(f"q{i}\t1\t0.5\n" for i in range(1000)) + f"{long_id}\t1\t0.5\n",
+                    encoding="utf-8")
+    code, stdout, stderr = _run_child("metrics", "--input", str(data), "--output", "text")
+    assert (code, stderr) == (0, b"")
+    assert len(stdout) < 200_000
+    assert f"\n{long_id}  1 ".encode("utf-8") in stdout
+
+
 def test_metrics_counts_every_malformed_line_and_names_the_first_twenty(tmp_path):
     """Thousands of malformed lines give one short message, not one reason each."""
     data = tmp_path / "two_fields.tsv"
@@ -670,6 +683,36 @@ def test_a_fault_message_quotes_at_most_forty_characters_of_a_cell(
     assert len(actual) < 16 * 1024
     assert actual.decode("utf-8") == (stderr.replace("{cut}", f"'{cell[:40]}'...")
                                       .replace("{number}", f"{cell[:40]}..."))
+
+
+# Each usage message that writes a number, with a value of 4,000 digits that
+# the message rejects: (arguments, message), where "{cut}" marks the value's
+# first 40 characters followed by "..." in the message.
+NEGATIVE = "-" + "9" * 4000
+LONG_NUMBERS = [
+    pytest.param(("metrics", "--input", str(DATA / "metrics_mixed.tsv"), "--num-grades",
+                  NEGATIVE), "--num-grades must be at least 2, got {cut}", id="num-grades"),
+    pytest.param(("verify", "--trials", NEGATIVE), "--trials must be >= 0, got {cut}",
+                 id="trials"),
+    pytest.param(("verify", "--max-items", NEGATIVE), "--max-items must be >= 1, got {cut}",
+                 id="max-items"),
+    pytest.param(("verify", "--max-grades", NEGATIVE), "--max-grades must be >= 2, got {cut}",
+                 id="max-grades"),
+    pytest.param(("verify", "--exhaustive-limit", "9" * 4000),
+                 "--exhaustive-limit must be in 0..8, got {cut}", id="exhaustive-limit"),
+]
+
+
+@pytest.mark.parametrize("args, message", LONG_NUMBERS)
+def test_a_usage_message_writes_at_most_forty_characters_of_a_number(args, message):
+    code, stdout, stderr = _run_child(*args)
+    assert (code, stdout) == (2, b"")
+    assert len(stderr) < 1024
+    cut = max(args, key=len)[:40] + "..."
+    assert stderr.decode("utf-8") == (
+        f"Usage: python -m lindcg.cli {args[0]} [OPTIONS]\n"
+        f"Try 'python -m lindcg.cli {args[0]} --help' for help.\n\n"
+        f"Error: {message.replace('{cut}', cut)}\n")
 
 
 def _modules_loaded_by_metrics(path):

@@ -240,15 +240,28 @@ def test_kept_status_is_the_records_verdict_on_any_view(group, data):
     assert _kept(group, view) == ((status,), (record,) if status == "failed" else ())
 
 
-def test_a_corrupted_split_fails_only_the_split():
+def test_a_corrupted_ranked_grade_fails_the_total_and_the_split():
     group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
     view = rank_view(group)
     grades = list(view.grades)
     grades[0] = 1  # the top item's grade; the levels, counts and masses stay
     statuses, (record,) = _kept(group, dataclasses.replace(view, grades=tuple(grades)))
     assert statuses == ("failed",)
-    assert record.passed
+    # The position sum is the DCG both the total and the split read.
+    assert (record.passed, record.lhs, record.rhs) == (False, 9, 3)
     assert [d.instance_id for d in record.details if not d.passed] == ["m[split]"]
+
+
+def test_a_corrupted_discount_mass_fails_the_runs_and_the_split_but_not_the_total():
+    group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
+    view = rank_view(group)
+    masses = list(view.discount_mass)
+    masses[1] += 1  # the mass of grade 1, which the runs k=0 and the split read
+    statuses, (record,) = _kept(group, dataclasses.replace(view, discount_mass=tuple(masses)))
+    assert statuses == ("failed",)
+    # The total reads the position sum and the closed-form ideal, not the masses.
+    assert (record.passed, record.lhs, record.rhs) == (True, 3, 3)
+    assert [d.instance_id for d in record.details if not d.passed] == ["m[k=0]", "m[split]"]
 
 
 def test_a_corrupted_run_loss_fails_that_run_and_the_total():
@@ -264,12 +277,11 @@ def test_a_corrupted_run_loss_fails_that_run_and_the_total():
 
 
 @pytest.mark.parametrize("field, index, failing", [
-    ("dcg", None, "m"),
+    ("dcg", None, "m,m[split]"),
     ("ideal_dcg", None, "m"),
     ("loss", None, "m"),
     ("run_lhs", 0, "m[k=0]"),
     ("run_losses", 1, "m[k=1]"),
-    ("split_lhs", None, "m[split]"),
     ("split_rhs", None, "m[split]"),
 ])
 def test_each_integer_of_the_check_decides_the_status(field, index, failing):
@@ -294,4 +306,4 @@ def test_each_integer_of_the_check_decides_the_status(field, index, failing):
     assert tuple(r.identity for r in report.per_query) == ("failed",)
     (record,) = report.failures
     names = [r.instance_id for r in (record, *record.details) if not r.passed]
-    assert names == [failing]
+    assert names == failing.split(",")
