@@ -7,7 +7,7 @@ raises.  The independent test oracles are in ``lindcg.oracles``; the errors
 only they raise stay in ``lindcg.errors``.
 """
 
-from .core import QueryGroup, RankedView, VerificationRecord, rank_view
+from .core import QueryGroup, RankedView, rank_view
 from .errors import (
     EmptyFileError,
     EmptyGroupError,
@@ -21,6 +21,7 @@ from .errors import (
 from .io import parse_svmlight, parse_tsv
 from .metrics import (
     MetricReport,
+    VerificationRecord,
     bipartite_ideal_dcg,
     compute_report,
     verify_multipartite_identity,

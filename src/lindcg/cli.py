@@ -38,8 +38,9 @@ from .report import build_aggregate_report, csv_pieces, json_pieces, text_pieces
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# Largest exhaustive pass `verify` starts: about 40 s at the 8 us per
-# permutation measured on a 2-vCPU Xeon host.
+# Largest exhaustive pass `verify` starts, in permutations.  The slowest pass
+# it admits, --exhaustive-limit 1 with --max-grades 5,000,000, took 17 s on a
+# 2-vCPU Xeon host: about 20 s.
 MAX_EXHAUSTIVE_PERMUTATIONS = 5_000_000
 
 
@@ -108,13 +109,9 @@ def _random_tie_free_group(rng: random.Random, max_items: int,
     size = rng.randint(1, max_items)
     alphabet = rng.randint(2, max_grades)  # drawn, so a seed keeps giving the same groups
     grades = [rng.randrange(alphabet) for _ in range(size)]
-    scores: list[float] = []
-    seen: set[float] = set()
+    scores: dict[float, None] = {}  # distinct, in the order drawn
     while len(scores) < size:
-        score = rng.random()
-        if score not in seen:
-            seen.add(score)
-            scores.append(score)
+        scores[rng.random()] = None
     return QueryGroup.build(f"trial-{index}", grades, scores)
 
 
@@ -160,17 +157,17 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
         raise click.UsageError(
             f"--max-grades {_shortened(max_grades)} with --exhaustive-limit {exhaustive_limit}"
             f" makes {count} permutations, more than {MAX_EXHAUSTIVE_PERMUTATIONS:,}"
-            " (about 40 s); lower --max-grades or --exhaustive-limit"
+            " (about 20 s); lower --max-grades or --exhaustive-limit"
         )
 
     multisets = permutations = exhaustive_failures = 0
     for size in range(1, exhaustive_limit + 1):
         for multiset in itertools.combinations_with_replacement(range(max_grades), size):
             multisets += 1
-            for record in brute_force_oracle(multiset):
-                permutations += 1
-                if not record.passed:
-                    exhaustive_failures += 1
+            for _, count, dcg_error, loss in brute_force_oracle(multiset):
+                permutations += count
+                if dcg_error != loss:
+                    exhaustive_failures += count
     _echo_pieces([
         f"exhaustive: multisets={multisets} permutations={permutations}"
         f" failures={exhaustive_failures}\n"
@@ -214,27 +211,27 @@ def oracle_cmd(grades_spec: str) -> None:
             raise click.UsageError(f"--grades {_quoted(grades_spec)}: {reason}")
         grades.append(grade)
     try:
-        records = brute_force_oracle(grades)
+        rankings = brute_force_oracle(grades)
     except LindcgError as exc:
         raise click.UsageError(str(exc))
 
-    # Identical grade patterns repeat under permutation; tabulate them once.
-    tally: dict[str, list] = {}
-    for record in records:
-        entry = tally.setdefault(record.instance_id, [0, record])
-        entry[0] += 1
-    width = max(len(pattern) for pattern in tally)
-    lines = [f"{'ranking'.ljust(width)}  perms  dcg_error  pair_loss  ok\n"]
+    width = len(",".join(map(str, grades)))  # that of every ranking
     failures = 0
-    for pattern in sorted(tally, key=lambda p: tuple(-int(g) for g in p.split(","))):
-        count, record = tally[pattern]
-        ok = "yes" if record.passed else "NO"
-        if not record.passed:
-            failures += count
-        lines.append(
-            f"{pattern.ljust(width)}  {count:5d}  {record.lhs:9d}  {record.rhs:9d}  {ok}\n")
-    lines.append(f"permutations={len(records)} distinct={len(tally)} failures={failures}\n")
-    _echo_pieces(lines)
+
+    def lines() -> Iterable[str]:
+        nonlocal failures
+        yield f"{'ranking'.ljust(width)}  perms  dcg_error  pair_loss  ok\n"
+        for distinct, (ranking, count, dcg_error, loss) in enumerate(rankings, 1):
+            ok = "yes" if dcg_error == loss else "NO"
+            failures += 0 if dcg_error == loss else count
+            yield f"{','.join(map(str, ranking))}  {count:5d}  {dcg_error:9d}  {loss:9d}  {ok}\n"
+        yield (f"permutations={math.factorial(len(grades))} distinct={distinct}"
+               f" failures={failures}\n")
+
+    pieces = lines()
+    _echo_pieces(pieces)
+    for _ in pieces:  # the reader closed stdout early: finish the count of failures
+        pass
     if failures:
         sys.exit(EXIT_CHECK_FAILED)
 

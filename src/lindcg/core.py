@@ -5,10 +5,8 @@ whatever model is under evaluation.
 ``QueryGroup`` validates its invariants at construction; the readers, which
 have already checked every value, build theirs without a second check.  ``RankedView``
 is built by ``rank_view`` from an already validated group and does not
-check them again.  ``VerificationRecord`` holds the outcome of one identity
-check, which ``metrics`` and the test oracles both write.  All three are
-immutable, and every operation is a pure function, so values can be
-shared freely across concurrent workers.
+check them again.  Both are immutable, and every operation is a pure
+function, so values can be shared freely across concurrent workers.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Iterable, Sequence
 
-from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError
+from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError, _shortened
 
 
 # isinstance(value, int) as a one-argument function, for map().
@@ -45,7 +43,7 @@ class QueryGroup:
         # Whole-column passes; the offending value is looked up only on failure.
         if not all(map(_is_int, grades)) or min(grades) < 0:
             bad = next(g for g in grades if not _is_int(g) or g < 0)
-            raise InvalidGradeError(f"grade must be a non-negative integer, got {bad!r}")
+            raise InvalidGradeError(f"grade must be a non-negative integer, got {_shortened(bad)}")
         if not all(map(math.isfinite, scores)):
             bad = next(s for s in scores if not math.isfinite(s))
             raise InvalidScoreError(f"score must be finite, got {bad!r}")
@@ -106,28 +104,6 @@ class RankedView:
 
     def __len__(self) -> int:
         return len(self.grades)
-
-
-@dataclass(frozen=True, slots=True)
-class VerificationRecord:
-    """Outcome of one identity check: two integers that must be equal.
-
-    ``passed`` is derived, ``lhs == rhs``, so no record can disagree with
-    its own integers.  ``tie_afflicted`` marks instances with exact score
-    ties, which are exempt from hard pass requirements.  ``details`` carries
-    per-threshold sub-checks for multipartite instances.
-    """
-
-    instance_id: str
-    check_name: str
-    lhs: int
-    rhs: int
-    tie_afflicted: bool = False
-    details: tuple[VerificationRecord, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def _score_order(group: QueryGroup) -> list[int]:

@@ -1,6 +1,35 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote values.
+
+A message quotes a cell or a number through ``_quoted`` or ``_shortened``,
+so a long value makes it no longer than a short one.
+"""
 
 from __future__ import annotations
+
+_QUOTED_CHARS = 40  # the most of a cell or a number that a message writes
+# Decimal digits per bit; an int of b bits has at least int(b * this) digits.
+_LOG10_2 = 0.30102999566398114
+
+
+def _quoted(cell: str) -> str:
+    """The repr of a cell, or of its first ``_QUOTED_CHARS`` characters followed by "..."."""
+    return f"{cell[:_QUOTED_CHARS]!r}..." if len(cell) > _QUOTED_CHARS else repr(cell)
+
+
+def _shortened(value: object) -> str:
+    """A number as a message writes it: whole, or its first ``_QUOTED_CHARS``
+    characters followed by "...", without quotes.  Any other value is written
+    as its repr.
+
+    ``str`` refuses an int of more than 4,300 digits, so all but about 80 of a
+    long number's digits are dropped, by floor division of its magnitude,
+    before it is written.
+    """
+    if not isinstance(value, int):
+        return repr(value)
+    cut = max(0, int(abs(value).bit_length() * _LOG10_2) - 2 * _QUOTED_CHARS)
+    text = "-" * (value < 0) + str(abs(value) // 10**cut)
+    return f"{text[:_QUOTED_CHARS]}..." if cut or len(text) > _QUOTED_CHARS else text
 
 
 class LindcgError(Exception):

@@ -75,6 +75,8 @@ from .errors import (
     GradeTooLargeError,
     ParseError,
     ScoreCountMismatchError,
+    _quoted,
+    _shortened,
 )
 from .metrics import MAX_CLASSIC_GRADE
 
@@ -87,27 +89,6 @@ _UNCLEAN = "#\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _HEAD = re.compile(r"[ \t]*([^ \t\n]+)[ \t]+qid:([^ \t\n]+)")  # "grade qid:ID" of a clean line
 _BLOCK_CHARS = 1 << 16
 _KEPT_FAULTS = 20  # rejected lines a ParseError names; it counts them all
-_QUOTED_CHARS = 40  # the most of a cell or a number that a fault message writes
-
-
-def _quoted(cell: str) -> str:
-    """The repr of a cell, or of its first ``_QUOTED_CHARS`` characters followed by "...".
-
-    A fault message quotes a cell through this, so a long cell makes it no longer
-    than a short one.
-    """
-    if len(cell) > _QUOTED_CHARS:
-        return f"{cell[:_QUOTED_CHARS]!r}..."
-    return repr(cell)
-
-
-def _shortened(number: int) -> str:
-    """A number as a fault message writes it: whole, or its first ``_QUOTED_CHARS``
-    characters followed by "...", without quotes."""
-    text = str(number)
-    if len(text) > _QUOTED_CHARS:
-        return f"{text[:_QUOTED_CHARS]}..."
-    return text
 
 
 class _Faults:

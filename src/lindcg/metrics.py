@@ -16,9 +16,9 @@ the DCG summed over ranked positions, the ideal DCG and weighted loss that
 check, whose split compares that DCG with its sum over grade thresholds.
 ``compute_report`` asks ``identity_status`` for the query's ``identity``
 from those same integers.  The library call ``verify_multipartite_identity``
-names each of them in a ``core.VerificationRecord``, whose ``passed`` is
-read off its two integers; the report builds the records only for a
-failed check.
+names each of them in a ``VerificationRecord``, defined here, whose
+``passed`` is read off its two integers; the report builds the records
+only for a failed check.
 
 The weighted pairwise loss is the ``loss`` of ``identity_sums``.  A pair
 of items with grades a < b is misranked when the higher-graded item
@@ -64,8 +64,8 @@ from itertools import accumulate, chain, repeat
 from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
-from .core import QueryGroup, RankedView, VerificationRecord, rank_view
-from .errors import GradeTooLargeError
+from .core import QueryGroup, RankedView, rank_view
+from .errors import GradeTooLargeError, _shortened
 
 # 2**grade must stay exactly representable in a double.
 MAX_CLASSIC_GRADE = 30
@@ -75,7 +75,7 @@ def _check_classic_cap(view: RankedView) -> None:
     top = view.levels[-1]  # the largest grade of the query
     if top > MAX_CLASSIC_GRADE:
         raise GradeTooLargeError(
-            f"grade {top} exceeds the classical-gain cap of {MAX_CLASSIC_GRADE}"
+            f"grade {_shortened(top)} exceeds the classical-gain cap of {MAX_CLASSIC_GRADE}"
         )
 
 
@@ -158,6 +158,28 @@ def identity_status(view: RankedView, sums: IdentitySums) -> str:
             and sums.dcg == sums.split_rhs):
         return "passed"
     return "failed"
+
+
+@dataclass(frozen=True, slots=True)
+class VerificationRecord:
+    """Outcome of one identity check: two integers that must be equal.
+
+    ``passed`` is derived, ``lhs == rhs``, so no record can disagree with
+    its own integers.  ``tie_afflicted`` marks instances with exact score
+    ties, which are exempt from hard pass requirements.  ``details`` carries
+    per-threshold sub-checks for multipartite instances.
+    """
+
+    instance_id: str
+    check_name: str
+    lhs: int
+    rhs: int
+    tie_afflicted: bool = False
+    details: tuple[VerificationRecord, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 def verify_multipartite_identity(

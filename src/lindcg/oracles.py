@@ -1,14 +1,15 @@
 """Independent test oracles for the ranked-view path.
 
 Every quantity here is computed again from plain grades and scores, the
-slow and obvious way: a double loop over item pairs, every permutation of
-a grade multiset, explicit position swaps, one bipartite count per
-threshold.  The module shares no code with the path it checks
+slow and obvious way: a double loop over item pairs, every distinct
+ranking of a grade multiset, explicit position swaps, one bipartite count
+per threshold.  The module shares no code with the path it checks
 (``core.rank_view`` and the ``metrics`` kernels, ``metrics.identity_sums``
 and ``metrics.verify_multipartite_identity`` among them); from the rest of
-the package it takes only the errors and the ``core`` data types
-``QueryGroup`` and ``VerificationRecord``.  A test that checks the view
-path against an oracle therefore cannot pass because both share a mistake.
+the package it takes only the errors and the ``core`` data type
+``QueryGroup``, and it returns plain integers and tuples.  A test that
+checks the view path against an oracle therefore cannot pass because both
+share a mistake.
 
 The sequence references take grade tuples read best-ranked first:
 ``rank_by_score`` gives the one a group's scores induce, and sorting the
@@ -19,20 +20,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import QueryGroup, VerificationRecord
+from .core import QueryGroup
 from .errors import (
     EmptyGroupError,
     InvalidGradeError,
     NonBipartiteError,
     ThresholdOutOfRangeError,
     TooLargeError,
+    _shortened,
 )
 
-# 8! = 40_320 permutations, exhaustive in well under a second.
+# 8! = 40_320 rankings at most, exhaustive in well under a second.
 ORACLE_SIZE_CAP = 8
 
 
@@ -185,7 +187,7 @@ def build_exchange_sequence(observed: Iterable[int]) -> ExchangeSequence:
     observed = tuple(observed)
     for g in observed:
         if g > 1:
-            raise NonBipartiteError(f"grade {g} in a bipartite sequence")
+            raise NonBipartiteError(f"grade {_shortened(g)} in a bipartite sequence")
     m = sum(observed)
     n = len(observed) - m
     zeros_in_top = tuple(pos for pos, g in enumerate(observed[:m], start=1) if g == 0)
@@ -204,44 +206,54 @@ def exchange_decrements(ex: ExchangeSequence) -> list[int]:
     return [ex.m + j - i for i, j in ex.pairs]
 
 
-def brute_force_oracle(grades) -> list[VerificationRecord]:
-    """Check the identity on every permutation of a grade multiset.
+def brute_force_oracle(grades) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """Check the identity on every distinct ranking of a grade multiset.
 
-    Each permutation is read as a tie-free ranking (earlier position means
-    strictly higher score); the DCG error and the weighted misranked-pair
-    count are computed directly on it and must agree.  One record is
-    emitted per permutation.
+    Each ranking is read as a tie-free one (earlier position means strictly
+    higher score); its DCG error and weighted misranked-pair count are
+    computed directly on it and must agree.  The rankings come lazily, each
+    once and in descending order, as ``(ranking, permutations, dcg_error,
+    loss)``.  ``permutations`` is the number of literal permutations of the
+    multiset that give the ranking, the product of c! over the count c of
+    each grade, so over all rankings they sum to n!.  The multiset is
+    checked before this returns, so a bad one raises before any ranking.
     """
     grades = tuple(grades)
     if not grades:
         raise EmptyGroupError("empty grade multiset")
     for g in grades:
         if not isinstance(g, int) or g < 0:
-            raise InvalidGradeError(f"grade must be a non-negative integer, got {g!r}")
+            raise InvalidGradeError(f"grade must be a non-negative integer, got {_shortened(g)}")
     n = len(grades)
     if n > ORACLE_SIZE_CAP:
         raise TooLargeError(f"multiset of size {n} exceeds the cap of {ORACLE_SIZE_CAP}")
+    return _checked_rankings(sorted(grades, reverse=True))
 
-    last = n - 1
-    ideal = sum(g * (n - i) for i, g in enumerate(sorted(grades, reverse=True), start=1))
-    records = []
-    for perm in itertools.permutations(grades):
-        dcg = 0
-        loss = 0
+
+def _checked_rankings(perm: list[int]) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """``brute_force_oracle``'s tuples, from the multiset in non-increasing order."""
+    n = len(perm)
+    ideal = sum(g * (n - 1 - p) for p, g in enumerate(perm))
+    # The c items of one grade have c! orders.
+    permutations = math.prod(map(math.factorial, map(perm.count, set(perm))))
+    while True:
+        dcg = loss = 0
         for p in range(n):
             gp = perm[p]
-            dcg += gp * (last - p)
+            dcg += gp * (n - 1 - p)
             for q in range(p + 1, n):
                 gap = perm[q] - gp
                 if gap > 0:
                     loss += gap
-        delta = ideal - dcg
-        records.append(
-            VerificationRecord(
-                instance_id=",".join(map(str, perm)),
-                check_name="permutation_identity",
-                lhs=delta,
-                rhs=loss,
-            )
-        )
-    return records
+        yield tuple(perm), permutations, ideal - dcg, loss
+        # The next ranking down: the rightmost grade followed by a smaller one
+        # swaps with the largest smaller grade after it, where the grades run
+        # in non-decreasing order, and then those grades are reversed.
+        i = n - 2
+        while i >= 0 and perm[i] <= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = bisect_left(perm, perm[i], i + 1) - 1  # the last grade below perm[i]
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])

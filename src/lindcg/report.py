@@ -30,8 +30,9 @@ from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .core import QueryGroup, VerificationRecord, rank_view
-from .metrics import MetricReport, compute_report, verify_multipartite_identity
+from .core import QueryGroup, rank_view
+from .metrics import (MetricReport, VerificationRecord, compute_report,
+                      verify_multipartite_identity)
 
 
 @dataclass(frozen=True, slots=True)

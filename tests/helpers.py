@@ -6,8 +6,9 @@ import math
 import random
 import re
 
-from lindcg.core import QueryGroup, VerificationRecord
+from lindcg.core import QueryGroup
 from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
+from lindcg.metrics import VerificationRecord
 from lindcg.oracles import (
     binarize,
     dcg_linear,

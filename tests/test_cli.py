@@ -826,7 +826,7 @@ def test_verify_rejects_a_max_grades_of_a_thousand_digits_in_a_short_message(run
     assert len(result.stderr.encode()) < 1024
     assert result.stderr.endswith(
         f"Error: --max-grades 1{'0' * 39}... with --exhaustive-limit 5 makes at least 10**40"
-        " permutations, more than 5,000,000 (about 40 s); lower --max-grades or"
+        " permutations, more than 5,000,000 (about 20 s); lower --max-grades or"
         " --exhaustive-limit\n")
 
 
@@ -847,6 +847,17 @@ def test_verify_rejects_bad_option_values(runner):
     assert runner.invoke(main, ["verify", "--trials", "-5"]).exit_code == 2
     assert runner.invoke(main, ["verify", "--max-items", "0"]).exit_code == 2
     assert runner.invoke(main, ["verify", "--exhaustive-limit", "9"]).exit_code == 2
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["oracle", "--grades", "2,1,1,0"], "oracle_2110.txt"),
+    (["verify", "--seed", "42", "--trials", "500", "--max-items", "100", "--max-grades", "5"],
+     "verify_seed42.txt"),
+], ids=["oracle", "verify"])
+def test_oracle_and_verify_match_their_golden_output(runner, args, golden):
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        0, (DATA / golden).read_text(encoding="utf-8"), "")
 
 
 def test_oracle_tabulates_distinct_patterns(runner):

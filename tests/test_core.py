@@ -105,6 +105,14 @@ def test_bad_grades_are_rejected():
         make_group([0, -3, -5], [0.5, 0.2, 0.1])  # the first offender is named
 
 
+@pytest.mark.parametrize("digits", [100, 5000])
+def test_a_bad_grade_message_writes_forty_characters_of_a_huge_grade(digits):
+    # str() refuses an int of more than 4,300 digits.
+    with pytest.raises(InvalidGradeError) as raised:
+        QueryGroup("q", (-10 ** (digits - 1),), (0.5,))
+    assert str(raised.value) == f"grade must be a non-negative integer, got -1{'0' * 38}..."
+
+
 def test_grade_counts_and_ties():
     group = make_group([2, 0, 2, 1], [0.1, 0.2, 0.2, 0.4])
     view = rank_view(group)

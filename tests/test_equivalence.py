@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -154,26 +156,26 @@ def test_multipartite_details_stay_consistent_under_ties():
 
 
 def test_oracle_on_smallest_binary_multiset():
-    records = brute_force_oracle((1, 0))
-    assert len(records) == 2
-    assert all(r.passed for r in records)
-    assert all(r.check_name == "permutation_identity" for r in records)
-    assert {r.instance_id for r in records} == {"1,0", "0,1"}
+    assert list(brute_force_oracle((1, 0))) == [((1, 0), 1, 0, 0), ((0, 1), 1, 1, 1)]
 
 
 def test_oracle_counts_duplicate_permutations():
-    records = brute_force_oracle((1, 1, 0, 0))
-    assert len(records) == 24  # 4! literal index permutations
-    assert len({r.instance_id for r in records}) == 6  # distinct grade patterns
-    assert all(r.passed for r in records)
+    results = list(brute_force_oracle((1, 1, 0, 0)))
+    rankings = [ranking for ranking, *_ in results]
+    # Each distinct grade pattern once, in descending order.
+    assert rankings == sorted(set(itertools.permutations((1, 1, 0, 0))), reverse=True)
+    assert len(rankings) == 6
+    # Each stands for 2! * 2! literal index permutations, 4! in all.
+    assert [count for _, count, _, _ in results] == [4] * 6
+    assert sum(count for _, count, _, _ in results) == 24
+    assert all(error == loss for _, _, error, loss in results)
 
 
 def test_oracle_on_three_grade_multiset():
-    records = brute_force_oracle((2, 1, 0))
-    assert len(records) == 6
-    assert all(r.passed for r in records)
-    worst = next(r for r in records if r.instance_id == "0,1,2")
-    assert worst.lhs == worst.rhs == 4  # ideal 5, observed 1; pairs weigh 1+1+2
+    results = {ranking: (error, loss) for ranking, _, error, loss in brute_force_oracle((2, 1, 0))}
+    assert len(results) == 6
+    assert all(error == loss for error, loss in results.values())
+    assert results[0, 1, 2] == (4, 4)  # ideal 5, observed 1; pairs weigh 1+1+2
 
 
 def test_oracle_rejects_oversized_multisets():
@@ -190,16 +192,50 @@ def test_oracle_rejects_bad_multisets():
         brute_force_oracle((1.5, 0))
 
 
+@pytest.mark.parametrize("digits", [100, 5000])
+def test_the_oracle_message_writes_forty_characters_of_a_huge_grade(digits):
+    # str() refuses an int of more than 4,300 digits.
+    with pytest.raises(InvalidGradeError) as raised:
+        brute_force_oracle((-10 ** (digits - 1),))
+    assert str(raised.value) == f"grade must be a non-negative integer, got -1{'0' * 38}..."
+
+
+def test_the_exchange_message_writes_forty_digits_of_a_huge_grade():
+    with pytest.raises(NonBipartiteError) as raised:
+        build_exchange_sequence([10**4999, 0])  # str() refuses more than 4,300 digits
+    assert str(raised.value) == f"grade 1{'0' * 39}... in a bipartite sequence"
+
+
+def _traced_peak(grades):
+    """The peak memory traced while every ranking of grades is checked."""
+    tracemalloc.start()
+    try:
+        for _ in brute_force_oracle(grades):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_does_not_follow_the_digits_of_the_grades():
+    """8! rankings of eight distinct 400-digit grades hold no more memory than
+    those of eight 1-digit grades, but for a few ints of the grades' size."""
+    one_digit = _traced_peak(tuple(range(8)))
+    grades = tuple(10**399 * (g + 1) + g for g in range(8))
+    many_digits = _traced_peak(grades)
+    # Both peaks are a few KB; the sums of one ranking are as long as its grades.
+    assert many_digits - one_digit <= 8 * sys.getsizeof(grades[0])
+
+
 def test_oracle_agrees_with_the_library_computations():
-    records = brute_force_oracle((2, 1, 1, 0))
-    by_id = {r.instance_id: r for r in records}
+    results = {ranking: (error, loss)
+               for ranking, _, error, loss in brute_force_oracle((2, 1, 1, 0))}
     for perm in set(itertools.permutations((2, 1, 1, 0))):
         group = group_from_ranking(list(perm))
         expected_lhs = compute_report(group).dcg_error_linear
         assert expected_lhs == dcg_error(group)
         expected_rhs, _ = pairwise_loss_naive(group)
-        record = by_id[",".join(map(str, perm))]
-        assert (record.lhs, record.rhs) == (expected_lhs, expected_rhs)
+        assert results[perm] == (expected_lhs, expected_rhs)
 
 
 def test_dcg_splits_into_binarized_layers():

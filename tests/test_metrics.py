@@ -67,6 +67,14 @@ def test_dcg_classic_grade_cap():
         compute_report(make_group([31], [0.5]))
 
 
+@pytest.mark.parametrize("digits", [100, 5000])
+def test_the_cap_message_writes_forty_digits_of_a_huge_grade(digits):
+    # str() refuses an int of more than 4,300 digits.
+    with pytest.raises(GradeTooLargeError) as raised:
+        compute_report(make_group([10 ** (digits - 1)], [0.5]))
+    assert str(raised.value) == f"grade 1{'0' * 39}... exceeds the classical-gain cap of 30"
+
+
 def test_ndcg_classic_golden_values():
     def ndcg_classic(group):
         return compute_report(group).ndcg_classic

@@ -34,3 +34,8 @@ PUBLIC = [
 def test_the_public_names_are_pinned_and_resolve():
     assert sorted(lindcg.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(lindcg, name)] == []
+
+
+def test_verification_record_is_defined_beside_its_only_producer():
+    assert lindcg.VerificationRecord.__module__ == "lindcg.metrics"
+    assert lindcg.verify_multipartite_identity.__module__ == "lindcg.metrics"
