@@ -18,7 +18,9 @@ check, whose split compares that DCG with its sum over grade thresholds.
 from those same integers.  The library call ``verify_multipartite_identity``
 names each of them in a ``VerificationRecord``, defined here, whose
 ``passed`` is read off its two integers; the report builds the records
-only for a failed check.
+only for a failed check.  ``IdentitySums``, ``VerificationRecord`` and
+``MetricReport`` are NamedTuples: immutable, hashable and compared by
+value, so each also equals the plain tuple of its fields and unpacks.
 
 The weighted pairwise loss is the ``loss`` of ``identity_sums``.  A pair
 of items with grades a < b is misranked when the higher-graded item
@@ -59,7 +61,6 @@ realized ranking has to place tied items somewhere), so records carry a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import mul, truediv
 from typing import NamedTuple, Sequence
@@ -160,8 +161,7 @@ def identity_status(view: RankedView, sums: IdentitySums) -> str:
     return "failed"
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Outcome of one identity check: two integers that must be equal.
 
     ``passed`` is derived, ``lhs == rhs``, so no record can disagree with
@@ -236,8 +236,7 @@ def verify_multipartite_identity(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Every metric computed for one query group.
 
     ``degenerate_linear`` / ``degenerate_classic`` mark groups whose ideal

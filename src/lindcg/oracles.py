@@ -94,7 +94,8 @@ def binarize(group: QueryGroup, k: int) -> QueryGroup:
     """
     top = max(group.grades)
     if not 0 <= k < top:
-        raise ThresholdOutOfRangeError(f"threshold {k} outside 0 <= k < {top}, the top grade")
+        raise ThresholdOutOfRangeError(
+            f"threshold {_shortened(k)} outside 0 <= k < {_shortened(top)}, the top grade")
     grades = tuple(1 if g > k else 0 for g in group.grades)
     return QueryGroup(group.query_id, grades, group.scores)
 

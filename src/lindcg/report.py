@@ -3,8 +3,11 @@
 Output is byte-stable for a given input: queries are sorted by query id,
 integers are emitted exactly, and every float is formatted to 6
 significant digits.  JSON is the machine-readable format; text is an
-aligned-column view; CSV carries the per-query rows only, with
-``MetricReport``'s fields in order as its columns.
+aligned-column view; CSV carries the per-query rows only.  A query's
+columns are declared once, as the fields of the ``MetricReport``
+NamedTuple: ``MetricReport._fields`` names the keys of each query's JSON
+object and the CSV header, in order.  ``VerificationSummary`` and
+``AggregateReport`` are NamedTuples too.
 
 The aggregate keeps each query's ``MetricReport``, its status included,
 and a ``VerificationRecord`` only for a query whose check failed.  Each
@@ -25,18 +28,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
 from itertools import compress
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import QueryGroup, rank_view
 from .metrics import (MetricReport, VerificationRecord, compute_report,
                       verify_multipartite_identity)
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationSummary:
+class VerificationSummary(NamedTuple):
     """Counts of identity checks: tie-afflicted instances are tallied apart."""
 
     passed: int
@@ -44,8 +45,7 @@ class VerificationSummary:
     tie_flagged: int
 
 
-@dataclass(frozen=True, slots=True)
-class AggregateReport:
+class AggregateReport(NamedTuple):
     """Per-query reports plus dataset-level aggregates.
 
     ``failures`` holds the full record of each query whose ``identity`` is
@@ -102,37 +102,18 @@ def _sig6(value: float) -> float:
 
 
 def _query_dict(report: MetricReport) -> dict:
-    return {
-        "query_id": report.query_id,
-        "num_items": report.num_items,
-        "dcg_linear": report.dcg_linear,
-        "ideal_dcg_linear": report.ideal_dcg_linear,
-        "ndcg_linear": _sig6(report.ndcg_linear),
-        "dcg_classic": _sig6(report.dcg_classic),
-        "ideal_dcg_classic": _sig6(report.ideal_dcg_classic),
-        "ndcg_classic": _sig6(report.ndcg_classic),
-        "dcg_error_linear": report.dcg_error_linear,
-        "pairwise_loss": report.pairwise_loss,
-        "normalizer_z": report.normalizer_z,
-        "normalized_pairwise_loss": _sig6(report.normalized_pairwise_loss),
-        "degenerate_linear": report.degenerate_linear,
-        "degenerate_classic": report.degenerate_classic,
-        "identity": report.identity,
-    }
+    """The report's ``_asdict()``, with every float rounded by ``_sig6``."""
+    return {name: _sig6(value) if isinstance(value, float) else value
+            for name, value in zip(MetricReport._fields, report)}
 
 
 def _summary_dict(report: AggregateReport) -> dict:
-    summary = report.verification_summary
     return {
         "num_queries": len(report.per_query),
         "mean_ndcg_linear": _sig6(report.mean_ndcg_linear),
         "mean_ndcg_classic": _sig6(report.mean_ndcg_classic),
         "total_pairwise_loss": report.total_pairwise_loss,
-        "verification": {
-            "passed": summary.passed,
-            "failed": summary.failed,
-            "tie_flagged": summary.tie_flagged,
-        },
+        "verification": report.verification_summary._asdict(),
     }
 
 
@@ -167,9 +148,6 @@ def render_json(report: AggregateReport) -> str:
     return "".join(json_pieces(report))
 
 
-_CSV_COLUMNS = tuple(field.name for field in fields(MetricReport))
-
-
 class _Line:
     """A file for ``csv.writer`` whose ``write`` returns the row's text, so
     that ``writerow`` returns it too."""
@@ -182,12 +160,11 @@ class _Line:
 def csv_pieces(report: AggregateReport) -> Iterator[str]:
     """``render_csv``'s text: the header row, then one row per query."""
     writer = csv.writer(_Line(), lineterminator="\n")
-    yield writer.writerow(_CSV_COLUMNS)
+    yield writer.writerow(MetricReport._fields)
     for r in report.per_query:
-        row = _query_dict(r)
         yield writer.writerow(
-            ["true" if v is True else "false" if v is False else v for v in
-             map(row.__getitem__, _CSV_COLUMNS)]
+            ["true" if v is True else "false" if v is False else v
+             for v in _query_dict(r).values()]
         )
 
 

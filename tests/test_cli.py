@@ -2,6 +2,7 @@ import inspect
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import lindcg.io
 import lindcg.metrics
 import lindcg.oracles
 import lindcg.report
-from lindcg.cli import MAX_EXHAUSTIVE_PERMUTATIONS, exhaustive_permutations, main
+from lindcg.cli import MAX_EXHAUSTIVE_RANKINGS, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -715,6 +716,30 @@ def test_a_usage_message_writes_at_most_forty_characters_of_a_number(args, messa
         f"Error: {message.replace('{cut}', cut)}\n")
 
 
+# Each integer option, after the arguments its command needs.
+INTEGER_OPTIONS = [
+    ("metrics", "--input", str(DATA / "metrics_mixed.tsv"), "--num-grades"),
+    ("verify", "--trials"),
+    ("verify", "--max-items"),
+    ("verify", "--max-grades"),
+    ("verify", "--seed"),
+    ("verify", "--exhaustive-limit"),
+]
+
+
+@pytest.mark.parametrize("args", INTEGER_OPTIONS, ids=lambda args: args[-1][2:])
+def test_an_integer_option_quotes_at_most_forty_characters_of_a_value_int_refuses(
+        runner, args):
+    """``int`` refuses a string of more than 4,300 digits, and click's own
+    message would write all of it."""
+    nines = "9" * 5000
+    result = runner.invoke(main, [*args, nines])
+    assert result.exit_code == 2
+    assert len(result.stderr.encode()) < 1024
+    assert result.stderr.endswith(
+        f"Error: Invalid value for '{args[-1]}': '{nines[:40]}'... is not a valid integer.\n")
+
+
 def _modules_loaded_by_metrics(path):
     """The exit code and stdout of ``metrics --output json`` on path in a child
     process, and the names of the modules the child had loaded."""
@@ -786,22 +811,41 @@ def test_verify_accepts_zero_trials(runner):
     assert "result: PASS" in result.output
 
 
-@pytest.mark.parametrize(("num_grades", "limit", "count"), [
-    (5, 5, 17_045),
-    (300, 5, 2_520_239_860_200),
-    (4, 7, 672_984),
-    (300, 2, 90_600),
-    (300, 0, 0),
-])
-def test_exhaustive_permutations_follow_the_binomial(num_grades, limit, count):
-    assert exhaustive_permutations(num_grades, limit) == count
+def _permutations(num_grades, limit):
+    """Every ordering of every multiset of 1..limit grades below num_grades:
+    the sum of C(L+s-1, s) * s!."""
+    return sum(math.comb(num_grades + size - 1, size) * math.factorial(size)
+               for size in range(1, limit + 1))
 
 
 def test_exhaustive_pass_checks_the_counted_permutations(runner):
     result = runner.invoke(main, ["verify", "--trials", "0", "--max-grades", "4",
                                   "--exhaustive-limit", "3"])
     assert result.exit_code == 0
-    assert f"permutations={exhaustive_permutations(4, 3)} " in result.output
+    assert f"permutations={_permutations(4, 3)} " in result.output
+
+
+def test_verify_runs_a_pass_of_millions_of_permutations_but_few_rankings(runner):
+    """4 + 16 + ... + 4**8 = 87,380 distinct rankings stand for 7,325,784 permutations."""
+    result = runner.invoke(main, ["verify", "--trials", "0", "--max-grades", "4",
+                                  "--exhaustive-limit", "8"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(
+        f"exhaustive: multisets={math.comb(12, 8) - 1} permutations={_permutations(4, 8)}"
+        " failures=0\n")
+
+
+@pytest.mark.parametrize(("budget", "exit_code"), [(84, 0), (83, 2)])
+def test_the_exhaustive_budget_counts_distinct_rankings(runner, monkeypatch, budget, exit_code):
+    """--max-grades 4 with --exhaustive-limit 3 makes 4 + 16 + 64 rankings."""
+    monkeypatch.setattr(lindcg.cli, "MAX_EXHAUSTIVE_RANKINGS", budget)
+    result = runner.invoke(main, ["verify", "--trials", "0", "--max-grades", "4",
+                                  "--exhaustive-limit", "3"])
+    assert result.exit_code == exit_code
+    if exit_code:
+        assert result.stderr.endswith(
+            "Error: --max-grades 4 with --exhaustive-limit 3 makes 84 rankings, more than 83"
+            " (about 20 s); lower --max-grades or --exhaustive-limit\n")
 
 
 def test_verify_rejects_an_exhaustive_pass_over_the_budget_unstarted(runner, monkeypatch):
@@ -809,7 +853,7 @@ def test_verify_rejects_an_exhaustive_pass_over_the_budget_unstarted(runner, mon
         raise AssertionError("the exhaustive pass started")
 
     monkeypatch.setattr(lindcg.oracles, "brute_force_oracle", started)
-    assert exhaustive_permutations(300, 5) > MAX_EXHAUSTIVE_PERMUTATIONS
+    assert sum(300**size for size in range(1, 6)) > MAX_EXHAUSTIVE_RANKINGS
     result = runner.invoke(main, ["verify", "--max-grades", "300"])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # not a traceback
@@ -819,14 +863,14 @@ def test_verify_rejects_an_exhaustive_pass_over_the_budget_unstarted(runner, mon
 
 def test_verify_rejects_a_max_grades_of_a_thousand_digits_in_a_short_message(runner):
     """The count of such a pass has more digits than ``str`` writes; the
-    message gives a bound instead, and the option's first 40 digits."""
+    message gives its first 40 digits, and the option's."""
     result = runner.invoke(main, ["verify", "--max-grades", "1" + "0" * 1000])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert len(result.stderr.encode()) < 1024
     assert result.stderr.endswith(
-        f"Error: --max-grades 1{'0' * 39}... with --exhaustive-limit 5 makes at least 10**40"
-        " permutations, more than 5,000,000 (about 20 s); lower --max-grades or"
+        f"Error: --max-grades 1{'0' * 39}... with --exhaustive-limit 5 makes 1{'0' * 39}..."
+        " rankings, more than 5,000,000 (about 20 s); lower --max-grades or"
         " --exhaustive-limit\n")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -95,7 +94,7 @@ def test_bipartite_identity_on_golden_arrangement():
     assert not record.tie_afflicted
     threshold, _ = record.details
     assert (threshold.instance_id, threshold.lhs, threshold.rhs) == ("g[k=0]", 4, 4)
-    assert dataclasses.replace(record, rhs=record.rhs + 1).passed is False
+    assert record._replace(rhs=record.rhs + 1).passed is False
 
 
 def test_bipartite_identity_on_ideal_and_reversed_arrangements():

@@ -139,6 +139,20 @@ def test_binarize_rejects_out_of_range_thresholds():
         binarize(group_from_ranking([0, 0]), 0)  # no item above any threshold
 
 
+@pytest.mark.parametrize("digits", [100, 5000])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_binarize_writes_at_most_forty_characters_of_each_number(digits, sign):
+    """``str`` refuses an int of more than 4,300 digits, so the message
+    writes the first 40 characters of the threshold and of the top grade."""
+    top = 10 ** (digits - 1)
+    group = QueryGroup("q", (top, 0), (0.5, 0.2))
+    with pytest.raises(ThresholdOutOfRangeError) as raised:
+        binarize(group, -top if sign else top)
+    first = "1" + "0" * 39  # the first 40 characters of the top grade
+    assert str(raised.value) == (f"threshold {(sign + first)[:40]}... outside"
+                                 f" 0 <= k < {first}..., the top grade")
+
+
 def test_binarize_sequence_matches_group_binarization():
     group = make_group([0, 2, 0, 1, 0, 1, 0], [0.4, 0.9, 0.1, 0.5, 0.6, 0.3, 0.2])
     seq = rank_by_score(group)

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import group_from_ranking, make_group
+from lindcg.io import parse_tsv
+from lindcg.metrics import MetricReport
 from lindcg.report import (
+    VerificationSummary,
     build_aggregate_report,
     render_csv,
     render_json,
@@ -15,6 +19,7 @@ from lindcg.report import (
 GOLDEN = group_from_ranking([1, 0, 0, 1, 1, 0], query_id="g")
 SINGLETON = make_group([3], [0.5], query_id="a")
 TIED = make_group([0, 1], [0.5, 0.5], query_id="t")
+DATA = Path(__file__).parent / "data"
 
 
 def test_aggregate_sorts_queries_and_averages_over_all_of_them():
@@ -68,6 +73,15 @@ def test_csv_has_one_row_per_query_and_lowercase_booleans():
     assert ",true," in lines[1]  # degenerate_linear
     assert lines[2].startswith("g,6,8,12,0.666667,")
     assert ",false,false," in lines[2]
+
+
+def test_the_query_columns_are_declared_once_as_the_metric_report_fields():
+    """Each query's JSON keys and the CSV header are ``MetricReport._fields``, in order."""
+    report = build_aggregate_report(parse_tsv(str(DATA / "metrics_fine.tsv")))
+    payload = json.loads(render_json(report))
+    assert {tuple(query) for query in payload["queries"]} == {MetricReport._fields}
+    assert render_csv(report).split("\n", 1)[0] == ",".join(MetricReport._fields)
+    assert tuple(payload["verification"]) == VerificationSummary._fields
 
 
 def test_text_report_marks_status_and_flags():

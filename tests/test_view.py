@@ -86,14 +86,14 @@ def test_view_and_check_follow_the_grades_present_not_the_alphabet():
 def test_identity_check_equals_the_rebuild_path_record_by_record(group):
     record = verify_multipartite_identity(group)
     oracle = rebuilt_multipartite_record(group)
-    assert record == dataclasses.replace(oracle, details=record.details)
+    assert record == oracle._replace(details=record.details)
     *runs, split = record.details
     *per_k, oracle_split = oracle.details
     assert split == oracle_split
     # Each run record is the oracle's record at every threshold of its run,
     # and the runs end at the top grade, as the oracle's thresholds do.
     expanded = [
-        dataclasses.replace(run, instance_id=f"{group.query_id}[k={k}]")
+        run._replace(instance_id=f"{group.query_id}[k={k}]")
         for run in runs for k in run_thresholds(run.instance_id)
     ]
     assert expanded == per_k
