@@ -123,7 +123,7 @@ def _random_tie_free_group(rng: random.Random, max_items: int,
     scores: dict[float, None] = {}  # distinct, in the order drawn
     while len(scores) < size:
         scores[rng.random()] = None
-    return QueryGroup.build(f"trial-{index}", grades, scores)
+    return QueryGroup(f"trial-{index}", grades, scores)
 
 
 @main.command("verify")
@@ -163,8 +163,12 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
         )
 
     multisets = permutations = exhaustive_failures = 0
+    # combinations_with_replacement copies its pool into a tuple first.  The
+    # budget keeps --max-grades small above size 1, so only size 1 runs lazily.
+    grades = range(max_grades)
     for size in range(1, exhaustive_limit + 1):
-        for multiset in itertools.combinations_with_replacement(range(max_grades), size):
+        for multiset in (zip(grades) if size == 1
+                         else itertools.combinations_with_replacement(grades, size)):
             multisets += 1
             for _, count, dcg_error, loss in brute_force_oracle(multiset):
                 permutations += count

@@ -3,18 +3,19 @@
 Grades are non-negative integers; scores are finite floats produced by
 whatever model is under evaluation.
 ``QueryGroup`` validates its invariants at construction; the readers, which
-have already checked every value, build theirs without a second check.  ``RankedView``
-is built by ``rank_view`` from an already validated group and does not
-check them again.  Both are immutable, and every operation is a pure
-function, so values can be shared freely across concurrent workers.
+have already checked every value, build theirs without a second check.  It
+is a plain slotted class, compared by value; it is neither frozen nor
+hashable, and nothing in the package assigns to a group once built.
+``RankedView`` is a NamedTuple built by ``rank_view`` from an already
+validated group, and does not check the values again.  Every operation is
+a pure function, so values can be shared freely across concurrent workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError, _shortened
 
@@ -23,23 +24,21 @@ from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError, _shor
 _is_int = int.__instancecheck__
 
 
-@dataclass(frozen=True, slots=True)
 class QueryGroup:
     """One query's items as parallel grade and score columns in input order."""
 
-    query_id: str
-    grades: tuple[int, ...]
-    scores: tuple[float, ...]
+    __slots__ = ("query_id", "grades", "scores")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grades", grades := tuple(self.grades))
-        object.__setattr__(self, "scores", scores := tuple(self.scores))
+    def __init__(self, query_id: str, grades: Iterable[int], scores: Iterable[float]) -> None:
+        self.query_id = query_id
+        self.grades = grades = tuple(grades)
+        self.scores = scores = tuple(scores)
         if len(grades) != len(scores):
             raise ValueError(
-                f"{len(grades)} grades vs {len(scores)} scores for query {self.query_id!r}"
+                f"{len(grades)} grades vs {len(scores)} scores for query {query_id!r}"
             )
         if not grades:
-            raise EmptyGroupError(f"query {self.query_id!r} has no items")
+            raise EmptyGroupError(f"query {query_id!r} has no items")
         # Whole-column passes; the offending value is looked up only on failure.
         if not all(map(_is_int, grades)) or min(grades) < 0:
             bad = next(g for g in grades if not _is_int(g) or g < 0)
@@ -49,30 +48,34 @@ class QueryGroup:
             raise InvalidScoreError(f"score must be finite, got {bad!r}")
 
     @classmethod
-    def build(cls, query_id: str, grades: Sequence[int], scores: Sequence[float]) -> QueryGroup:
-        """Assemble a group from parallel grade and score sequences, reading scores as floats."""
-        return cls(query_id, tuple(grades), tuple(map(float, scores)))
-
-    @classmethod
     def _from_checked(cls, query_id: str, grades: Iterable[int],
                       scores: Iterable[float]) -> QueryGroup:
         """A group of non-empty, equally long columns whose every value a reader has checked.
 
-        The columns become tuples, and ``__post_init__``'s second check of
-        each grade and score is skipped.
+        The columns become tuples, and ``__init__``'s second check of each
+        grade and score is skipped.
         """
         group = object.__new__(cls)
-        object.__setattr__(group, "query_id", query_id)
-        object.__setattr__(group, "grades", tuple(grades))
-        object.__setattr__(group, "scores", tuple(scores))
+        group.query_id = query_id
+        group.grades = tuple(grades)
+        group.scores = tuple(scores)
         return group
 
     def __len__(self) -> int:
         return len(self.grades)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.query_id, self.grades, self.scores) == (
+            other.query_id, other.grades, other.scores)
 
-@dataclass(frozen=True, slots=True)
-class RankedView:
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(query_id={self.query_id!r},"
+                f" grades={self.grades!r}, scores={self.scores!r})")
+
+
+class RankedView(NamedTuple):
     """One query ranked once, with the per-level totals every metric and check reads.
 
     ``grades`` lists the grades best-scored position first.  ``levels`` are
@@ -87,7 +90,8 @@ class RankedView:
     strictly below the grade-a item.  Thresholds at or above the top grade
     have no item above them and a loss of 0, so they have no entry.  The
     group has already validated every value, so the view does not validate
-    again.
+    again.  As a tuple its length is its six fields; ``len(view.grades)`` is
+    the number of items.
     """
 
     grades: tuple[int, ...]
@@ -101,9 +105,6 @@ class RankedView:
     def run_widths(self) -> tuple[int, ...]:
         """The number of thresholds in each run: ``levels[j + 1] - levels[j]``."""
         return tuple(map(sub, self.levels[1:], self.levels))
-
-    def __len__(self) -> int:
-        return len(self.grades)
 
 
 def _score_order(group: QueryGroup) -> list[int]:
@@ -161,11 +162,4 @@ def rank_view(group: QueryGroup) -> RankedView:
     counts[last] += 1
     for b in tied:
         counts[b] += 1
-    return RankedView(
-        grades=grades,
-        levels=levels,
-        counts=tuple(counts[:d]),
-        discount_mass=tuple(mass),
-        has_score_ties=ties,
-        threshold_losses=tuple(losses),
-    )
+    return RankedView(grades, levels, tuple(counts[:d]), tuple(mass), ties, tuple(losses))

@@ -125,7 +125,7 @@ def identity_sums(view: RankedView) -> IdentitySums:
     the discount masses rewritten, so every check compares two independent
     counts.  No grade is capped here, so ``lindcg verify`` checks any.
     """
-    n = len(view)
+    n = len(view.grades)
     levels, counts, masses = view.levels, view.counts, view.discount_mass
     widths = view.run_widths
     losses = view.threshold_losses
@@ -281,7 +281,7 @@ def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricR
     lin, lin_ideal = sums.dcg, sums.ideal_dcg
     cls = _classic_sum(view.grades)
     cls_ideal = _classic_sum(ideal_grades)
-    n = len(view)
+    n = len(view.grades)
     z = (n * n - sum(c * c for c in view.counts)) // 2
 
     return MetricReport(

@@ -7,9 +7,10 @@ per threshold.  The module shares no code with the path it checks
 (``core.rank_view`` and the ``metrics`` kernels, ``metrics.identity_sums``
 and ``metrics.verify_multipartite_identity`` among them); from the rest of
 the package it takes only the errors and the ``core`` data type
-``QueryGroup``, and it returns plain integers and tuples.  A test that
-checks the view path against an oracle therefore cannot pass because both
-share a mistake.
+``QueryGroup``, and it returns plain integers and tuples, besides
+``ExchangeSequence``, a plain slotted class that checks its swaps when
+built.  A test that checks the view path against an oracle therefore
+cannot pass because both share a mistake.
 
 The sequence references take grade tuples read best-ranked first:
 ``rank_by_score`` gives the one a group's scores induce, and sorting the
@@ -21,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import QueryGroup
@@ -140,31 +140,29 @@ def threshold_decomposition(group: QueryGroup) -> tuple[int, ...]:
     return tuple(loss for width, loss in threshold_run_losses(group) for _ in range(width))
 
 
-@dataclass(frozen=True, slots=True)
 class ExchangeSequence:
     """The swaps turning the ideal bipartite sequence [1^m 0^n] into a target.
 
     ``pairs`` holds 1-based positions (i_r, j_r): i_r indexes the first m
     slots, j_r indexes within the last n slots, and both coordinates are
-    strictly increasing across the sequence.
+    strictly increasing across the sequence.  The positions are checked
+    once, here; nothing assigns to a sequence after that.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    m: int
-    n: int
+    __slots__ = ("pairs", "m", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        if len(self.pairs) > min(self.m, self.n):
-            raise ValueError(
-                f"{len(self.pairs)} exchanges exceed min(m={self.m}, n={self.n})"
-            )
+    def __init__(self, pairs: Iterable[tuple[int, int]], m: int, n: int) -> None:
+        self.pairs = pairs = tuple(map(tuple, pairs))
+        self.m = m
+        self.n = n
+        if len(pairs) > min(m, n):
+            raise ValueError(f"{len(pairs)} exchanges exceed min(m={m}, n={n})")
         prev_i = prev_j = 0
-        for i, j in self.pairs:
-            if not (prev_i < i <= self.m and prev_j < j <= self.n):
+        for i, j in pairs:
+            if not (prev_i < i <= m and prev_j < j <= n):
                 raise ValueError(
                     f"exchange positions ({i}, {j}) not strictly increasing "
-                    f"within m={self.m}, n={self.n}"
+                    f"within m={m}, n={n}"
                 )
             prev_i, prev_j = i, j
 

@@ -41,7 +41,7 @@ def grouped(query_ids, grades, scores) -> list[QueryGroup]:
 
 
 def make_group(grades, scores, query_id="q"):
-    return QueryGroup.build(query_id, list(grades), list(scores))
+    return QueryGroup(query_id, grades, map(float, scores))
 
 
 def group_from_ranking(grades_in_rank_order, query_id="q"):

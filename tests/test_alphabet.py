@@ -1,7 +1,6 @@
 """The grade alphabet L stays off the evaluation path: only the readers and the CLI see it."""
 
 import ast
-import dataclasses
 import importlib
 from pathlib import Path
 
@@ -29,8 +28,7 @@ def alphabet_uses(source: str) -> list[str]:
 
 
 def test_query_group_holds_no_alphabet():
-    assert [field.name for field in dataclasses.fields(QueryGroup)] == [
-        "query_id", "grades", "scores"]
+    assert QueryGroup.__slots__ == ("query_id", "grades", "scores")
 
 
 @pytest.mark.parametrize("module", EVALUATION_MODULES)

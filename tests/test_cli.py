@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -884,6 +885,24 @@ def test_verify_cost_does_not_follow_max_grades(runner, monkeypatch):
                                   "--max-items", "5", "--exhaustive-limit", "0", "--seed", "1"])
     assert result.exit_code == 0, result.output
     assert "random: groups=20 identity_failures=0 decomposition_failures=0" in result.output
+
+
+def test_verify_memory_does_not_follow_max_grades_in_the_exhaustive_pass(runner, monkeypatch):
+    """The size-1 multisets come lazily: a pool of 100,000 grades, copied
+    into a tuple, would hold about 4 MB."""
+    one_ranking = ((None, 1, 0, 0),)
+    monkeypatch.setattr(lindcg.oracles, "brute_force_oracle", lambda multiset: one_ranking)
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["verify", "--trials", "0", "--exhaustive-limit", "1",
+                                      "--max-grades", "100000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(
+        "exhaustive: multisets=100000 permutations=100000 failures=0\n")
+    assert peak < 2**20
 
 
 def test_verify_rejects_bad_option_values(runner):

@@ -82,6 +82,17 @@ def test_empty_group_is_rejected():
         QueryGroup("q", (), ())
 
 
+def test_a_group_is_compared_by_value_and_holds_tuples():
+    group = QueryGroup("q", [1, 0], iter([0.5, 0.2]))
+    assert (group.grades, group.scores, len(group)) == ((1, 0), (0.5, 0.2), 2)
+    assert group == QueryGroup._from_checked("q", [1, 0], [0.5, 0.2])
+    assert group != QueryGroup("r", (1, 0), (0.5, 0.2))
+    assert group != ("q", (1, 0), (0.5, 0.2))
+    assert repr(group) == "QueryGroup(query_id='q', grades=(1, 0), scores=(0.5, 0.2))"
+    with pytest.raises(TypeError):
+        hash(group)
+
+
 def test_grade_and_score_columns_must_have_equal_length():
     with pytest.raises(ValueError):
         QueryGroup("q", (1, 0), (0.5,))

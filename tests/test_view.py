@@ -1,6 +1,5 @@
 """The ranked view against the rebuild path it replaced and the naive oracles."""
 
-import dataclasses
 import math
 import sys
 from collections import Counter
@@ -50,6 +49,14 @@ def test_view_of_the_golden_group():
     assert view.discount_mass == (4 + 3 + 0, 5 + 2 + 1)
     assert view.threshold_losses == (4,)
     assert not view.has_score_ties
+
+
+def test_a_view_is_a_named_tuple_whose_length_is_its_field_count():
+    view = rank_view(group_from_ranking([2, 0, 1]))
+    assert RankedView._fields == ("grades", "levels", "counts", "discount_mass",
+                                  "has_score_ties", "threshold_losses")
+    assert (len(view), len(view.grades)) == (6, 3)
+    assert view == tuple(getattr(view, field) for field in RankedView._fields)
 
 
 def test_view_keeps_input_order_among_tied_scores_and_skips_tied_pairs():
@@ -234,7 +241,7 @@ def test_kept_status_is_the_records_verdict_on_any_view(group, data):
             values[index] = (values[index] + data.draw(st.integers(1, 30))) % 31
         else:
             values[index] += data.draw(st.sampled_from([-2, -1, 1, 2]))
-        view = dataclasses.replace(view, **{field: tuple(values)})
+        view = view._replace(**{field: tuple(values)})
     record = verify_multipartite_identity(group, view)
     status = _records_status(record)
     assert _kept(group, view) == ((status,), (record,) if status == "failed" else ())
@@ -245,7 +252,7 @@ def test_a_corrupted_ranked_grade_fails_the_total_and_the_split():
     view = rank_view(group)
     grades = list(view.grades)
     grades[0] = 1  # the top item's grade; the levels, counts and masses stay
-    statuses, (record,) = _kept(group, dataclasses.replace(view, grades=tuple(grades)))
+    statuses, (record,) = _kept(group, view._replace(grades=tuple(grades)))
     assert statuses == ("failed",)
     # The position sum is the DCG both the total and the split read.
     assert (record.passed, record.lhs, record.rhs) == (False, 9, 3)
@@ -257,7 +264,7 @@ def test_a_corrupted_discount_mass_fails_the_runs_and_the_split_but_not_the_tota
     view = rank_view(group)
     masses = list(view.discount_mass)
     masses[1] += 1  # the mass of grade 1, which the runs k=0 and the split read
-    statuses, (record,) = _kept(group, dataclasses.replace(view, discount_mass=tuple(masses)))
+    statuses, (record,) = _kept(group, view._replace(discount_mass=tuple(masses)))
     assert statuses == ("failed",)
     # The total reads the position sum and the closed-form ideal, not the masses.
     assert (record.passed, record.lhs, record.rhs) == (True, 3, 3)
@@ -269,7 +276,7 @@ def test_a_corrupted_run_loss_fails_that_run_and_the_total():
     view = rank_view(group)
     losses = list(view.threshold_losses)
     losses[1] += 1  # the loss of the run k=1
-    statuses, (record,) = _kept(group, dataclasses.replace(view, threshold_losses=tuple(losses)))
+    statuses, (record,) = _kept(group, view._replace(threshold_losses=tuple(losses)))
     assert statuses == ("failed",)
     # The total is the runs' losses weighted by their widths, so it fails with the run.
     assert (record.passed, record.lhs, record.rhs) == (False, 3, 4)
