@@ -2,9 +2,12 @@
 exact identity checks between the DCG error and the pairwise loss.
 
 The package exports the ranked-view path that ``lindcg metrics`` runs, the
-readers, which return query groups, the report and the errors that path
-raises.  The independent test oracles are in ``lindcg.oracles``; the errors
-only they raise stay in ``lindcg.errors``.
+readers, which return query groups, the report, its three writers and the
+errors that path raises.  Each writer, ``json_pieces``, ``text_pieces`` or
+``csv_pieces``, yields its format's text in pieces, as ``lindcg metrics``
+writes them; ``"".join(json_pieces(report))`` is the JSON report whole.
+The independent test oracles are in ``lindcg.oracles``; the errors only
+they raise stay in ``lindcg.errors``.
 """
 
 from .core import QueryGroup, RankedView, rank_view
@@ -30,10 +33,9 @@ from .report import (
     AggregateReport,
     VerificationSummary,
     build_aggregate_report,
-    render_csv,
-    render_json,
-    render_text,
-    to_json_dict,
+    csv_pieces,
+    json_pieces,
+    text_pieces,
 )
 
 __version__ = "0.1.0"
@@ -56,12 +58,11 @@ __all__ = [
     "bipartite_ideal_dcg",
     "build_aggregate_report",
     "compute_report",
+    "csv_pieces",
+    "json_pieces",
     "parse_svmlight",
     "parse_tsv",
     "rank_view",
-    "render_csv",
-    "render_json",
-    "render_text",
-    "to_json_dict",
+    "text_pieces",
     "verify_multipartite_identity",
 ]

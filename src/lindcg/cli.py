@@ -33,7 +33,7 @@ from .core import QueryGroup, rank_view
 from .errors import LindcgError
 from .io import _grouped, _parse_grade, _quoted, _rows, _shortened
 from .metrics import identity_status, identity_sums
-from .report import build_aggregate_report, csv_pieces, json_pieces, text_pieces
+from .report import WRITERS, build_aggregate_report
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -43,6 +43,13 @@ EXIT_USAGE = 2
 # --max-grades 5,000,000, took 17 to 19 s on a 2-vCPU Xeon host, and the
 # largest admitted pass of each other limit 13 to 18 s: about 20 s.
 MAX_EXHAUSTIVE_RANKINGS = 5_000_000
+# Largest random group `verify` draws, in its items times the distinct grades
+# they can hold, min(--max-items, --max-grades): the sweep of `rank_view` and
+# the threshold decomposition cost O(items x distinct grades).  The slowest
+# group it admits, 4,000,000 items over grades 0 and 1, took 20 to 24 s on a
+# 2-vCPU Xeon host and peaked at 430 MB; 2,666,666 items over three grades
+# took 16 s: about 20 s.
+MAX_RANDOM_ITEM_GRADES = 8_000_000
 
 
 class _Integer(click.types.IntParamType):
@@ -95,7 +102,7 @@ def _echo_pieces(pieces: Iterable[str]) -> None:
               help="Companion score file (svmlight format only).")
 @click.option("--num-grades", type=_Integer(), default=None,
               help="Reject any grade at or above this grade-alphabet size.")
-@click.option("--output", "output_fmt", type=click.Choice(["json", "text", "csv"]),
+@click.option("--output", "output_fmt", type=click.Choice(tuple(WRITERS)),
               default="text", show_default=True, help="Report format.")
 def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
                 num_grades: int | None, output_fmt: str) -> None:
@@ -109,8 +116,7 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
     except LindcgError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
-    pieces = {"json": json_pieces, "text": text_pieces, "csv": csv_pieces}[output_fmt]
-    _echo_pieces(pieces(report))
+    _echo_pieces(WRITERS[output_fmt](report))
     if report.verification_summary.failed:
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -160,6 +166,13 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
             f"--max-grades {_shortened(max_grades)} with --exhaustive-limit {exhaustive_limit}"
             f" makes {_shortened(planned)} rankings, more than {MAX_EXHAUSTIVE_RANKINGS:,}"
             " (about 20 s); lower --max-grades or --exhaustive-limit"
+        )
+    largest = max_items * min(max_items, max_grades)
+    if trials and largest > MAX_RANDOM_ITEM_GRADES:
+        raise click.UsageError(
+            f"--max-items {_shortened(max_items)} with --max-grades {_shortened(max_grades)}"
+            f" makes groups of up to {_shortened(largest)} item-grades, more than"
+            f" {MAX_RANDOM_ITEM_GRADES:,} (about 20 s); lower --max-items or --max-grades"
         )
 
     multisets = permutations = exhaustive_failures = 0

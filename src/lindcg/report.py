@@ -11,17 +11,20 @@ object and the CSV header, in order.  ``VerificationSummary`` and
 
 The aggregate keeps each query's ``MetricReport``, its status included,
 and a ``VerificationRecord`` only for a query whose check failed.  Each
-format has a generator that yields its text in pieces: the head, one
-piece per query and the tail.  ``lindcg metrics`` writes the pieces as
-they come; ``render_json``, ``render_text`` and ``render_csv`` join them.
+format has one writer, a generator that yields its text in pieces: the
+head, one piece per query and the tail.  ``WRITERS`` maps each format's
+name to its writer, ``json_pieces``, ``text_pieces`` or ``csv_pieces``;
+``lindcg metrics`` offers those names and writes the pieces as they come,
+and ``"".join(json_pieces(report))`` is the whole report as one string.
 
-The JSON report is exactly ``json.dumps(to_json_dict(report), indent=2)``
-plus a newline, but only its small head, which holds the means, goes
-through the indenting encoder, which is pure Python.  Each query's flat
-dict is encoded by the C encoder with ``",\n      "`` between items, which
-puts every key on its own line six spaces in, as ``indent=2`` does at that
-depth; the fixed outer layout, ``"    {\n      "`` before each query,
-``"\n    }"`` after it and ``",\n"`` between queries, is added around it.
+The JSON report is exactly ``json.dumps`` of the report's object with
+``indent=2``, plus a newline, but only its small head, which holds the
+means, goes through the indenting encoder, which is pure Python.  Each
+query's flat dict is encoded by the C encoder with ``",\n      "`` between
+items, which puts every key on its own line six spaces in, as ``indent=2``
+does at that depth; the fixed outer layout, ``"    {\n      "`` before each
+query, ``"\n    }"`` after it and ``",\n"`` between queries, is added
+around it.
 """
 
 from __future__ import annotations
@@ -107,31 +110,21 @@ def _query_dict(report: MetricReport) -> dict:
             for name, value in zip(MetricReport._fields, report)}
 
 
-def _summary_dict(report: AggregateReport) -> dict:
-    return {
-        "num_queries": len(report.per_query),
-        "mean_ndcg_linear": _sig6(report.mean_ndcg_linear),
-        "mean_ndcg_classic": _sig6(report.mean_ndcg_classic),
-        "total_pairwise_loss": report.total_pairwise_loss,
-        "verification": report.verification_summary._asdict(),
-    }
-
-
-def to_json_dict(report: AggregateReport) -> dict:
-    return {
-        **_summary_dict(report),
-        "queries": [_query_dict(r) for r in report.per_query],
-    }
-
-
 # A flat query dict encoded by the C encoder in the layout indent=2 gives it
 # at depth 3: each key on its own line, six spaces in.
 _QUERY_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def json_pieces(report: AggregateReport) -> Iterator[str]:
-    """``render_json``'s text: the head, one piece per query, then the tail."""
-    head = json.dumps({**_summary_dict(report), "queries": []}, indent=2)
+    """The JSON report: the head, one piece per query, then the tail."""
+    head = json.dumps({
+        "num_queries": len(report.per_query),
+        "mean_ndcg_linear": _sig6(report.mean_ndcg_linear),
+        "mean_ndcg_classic": _sig6(report.mean_ndcg_classic),
+        "total_pairwise_loss": report.total_pairwise_loss,
+        "verification": report.verification_summary._asdict(),
+        "queries": [],
+    }, indent=2)
     if not report.per_query:
         yield head + "\n"
         return
@@ -141,11 +134,6 @@ def json_pieces(report: AggregateReport) -> Iterator[str]:
         yield separator + "    {\n      " + _QUERY_ENCODER.encode(_query_dict(r))[1:-1] + "\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n"
-
-
-def render_json(report: AggregateReport) -> str:
-    """``json.dumps(to_json_dict(report), indent=2)`` and a newline, byte for byte."""
-    return "".join(json_pieces(report))
 
 
 class _Line:
@@ -158,7 +146,7 @@ class _Line:
 
 
 def csv_pieces(report: AggregateReport) -> Iterator[str]:
-    """``render_csv``'s text: the header row, then one row per query."""
+    """The CSV report: the header row, then one row per query."""
     writer = csv.writer(_Line(), lineterminator="\n")
     yield writer.writerow(MetricReport._fields)
     for r in report.per_query:
@@ -166,10 +154,6 @@ def csv_pieces(report: AggregateReport) -> Iterator[str]:
             ["true" if v is True else "false" if v is False else v
              for v in _query_dict(r).values()]
         )
-
-
-def render_csv(report: AggregateReport) -> str:
-    return "".join(csv_pieces(report))
 
 
 # The text report's columns up to its identity and flags: (header, MetricReport field).
@@ -195,7 +179,7 @@ def _text_cell(value) -> str:
 
 
 def text_pieces(report: AggregateReport) -> Iterator[str]:
-    """``render_text``'s text: the header line, one line per query, then the summary.
+    """The text report: the header line, one line per query, then the summary.
 
     Each column is padded to its widest cell, but to no more than
     ``_TEXT_PAD`` characters: a longer cell, such as a long query id, is
@@ -221,5 +205,5 @@ def text_pieces(report: AggregateReport) -> Iterator[str]:
     )
 
 
-def render_text(report: AggregateReport) -> str:
-    return "".join(text_pieces(report))
+# Each report format's name, as ``lindcg metrics --output`` takes it, and its writer.
+WRITERS = {"json": json_pieces, "text": text_pieces, "csv": csv_pieces}

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Iterator
 from functools import partial
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import lindcg.io
 import lindcg.metrics
 import lindcg.oracles
 import lindcg.report
-from lindcg.cli import MAX_EXHAUSTIVE_RANKINGS, main
+from lindcg.cli import MAX_EXHAUSTIVE_RANKINGS, MAX_RANDOM_ITEM_GRADES, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -494,18 +495,36 @@ def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
 
 
 def test_metrics_writes_the_golden_reports_without_the_joined_renderers(runner, monkeypatch):
-    """``lindcg metrics`` writes each report's pieces; it never builds the whole text."""
-    def forbidden(report):
-        raise AssertionError("the report was rendered whole")
+    """``lindcg metrics`` hands its writer's pieces to ``_echo_pieces`` as they
+    come: an iterator, never the report joined into one text first."""
+    echo_pieces = lindcg.cli._echo_pieces
+    received = []
 
-    for name in ("render_json", "render_text", "render_csv"):
-        monkeypatch.setattr(lindcg.report, name, forbidden)
-        monkeypatch.setattr(lindcg, name, forbidden)
+    def recorded(pieces):
+        written = list(pieces)
+        received.append((pieces, len(written)))
+        echo_pieces(written)
+
+    monkeypatch.setattr(lindcg.cli, "_echo_pieces", recorded)
     for name, _, output, golden in GOLDEN_RUNS:  # _data_input_args finds the score file
+        received.clear()
         args = ["metrics", *_data_input_args(name), "--output", output]
         result = runner.invoke(main, args)
         assert (result.exit_code, result.output) == (
             0, (DATA / golden).read_text(encoding="utf-8")), golden
+        ((pieces, count),) = received
+        assert isinstance(pieces, Iterator), golden
+        assert count > 2, golden  # a head, a piece per query and a tail, or more
+
+
+def test_the_output_formats_are_the_writers_of_the_report(runner, golden_file, monkeypatch):
+    """``--output`` offers the names of ``report.WRITERS``, and ``metrics``
+    writes through the writer it names there."""
+    (output,) = [param for param in lindcg.cli.metrics_cmd.params if param.name == "output_fmt"]
+    assert tuple(output.type.choices) == tuple(lindcg.report.WRITERS) == ("json", "text", "csv")
+    monkeypatch.setitem(lindcg.report.WRITERS, "csv", lambda report: iter(["written\n"]))
+    result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", "csv"])
+    assert (result.exit_code, result.output) == (0, "written\n")
 
 
 def _child_env():
@@ -702,6 +721,11 @@ LONG_NUMBERS = [
                  id="max-grades"),
     pytest.param(("verify", "--exhaustive-limit", "9" * 4000),
                  "--exhaustive-limit must be in 0..8, got {cut}", id="exhaustive-limit"),
+    # 5 * (10**4000 - 1) item-grades: a 4, 3,999 nines and a 5.
+    pytest.param(("verify", "--max-items", "9" * 4000),
+                 "--max-items {cut} with --max-grades 5 makes groups of up to"
+                 f" 4{'9' * 39}... item-grades, more than 8,000,000 (about 20 s);"
+                 " lower --max-items or --max-grades", id="random-budget"),
 ]
 
 
@@ -862,6 +886,73 @@ def test_verify_rejects_an_exhaustive_pass_over_the_budget_unstarted(runner, mon
     assert "--exhaustive-limit" in result.stderr
 
 
+@pytest.mark.parametrize(("budget", "trials", "exit_code"), [(120, 3, 0), (119, 3, 2), (119, 0, 0)])
+def test_the_random_budget_counts_items_times_distinct_grades(runner, monkeypatch, budget,
+                                                              trials, exit_code):
+    """--max-items 30 with --max-grades 4 makes groups of up to 30 items over
+    4 grades; a run that draws no group is not refused."""
+    monkeypatch.setattr(lindcg.cli, "MAX_RANDOM_ITEM_GRADES", budget)
+    result = runner.invoke(main, ["verify", "--trials", str(trials), "--max-items", "30",
+                                  "--max-grades", "4", "--exhaustive-limit", "0"])
+    assert result.exit_code == exit_code
+    if exit_code:
+        assert result.stderr.endswith(
+            "Error: --max-items 30 with --max-grades 4 makes groups of up to 120 item-grades,"
+            " more than 119 (about 20 s); lower --max-items or --max-grades\n")
+
+
+def test_verify_rejects_a_random_group_over_the_budget_undrawn(runner, monkeypatch):
+    """A group of a trillion items would take memory until none is left; the
+    run exits 2 before the first draw, and before any output."""
+    def drawn(*args):
+        raise AssertionError("a random group was drawn")
+
+    monkeypatch.setattr(lindcg.cli, "_random_tie_free_group", drawn)
+    assert 10**12 * 5 > MAX_RANDOM_ITEM_GRADES
+    result = runner.invoke(main, ["verify", "--trials", "1", "--max-items", str(10**12),
+                                  "--exhaustive-limit", "0"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert len(result.stderr.encode()) < 1024
+    assert result.stderr.endswith(
+        "Error: --max-items 1000000000000 with --max-grades 5 makes groups of up to"
+        " 5000000000000 item-grades, more than 8,000,000 (about 20 s); lower --max-items or"
+        " --max-grades\n")
+
+
+def test_verify_counts_a_failed_ranking_once_per_permutation(runner, monkeypatch):
+    """Each distinct ranking the permutation oracle gets wrong fails for every
+    permutation that gives it: here (0, 0) and (1, 1), two each."""
+    brute_force_oracle = lindcg.oracles.brute_force_oracle
+
+    def wrong_where_grades_repeat(multiset):
+        for ranking, count, dcg_error, loss in brute_force_oracle(multiset):
+            yield ranking, count, dcg_error, loss + (count > 1)
+
+    monkeypatch.setattr(lindcg.oracles, "brute_force_oracle", wrong_where_grades_repeat)
+    result = runner.invoke(main, ["verify", "--trials", "0", "--max-grades", "2",
+                                  "--exhaustive-limit", "2"])
+    assert (result.exit_code, result.stdout) == (1, (
+        "exhaustive: multisets=5 permutations=8 failures=4\n"
+        "random: groups=0 identity_failures=0 decomposition_failures=0\n"
+        "result: FAIL (4 failures)\n"))
+
+
+def test_verify_counts_each_random_group_whose_decomposition_disagrees(runner, monkeypatch):
+    threshold_run_losses = lindcg.oracles.threshold_run_losses
+
+    def one_more_on_even_trials(group):
+        runs = threshold_run_losses(group)
+        return (*runs, (1, 1)) if int(group.query_id.removeprefix("trial-")) % 2 == 0 else runs
+
+    monkeypatch.setattr(lindcg.oracles, "threshold_run_losses", one_more_on_even_trials)
+    result = runner.invoke(main, ["verify", "--trials", "5", "--exhaustive-limit", "0"])
+    assert (result.exit_code, result.stdout) == (1, (
+        "exhaustive: multisets=0 permutations=0 failures=0\n"
+        "random: groups=5 identity_failures=0 decomposition_failures=3\n"
+        "result: FAIL (3 failures)\n"))
+
+
 def test_verify_rejects_a_max_grades_of_a_thousand_digits_in_a_short_message(runner):
     """The count of such a pass has more digits than ``str`` writes; the
     message gives its first 40 digits, and the option's."""
@@ -932,6 +1023,23 @@ def test_oracle_tabulates_distinct_patterns(runner):
     assert lines[1].startswith("2,1,1,0")
     assert lines[1].split()[1] == "2"  # the two grade-1 items are interchangeable
     assert all(line.rstrip().endswith("yes") for line in lines[1:-1])
+
+
+def test_oracle_marks_a_disagreeing_ranking_and_exits_1(runner, monkeypatch):
+    brute_force_oracle = lindcg.oracles.brute_force_oracle
+
+    def wrong_when_the_top_grade_is_last(grades):
+        for ranking, count, dcg_error, loss in brute_force_oracle(grades):
+            yield ranking, count, dcg_error, loss + (ranking[-1] == max(ranking))
+
+    monkeypatch.setattr(lindcg.oracles, "brute_force_oracle", wrong_when_the_top_grade_is_last)
+    result = runner.invoke(main, ["oracle", "--grades", "1,0,0"])
+    assert (result.exit_code, result.stdout) == (1, (
+        "ranking  perms  dcg_error  pair_loss  ok\n"
+        "1,0,0      2          0          0  yes\n"
+        "0,1,0      2          1          1  yes\n"
+        "0,0,1      2          2          3  NO\n"
+        "permutations=6 distinct=3 failures=2\n"))
 
 
 def test_oracle_on_binary_pair(runner):

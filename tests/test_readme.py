@@ -1,5 +1,6 @@
 """The README's library example runs and states true values."""
 
+import json
 import re
 from pathlib import Path
 
@@ -15,3 +16,4 @@ def test_library_use_block_runs_with_the_values_its_comments_state():
     assert (report.dcg_linear, report.ideal_dcg_linear, report.pairwise_loss) == (8, 12, 4)
     assert report.identity == "passed"
     assert record.passed
+    assert json.loads(namespace["text"])["queries"][0]["query_id"] == "q1"

@@ -10,10 +10,9 @@ from lindcg.metrics import MetricReport
 from lindcg.report import (
     VerificationSummary,
     build_aggregate_report,
-    render_csv,
-    render_json,
-    render_text,
-    to_json_dict,
+    csv_pieces,
+    json_pieces,
+    text_pieces,
 )
 
 GOLDEN = group_from_ranking([1, 0, 0, 1, 1, 0], query_id="g")
@@ -39,8 +38,8 @@ def test_tie_afflicted_queries_are_counted_apart():
 
 def test_json_round_trips_and_is_deterministic():
     report = build_aggregate_report([GOLDEN, SINGLETON])
-    text = render_json(report)
-    assert text == render_json(build_aggregate_report([SINGLETON, GOLDEN]))
+    text = "".join(json_pieces(report))
+    assert text == "".join(json_pieces(build_aggregate_report([SINGLETON, GOLDEN])))
     payload = json.loads(text)
     assert payload["num_queries"] == 2
     assert payload["mean_ndcg_linear"] == 0.833333
@@ -59,13 +58,13 @@ def test_json_round_trips_and_is_deterministic():
 
 
 def test_six_significant_digit_floats_round_trip_via_repr():
-    payload = to_json_dict(build_aggregate_report([GOLDEN]))
-    value = payload["queries"][0]["ndcg_linear"]
-    assert repr(value) == "0.666667"
+    text = "".join(json_pieces(build_aggregate_report([GOLDEN])))
+    assert '\n      "ndcg_linear": 0.666667,\n' in text
+    assert repr(json.loads(text)["queries"][0]["ndcg_linear"]) == "0.666667"
 
 
 def test_csv_has_one_row_per_query_and_lowercase_booleans():
-    text = render_csv(build_aggregate_report([GOLDEN, SINGLETON]))
+    text = "".join(csv_pieces(build_aggregate_report([GOLDEN, SINGLETON])))
     lines = text.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("query_id,num_items,dcg_linear")
@@ -78,14 +77,14 @@ def test_csv_has_one_row_per_query_and_lowercase_booleans():
 def test_the_query_columns_are_declared_once_as_the_metric_report_fields():
     """Each query's JSON keys and the CSV header are ``MetricReport._fields``, in order."""
     report = build_aggregate_report(parse_tsv(str(DATA / "metrics_fine.tsv")))
-    payload = json.loads(render_json(report))
+    payload = json.loads("".join(json_pieces(report)))
     assert {tuple(query) for query in payload["queries"]} == {MetricReport._fields}
-    assert render_csv(report).split("\n", 1)[0] == ",".join(MetricReport._fields)
+    assert "".join(csv_pieces(report)).split("\n", 1)[0] == ",".join(MetricReport._fields)
     assert tuple(payload["verification"]) == VerificationSummary._fields
 
 
 def test_text_report_marks_status_and_flags():
-    text = render_text(build_aggregate_report([GOLDEN, SINGLETON, TIED]))
+    text = "".join(text_pieces(build_aggregate_report([GOLDEN, SINGLETON, TIED])))
     assert "identity_checks: passed=2 failed=0 tie_flagged=1" in text
     lines = text.splitlines()
     assert lines[0].split()[:2] == ["query", "items"]
@@ -102,7 +101,7 @@ def test_empty_dataset_aggregates_to_zeroes():
     assert report.per_query == ()
     assert report.mean_ndcg_linear == 0.0
     assert report.total_pairwise_loss == 0
-    assert json.loads(render_json(report))["queries"] == []
+    assert json.loads("".join(json_pieces(report)))["queries"] == []
 
 
 _QUERY_IDS = st.one_of(
@@ -121,5 +120,7 @@ _GROUPS = st.builds(
 @example([])
 @example([GOLDEN])
 def test_render_json_equals_json_dumps_with_indent_2(groups):
-    report = build_aggregate_report(groups)
-    assert render_json(report) == json.dumps(to_json_dict(report), indent=2) + "\n"
+    """The JSON writer's pieces join to the layout ``json.dumps`` gives their
+    object at ``indent=2``, with a newline."""
+    text = "".join(json_pieces(build_aggregate_report(groups)))
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"

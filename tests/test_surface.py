@@ -25,13 +25,12 @@ PUBLIC = [
     "bipartite_ideal_dcg",
     "build_aggregate_report",
     "compute_report",
+    "csv_pieces",
+    "json_pieces",
     "parse_svmlight",
     "parse_tsv",
     "rank_view",
-    "render_csv",
-    "render_json",
-    "render_text",
-    "to_json_dict",
+    "text_pieces",
     "verify_multipartite_identity",
 ]
 
@@ -39,6 +38,14 @@ PUBLIC = [
 def test_the_public_names_are_pinned_and_resolve():
     assert sorted(lindcg.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(lindcg, name)] == []
+
+
+def test_each_report_format_has_one_writer():
+    """The exported writers are the report's only text path, with no joined twin."""
+    assert lindcg.report.WRITERS == {
+        "json": lindcg.json_pieces, "text": lindcg.text_pieces, "csv": lindcg.csv_pieces}
+    twins = {"render_json", "render_text", "render_csv", "to_json_dict"}
+    assert twins & (set(vars(lindcg)) | set(vars(lindcg.report))) == set()
 
 
 def test_verification_record_is_defined_beside_its_only_producer():

@@ -6,7 +6,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindcg.metrics
@@ -19,7 +19,7 @@ from helpers import (
     run_thresholds,
 )
 from lindcg.core import RankedView, rank_view
-from lindcg.metrics import compute_report, verify_multipartite_identity
+from lindcg.metrics import MAX_CLASSIC_GRADE, compute_report, verify_multipartite_identity
 from lindcg.oracles import (
     dcg_classic,
     dcg_linear,
@@ -222,25 +222,32 @@ def _kept(group, view):
 
 
 # The view's integers, with the largest index each may be corrupted at: the top
-# level stays within the classical-gain cap, so compute_report still accepts it.
+# level stays, and every changed level stays within 0..MAX_CLASSIC_GRADE, so
+# compute_report still accepts the view.
 _VIEW_INTEGERS = {"grades": 0, "levels": 1, "counts": 0, "discount_mass": 0,
                   "threshold_losses": 0}
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(tie_free_groups(), tied_groups(), wide_grade_groups()), st.data())
-def test_kept_status_is_the_records_verdict_on_any_view(group, data):
+@given(st.one_of(tie_free_groups(), tied_groups(), wide_grade_groups()),
+       st.sampled_from([None, *_VIEW_INTEGERS]), st.integers(0, 39),
+       st.sampled_from([-2, -1, 1, 2]), st.integers(1, 30))
+# Level 29 + 2 would pass the cap of 30 below the top level, which the cap check never reads.
+@example(make_group([29, 30, 0], [3.0, 2.0, 1.0]), "levels", 1, 2, 1)
+def test_kept_status_is_the_records_verdict_on_any_view(group, field, position, change, shift):
     """The status compares every integer the records do: on the true view and
-    on one with any one integer changed."""
+    on one with any one integer changed, at ``position`` modulo the indices it
+    may be changed at, by ``change``, or, for a grade, by ``shift`` modulo 31."""
     view = rank_view(group)
-    field = data.draw(st.sampled_from([None, *_VIEW_INTEGERS]))
     if field is not None and len(getattr(view, field)) > _VIEW_INTEGERS[field]:
         values = list(getattr(view, field))
-        index = data.draw(st.integers(0, len(values) - 1 - _VIEW_INTEGERS[field]))
+        index = position % (len(values) - _VIEW_INTEGERS[field])
         if field == "grades":
-            values[index] = (values[index] + data.draw(st.integers(1, 30))) % 31
+            values[index] = (values[index] + shift) % 31
+        elif field == "levels" and not 0 <= values[index] + change <= MAX_CLASSIC_GRADE:
+            values[index] -= change
         else:
-            values[index] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+            values[index] += change
         view = view._replace(**{field: tuple(values)})
     record = verify_multipartite_identity(group, view)
     status = _records_status(record)
