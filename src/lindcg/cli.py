@@ -8,6 +8,13 @@ and ``oracle`` confirm the identity with the independent test oracles of
 decomposition.  ``verify`` also checks its random groups by the status
 that ``metrics`` reports for each query.
 
+``main(argv)`` parses the command line with the standard library's
+``argparse`` and returns the exit code.  No option takes a prefix of its
+name.  A message about an integer option's value or a path quotes at most
+40 characters of it.  A usage fault that a
+subcommand finds after parsing goes through that subcommand's parser, as
+the parser's own faults do: a usage line and one message line on stderr.
+
 Every subcommand writes its stdout through ``_echo_pieces``.  Every
 report format writes query ids as they were read: JSON escapes their
 control characters, and text and CSV keep them as they are, on a pipe and
@@ -20,14 +27,15 @@ as ``| head`` does, changes no exit code.
 
 from __future__ import annotations
 
+import argparse
+import codecs
+import io
 import itertools
 import math
 import os
 import random
 import sys
 from typing import Iterable
-
-import click
 
 from .core import QueryGroup, rank_view
 from .errors import LindcgError
@@ -52,35 +60,53 @@ MAX_EXHAUSTIVE_RANKINGS = 5_000_000
 MAX_RANDOM_ITEM_GRADES = 8_000_000
 
 
-class _Integer(click.types.IntParamType):
-    """click's integer type, whose message quotes at most 40 characters of a value."""
-
-    def convert(self, value, param, ctx):
-        try:
-            return int(value)
-        except ValueError:
-            self.fail(f"{_quoted(value)} is not a valid integer.", param, ctx)
+class _UsageError(Exception):
+    """A usage fault found once the arguments are parsed: the parser of the
+    subcommand that raises it reports it and exits 2."""
 
 
-@click.group()
-def main() -> None:
-    """Ranking metrics and exact identity checks for graded ranking data."""
+def _integer(value: str) -> int:
+    """An integer option's value.  The message for one ``int`` refuses, such as
+    a number of more than the 4,300 digits it reads, quotes at most 40
+    characters of it."""
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{_quoted(value)} is not a valid integer") from None
+
+
+def _existing_file(path: str) -> str:
+    """A path that exists and is no directory: a file, or a pipe such as /dev/stdin."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{_quoted(path)} is a directory")
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"{_quoted(path)} does not exist")
+    return path
+
+
+def _is_ascii(encoding: str | None) -> bool:
+    try:
+        return codecs.lookup(encoding or "ascii").name == "ascii"
+    except LookupError:
+        return False
 
 
 def _echo_pieces(pieces: Iterable[str]) -> None:
     """Write pieces of output to stdout as they are, and flush it once.
 
-    Every subcommand writes its stdout here, through the text stream that
-    click resolves, whose own buffer batches the pieces.  That stream is
-    ``sys.stdout`` unless its encoding is ASCII; click's default ``errors``
-    of "strict" would also wrap a stdout that has another error handler,
-    as under the C locale, and flush that wrapper at every line.  Query ids
-    are written as they were read: JSON escapes their control characters,
-    and text and CSV reports keep them, escape sequences included, on a
-    pipe and on a terminal alike.  Once the reader has closed stdout, the
-    rest goes to devnull.
+    Every subcommand writes its stdout here, through ``sys.stdout`` itself,
+    whose own buffer batches the pieces, whatever its error handler.  Only
+    an ASCII stdout, or one that names no encoding, is repaired: the pieces
+    then go to its binary buffer as UTF-8, with "replace" for what UTF-8
+    cannot encode, so a query id outside ASCII is written, not refused.
+    Query ids are written as they were read: JSON escapes their control
+    characters, and text and CSV reports keep them, escape sequences
+    included, on a pipe and on a terminal alike.  Once the reader has
+    closed stdout, the rest goes to devnull.
     """
-    stream = click.get_text_stream("stdout", errors=None)
+    stream = sys.stdout
+    if _is_ascii(getattr(stream, "encoding", None)) and hasattr(stream, "buffer"):
+        stream = io.TextIOWrapper(stream.buffer, "utf-8", "replace")
     try:
         stream.writelines(pieces)
         stream.flush()
@@ -89,36 +115,25 @@ def _echo_pieces(pieces: Iterable[str]) -> None:
         # check.  Python flushes stdout again at exit, so point it at devnull.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        if stream is not sys.stdout:
+            stream.detach()  # leaves sys.stdout's buffer open
 
 
-@main.command("metrics")
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Dataset file to evaluate.")
-@click.option("--format", "fmt", type=click.Choice(["tsv", "svmlight"]),
-              default="tsv", show_default=True, help="Input file format.")
-@click.option("--scores", "scores_path",
-              type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Companion score file (svmlight format only).")
-@click.option("--num-grades", type=_Integer(), default=None,
-              help="Reject any grade at or above this grade-alphabet size.")
-@click.option("--output", "output_fmt", type=click.Choice(tuple(WRITERS)),
-              default="text", show_default=True, help="Report format.")
 def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
-                num_grades: int | None, output_fmt: str) -> None:
+                num_grades: int | None, output_fmt: str) -> int:
     """Compute per-query and aggregate ranking metrics for a dataset."""
     if num_grades is not None and num_grades < 2:
-        raise click.UsageError(f"--num-grades must be at least 2, got {_shortened(num_grades)}")
+        raise _UsageError(f"--num-grades must be at least 2, got {_shortened(num_grades)}")
     if scores_path is not None and fmt != "svmlight":
-        raise click.UsageError("--scores is only valid with --format svmlight")
+        raise _UsageError("--scores is only valid with --format svmlight")
     try:
         report = build_aggregate_report(_grouped(_rows(input_path, fmt, scores_path, num_grades)))
     except LindcgError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _echo_pieces(WRITERS[output_fmt](report))
-    if report.verification_summary.failed:
-        sys.exit(EXIT_CHECK_FAILED)
+    return EXIT_CHECK_FAILED if report.verification_summary.failed else 0
 
 
 def _random_tie_free_group(rng: random.Random, max_items: int,
@@ -132,44 +147,33 @@ def _random_tie_free_group(rng: random.Random, max_items: int,
     return QueryGroup(f"trial-{index}", grades, scores)
 
 
-@main.command("verify")
-@click.option("--trials", type=_Integer(), default=1000, show_default=True,
-              help="Number of random groups to check.")
-@click.option("--max-items", type=_Integer(), default=100, show_default=True,
-              help="Largest random group size.")
-@click.option("--max-grades", type=_Integer(), default=5, show_default=True,
-              help="Largest grade-alphabet size L.")
-@click.option("--seed", type=_Integer(), default=0, show_default=True,
-              help="Random seed; fixed seed gives byte-identical output.")
-@click.option("--exhaustive-limit", type=_Integer(), default=5, show_default=True,
-              help="Run every permutation of every grade multiset up to this size.")
 def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
-               exhaustive_limit: int) -> None:
+               exhaustive_limit: int) -> int:
     """Check DCG error == pairwise loss exhaustively and on random groups."""
     # Imported here, as in oracle_cmd, so that `metrics` never loads the oracles.
     from .oracles import ORACLE_SIZE_CAP, brute_force_oracle, threshold_run_losses
 
     if trials < 0:
-        raise click.UsageError(f"--trials must be >= 0, got {_shortened(trials)}")
+        raise _UsageError(f"--trials must be >= 0, got {_shortened(trials)}")
     if max_items < 1:
-        raise click.UsageError(f"--max-items must be >= 1, got {_shortened(max_items)}")
+        raise _UsageError(f"--max-items must be >= 1, got {_shortened(max_items)}")
     if max_grades < 2:
-        raise click.UsageError(f"--max-grades must be >= 2, got {_shortened(max_grades)}")
+        raise _UsageError(f"--max-grades must be >= 2, got {_shortened(max_grades)}")
     if not 0 <= exhaustive_limit <= ORACLE_SIZE_CAP:
-        raise click.UsageError(f"--exhaustive-limit must be in 0..{ORACLE_SIZE_CAP},"
-                               f" got {_shortened(exhaustive_limit)}")
+        raise _UsageError(f"--exhaustive-limit must be in 0..{ORACLE_SIZE_CAP},"
+                          f" got {_shortened(exhaustive_limit)}")
     # The distinct rankings of the multisets of s grades below L are the L**s
     # sequences of s such grades.
     planned = sum(max_grades**size for size in range(1, exhaustive_limit + 1))
     if planned > MAX_EXHAUSTIVE_RANKINGS:
-        raise click.UsageError(
+        raise _UsageError(
             f"--max-grades {_shortened(max_grades)} with --exhaustive-limit {exhaustive_limit}"
             f" makes {_shortened(planned)} rankings, more than {MAX_EXHAUSTIVE_RANKINGS:,}"
             " (about 20 s); lower --max-grades or --exhaustive-limit"
         )
     largest = max_items * min(max_items, max_grades)
     if trials and largest > MAX_RANDOM_ITEM_GRADES:
-        raise click.UsageError(
+        raise _UsageError(
             f"--max-items {_shortened(max_items)} with --max-grades {_shortened(max_grades)}"
             f" makes groups of up to {_shortened(largest)} item-grades, more than"
             f" {MAX_RANDOM_ITEM_GRADES:,} (about 20 s); lower --max-items or --max-grades"
@@ -211,14 +215,10 @@ def verify_cmd(trials: int, max_items: int, max_grades: int, seed: int,
 
     total = exhaustive_failures + identity_failures + decomposition_failures
     _echo_pieces(["result: " + ("PASS" if total == 0 else f"FAIL ({total} failures)") + "\n"])
-    if total:
-        sys.exit(EXIT_CHECK_FAILED)
+    return EXIT_CHECK_FAILED if total else 0
 
 
-@main.command("oracle")
-@click.option("--grades", "grades_spec", required=True,
-              help="Comma-separated grade multiset, e.g. '2,1,1,0'.")
-def oracle_cmd(grades_spec: str) -> None:
+def oracle_cmd(grades_spec: str) -> int:
     """Run the exhaustive permutation check for one grade multiset."""
     from .oracles import brute_force_oracle
 
@@ -227,12 +227,12 @@ def oracle_cmd(grades_spec: str) -> None:
         # The file readers' rule: ASCII digits only, no "_" separators, not negative.
         grade, reason = _parse_grade(part.strip(), None)
         if reason:
-            raise click.UsageError(f"--grades {_quoted(grades_spec)}: {reason}")
+            raise _UsageError(f"--grades {_quoted(grades_spec)}: {reason}")
         grades.append(grade)
     try:
         rankings = brute_force_oracle(grades)
     except LindcgError as exc:
-        raise click.UsageError(str(exc))
+        raise _UsageError(str(exc)) from None
 
     width = len(",".join(map(str, grades)))  # that of every ranking
     failures = 0
@@ -251,9 +251,74 @@ def oracle_cmd(grades_spec: str) -> None:
     _echo_pieces(pieces)
     for _ in pieces:  # the reader closed stdout early: finish the count of failures
         pass
-    if failures:
-        sys.exit(EXIT_CHECK_FAILED)
+    return EXIT_CHECK_FAILED if failures else 0
+
+
+def _subcommand(commands, command, name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``, which runs ``command``."""
+    doc = command.__doc__
+    parser = commands.add_parser(name, allow_abbrev=False, help=doc, description=doc)
+    parser.set_defaults(command=command, parser=parser)
+    return parser
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``lindcg``.  No option takes a prefix of its name."""
+    parser = argparse.ArgumentParser(
+        prog="lindcg", allow_abbrev=False,
+        description="Ranking metrics and exact identity checks for graded ranking data.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    metrics = _subcommand(commands, metrics_cmd, "metrics")
+    metrics.add_argument("--input", dest="input_path", required=True, type=_existing_file,
+                         metavar="PATH", help="Dataset file to evaluate.")
+    metrics.add_argument("--format", dest="fmt", choices=("tsv", "svmlight"), default="tsv",
+                         help="Input file format (default: %(default)s).")
+    metrics.add_argument("--scores", dest="scores_path", type=_existing_file, metavar="PATH",
+                         help="Companion score file (svmlight format only).")
+    metrics.add_argument("--num-grades", type=_integer, metavar="N",
+                         help="Reject any grade at or above this grade-alphabet size.")
+    metrics.add_argument("--output", dest="output_fmt", choices=tuple(WRITERS), default="text",
+                         help="Report format (default: %(default)s).")
+
+    verify = _subcommand(commands, verify_cmd, "verify")
+    for option, default, text in (
+            ("--trials", 1000, "Number of random groups to check"),
+            ("--max-items", 100, "Largest random group size"),
+            ("--max-grades", 5, "Largest grade-alphabet size L"),
+            ("--seed", 0, "Random seed; fixed seed gives byte-identical output"),
+            ("--exhaustive-limit", 5,
+             "Run every permutation of every grade multiset up to this size")):
+        verify.add_argument(option, type=_integer, default=default, metavar="N",
+                            help=f"{text} (default: %(default)s).")
+
+    oracle = _subcommand(commands, oracle_cmd, "oracle")
+    oracle.add_argument("--grades", dest="grades_spec", required=True, metavar="GRADES",
+                        help="Comma-separated grade multiset, e.g. '2,1,1,0'.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run ``lindcg`` with ``argv``, by default ``sys.argv[1:]``, and return its exit code.
+
+    A usage error, and ``--help``, exit through argparse: 2 and 0.
+    """
+    options = vars(_parser().parse_args(argv))
+    command, parser = options.pop("command"), options.pop("parser")
+    try:
+        return command(**options)
+    except _UsageError as exc:
+        parser.error(str(exc))
+
+
+def _exit_with_main(args: list[str], standalone_mode: bool = True) -> None:
+    sys.exit(main(args))
+
+
+# The benchmark's in-process entry point: perfbench/run.py calls
+# ``main.main(args, standalone_mode=False)``, until it calls ``main(argv)``.
+main.main = _exit_with_main
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

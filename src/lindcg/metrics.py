@@ -66,17 +66,22 @@ from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 from .core import QueryGroup, RankedView, rank_view
-from .errors import GradeTooLargeError, _shortened
+from .errors import GradeTooLargeError, InvalidGradeError, _shortened
 
 # 2**grade must stay exactly representable in a double.
 MAX_CLASSIC_GRADE = 30
 
 
 def _check_classic_cap(view: RankedView) -> None:
-    top = view.levels[-1]  # the largest grade of the query
-    if top > MAX_CLASSIC_GRADE:
+    """Refuse a view with a level outside 0..``MAX_CLASSIC_GRADE``, which the
+    classical sums would index ``_GAINS`` by.  Every level is read: a view
+    built by hand need not hold its largest grade last."""
+    low, high = min(view.levels), max(view.levels)
+    if low < 0:
+        raise InvalidGradeError(f"grade must be a non-negative integer, got {_shortened(low)}")
+    if high > MAX_CLASSIC_GRADE:
         raise GradeTooLargeError(
-            f"grade {_shortened(top)} exceeds the classical-gain cap of {MAX_CLASSIC_GRADE}"
+            f"grade {_shortened(high)} exceeds the classical-gain cap of {MAX_CLASSIC_GRADE}"
         )
 
 

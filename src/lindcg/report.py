@@ -29,7 +29,6 @@ around it.
 
 from __future__ import annotations
 
-import csv
 import json
 from itertools import compress
 from operator import attrgetter
@@ -147,6 +146,8 @@ class _Line:
 
 def csv_pieces(report: AggregateReport) -> Iterator[str]:
     """The CSV report: the header row, then one row per query."""
+    import csv  # here, so that start-up loads it only for a CSV report
+
     writer = csv.writer(_Line(), lineterminator="\n")
     yield writer.writerow(MetricReport._fields)
     for r in report.per_query:

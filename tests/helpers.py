@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
+from lindcg.cli import main
 from lindcg.core import QueryGroup
 from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
 from lindcg.metrics import VerificationRecord
@@ -19,6 +22,22 @@ from lindcg.oracles import (
 
 # A ParseError counts every rejected line of its file and names the first 20.
 KEPT_FAULTS = 20
+
+
+def run_main(argv):
+    """``lindcg argv`` run in this process: (exit code, stdout, stderr).
+
+    The code is what ``main`` returns, or what it exits with, as argparse
+    does on a usage error and after ``--help``.  Any other exception
+    propagates, so a traceback fails the test.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def ideal(grades):

@@ -12,7 +12,6 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import lindcg
 import lindcg.cli
@@ -20,7 +19,8 @@ import lindcg.io
 import lindcg.metrics
 import lindcg.oracles
 import lindcg.report
-from lindcg.cli import MAX_EXHAUSTIVE_RANKINGS, MAX_RANDOM_ITEM_GRADES, main
+from helpers import run_main
+from lindcg.cli import MAX_EXHAUSTIVE_RANKINGS, MAX_RANDOM_ITEM_GRADES
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,21 +36,16 @@ GOLDEN_TSV = (
 
 
 @pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture()
 def golden_file(tmp_path):
     path = tmp_path / "golden.tsv"
     path.write_text(GOLDEN_TSV, encoding="utf-8")
     return str(path)
 
 
-def test_metrics_json_reports_golden_values(runner, golden_file):
-    result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", "json"])
-    assert result.exit_code == 0, result.output
-    payload = json.loads(result.output)
+def test_metrics_json_reports_golden_values(golden_file):
+    code, stdout, stderr = run_main(["metrics", "--input", golden_file, "--output", "json"])
+    assert code == 0, stderr
+    payload = json.loads(stdout)
     assert payload["num_queries"] == 2
     assert payload["verification"] == {"passed": 2, "failed": 0, "tie_flagged": 0}
     by_id = {row["query_id"]: row for row in payload["queries"]}
@@ -67,73 +62,67 @@ def test_metrics_json_reports_golden_values(runner, golden_file):
     assert [row["query_id"] for row in payload["queries"]] == ["a", "g"]
 
 
-def test_metrics_json_output_is_byte_identical_across_runs(runner, golden_file):
+def test_metrics_json_output_is_byte_identical_across_runs(golden_file):
     args = ["metrics", "--input", golden_file, "--output", "json"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
-    assert first.exit_code == second.exit_code == 0
-    assert first.output == second.output
+    first = run_main(args)
+    assert first[0] == 0
+    assert run_main(args) == first
 
 
-def test_metrics_text_output(runner, golden_file):
-    result = runner.invoke(main, ["metrics", "--input", golden_file])
-    assert result.exit_code == 0
-    assert "identity_checks: passed=2 failed=0 tie_flagged=0" in result.output
-    assert "queries=2" in result.output
+def test_metrics_text_output(golden_file):
+    code, stdout, stderr = run_main(["metrics", "--input", golden_file])
+    assert code == 0
+    assert "identity_checks: passed=2 failed=0 tie_flagged=0" in stdout
+    assert "queries=2" in stdout
 
 
-def test_metrics_csv_output(runner, golden_file):
-    result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", "csv"])
-    assert result.exit_code == 0
-    lines = result.output.splitlines()
+def test_metrics_csv_output(golden_file):
+    code, stdout, stderr = run_main(["metrics", "--input", golden_file, "--output", "csv"])
+    assert code == 0
+    lines = stdout.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("query_id,")
     assert lines[2].startswith("g,6,8,12,")
 
 
-def test_metrics_rejects_malformed_input(runner, tmp_path):
+def test_metrics_rejects_malformed_input(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("q\tnot_a_grade\t0.5\n", encoding="utf-8")
-    result = runner.invoke(main, ["metrics", "--input", str(bad)])
-    assert result.exit_code == 2
-    assert "error:" in result.stderr
-    assert "line 1" in result.stderr
+    code, stdout, stderr = run_main(["metrics", "--input", str(bad)])
+    assert code == 2
+    assert "error:" in stderr
+    assert "line 1" in stderr
 
 
-def test_metrics_rejects_comment_only_input(runner, tmp_path):
+def test_metrics_rejects_comment_only_input(tmp_path):
     empty = tmp_path / "empty.tsv"
     empty.write_text("# nothing here\n", encoding="utf-8")
-    result = runner.invoke(main, ["metrics", "--input", str(empty)])
-    assert result.exit_code == 2
+    code, stdout, stderr = run_main(["metrics", "--input", str(empty)])
+    assert code == 2
 
 
-def test_metrics_rejects_missing_file(runner, tmp_path):
-    result = runner.invoke(main, ["metrics", "--input", str(tmp_path / "absent.tsv")])
-    assert result.exit_code == 2
+def test_metrics_rejects_missing_file(tmp_path):
+    code, stdout, stderr = run_main(["metrics", "--input", str(tmp_path / "absent.tsv")])
+    assert code == 2
 
 
-def test_metrics_num_grades_must_cover_observed_grades(runner, golden_file):
-    result = runner.invoke(
-        main, ["metrics", "--input", golden_file, "--num-grades", "2"]
-    )
-    assert result.exit_code == 2  # the file holds a grade-2 item
+def test_metrics_num_grades_must_cover_observed_grades(golden_file):
+    code, stdout, stderr = run_main(["metrics", "--input", golden_file, "--num-grades", "2"])
+    assert code == 2  # the file holds a grade-2 item
 
 
-def test_metrics_num_grades_lower_bound(runner, golden_file):
-    result = runner.invoke(
-        main, ["metrics", "--input", golden_file, "--num-grades", "1"]
-    )
-    assert result.exit_code == 2
+def test_metrics_num_grades_lower_bound(golden_file):
+    code, stdout, stderr = run_main(["metrics", "--input", golden_file, "--num-grades", "1"])
+    assert code == 2
 
 
-def test_metrics_scores_option_requires_svmlight(runner, golden_file):
-    result = runner.invoke(
-        main, ["metrics", "--input", golden_file, "--scores", golden_file]
-    )
-    assert result.exit_code == 2
+def test_metrics_scores_option_requires_svmlight(golden_file):
+    code, stdout, stderr = run_main(["metrics", "--input", golden_file,
+                                       "--scores", golden_file])
+    assert code == 2
 
 
-def test_metrics_reads_svmlight_with_companion_scores(runner, tmp_path):
+def test_metrics_reads_svmlight_with_companion_scores(tmp_path):
     data = tmp_path / "train.txt"
     data.write_text(
         "1 qid:1 1:0.1 2:0.2\n0 qid:1 1:0.3\n1 qid:2 1:0.5 # score=9.9\n",
@@ -141,40 +130,36 @@ def test_metrics_reads_svmlight_with_companion_scores(runner, tmp_path):
     )
     preds = tmp_path / "preds.txt"
     preds.write_text("0.9\n0.4\n0.7\n", encoding="utf-8")
-    result = runner.invoke(
-        main,
-        [
-            "metrics",
-            "--input", str(data),
-            "--format", "svmlight",
-            "--scores", str(preds),
-            "--output", "json",
-        ],
-    )
-    assert result.exit_code == 0, result.output
-    payload = json.loads(result.output)
+    code, stdout, stderr = run_main([
+        "metrics",
+        "--input", str(data),
+        "--format", "svmlight",
+        "--scores", str(preds),
+        "--output", "json",
+    ])
+    assert code == 0, stderr
+    payload = json.loads(stdout)
     assert payload["num_queries"] == 2
     assert {row["query_id"] for row in payload["queries"]} == {"1", "2"}
     assert payload["queries"][0]["ndcg_linear"] == 1.0
 
 
-def test_metrics_flags_tie_afflicted_queries(runner, tmp_path):
+def test_metrics_flags_tie_afflicted_queries(tmp_path):
     data = tmp_path / "ties.tsv"
     data.write_text("q\t0\t0.5\nq\t1\t0.5\n", encoding="utf-8")
-    result = runner.invoke(main, ["metrics", "--input", str(data), "--output", "json"])
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
+    code, stdout, stderr = run_main(["metrics", "--input", str(data), "--output", "json"])
+    assert code == 0
+    payload = json.loads(stdout)
     assert payload["verification"]["tie_flagged"] == 1
     assert payload["queries"][0]["identity"] == "tie_flagged"
 
 
-def test_metrics_json_matches_the_golden_report(runner):
+def test_metrics_json_matches_the_golden_report():
     # Tied groups, an all-zero group, a single item and sparse grades up to 30.
-    result = runner.invoke(
-        main, ["metrics", "--input", str(DATA / "metrics_mixed.tsv"), "--output", "json"]
-    )
-    assert result.exit_code == 0, result.output
-    assert result.output == (DATA / "metrics_mixed.json").read_text(encoding="utf-8")
+    code, stdout, stderr = run_main(["metrics", "--input", str(DATA / "metrics_mixed.tsv"),
+                                       "--output", "json"])
+    assert code == 0, stderr
+    assert stdout == (DATA / "metrics_mixed.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("output, golden", [
@@ -182,13 +167,12 @@ def test_metrics_json_matches_the_golden_report(runner):
     ("csv", "metrics_fine.csv"),
     ("text", "metrics_fine.txt"),
 ])
-def test_metrics_on_a_high_alphabet_match_the_golden_reports(runner, output, golden):
+def test_metrics_on_a_high_alphabet_match_the_golden_reports(output, golden):
     # Gapped grades up to 30, a query without grade 0, tied, all-zero and one-item queries.
-    result = runner.invoke(
-        main, ["metrics", "--input", str(DATA / "metrics_fine.tsv"), "--output", output]
-    )
-    assert result.exit_code == 0, result.output
-    assert result.output == (DATA / golden).read_text(encoding="utf-8")
+    code, stdout, stderr = run_main(["metrics", "--input", str(DATA / "metrics_fine.tsv"),
+                                       "--output", output])
+    assert code == 0, stderr
+    assert stdout == (DATA / golden).read_text(encoding="utf-8")
 
 
 def _data_input_args(name):
@@ -203,27 +187,27 @@ def _data_input_args(name):
 @pytest.mark.parametrize("output", ["json", "text", "csv"])
 @pytest.mark.parametrize("name", sorted(
     path.name for path in DATA.iterdir() if path.suffix in (".tsv", ".svmlight")))
-def test_metrics_output_does_not_depend_on_a_declared_alphabet(runner, name, output):
+def test_metrics_output_does_not_depend_on_a_declared_alphabet(name, output):
     args = ["metrics", *_data_input_args(name), "--output", output]
-    results = [runner.invoke(main, args + declared)
+    results = [run_main(args + declared)
                for declared in ([], ["--num-grades", "31"], ["--num-grades", "200000"])]
-    assert [r.exit_code for r in results] == [0, 0, 0]
-    assert results[0].output == results[1].output == results[2].output
+    assert [code for code, _, _ in results] == [0, 0, 0]
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("name, scores", [
     ("metrics_inline", None),
     ("metrics_scored", "metrics_scored.scores"),
 ])
-def test_metrics_svmlight_json_matches_the_golden_report(runner, name, scores):
+def test_metrics_svmlight_json_matches_the_golden_report(name, scores):
     # Tied groups, an all-zero group and, inline, a single item.
     args = ["metrics", "--input", str(DATA / f"{name}.svmlight"), "--format", "svmlight",
             "--output", "json"]
     if scores:
         args += ["--scores", str(DATA / scores)]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    assert result.output == (DATA / f"{name}.json").read_text(encoding="utf-8")
+    code, stdout, stderr = run_main(args)
+    assert code == 0, stderr
+    assert stdout == (DATA / f"{name}.json").read_text(encoding="utf-8")
 
 
 # Every golden input with its report: (input, scores, output format, golden report).
@@ -280,7 +264,7 @@ needs_dev_fd = pytest.mark.skipif(not HAS_DEV_FD, reason="needs /dev/fd")
 
 @pytest.mark.parametrize("name, scores, output, golden", GOLDEN_RUNS)
 def test_metrics_matches_the_golden_report_streamed_and_read_whole(
-        runner, tmp_path, monkeypatch, name, scores, output, golden):
+        tmp_path, monkeypatch, name, scores, output, golden):
     """Each golden input, as it is and interleaved, from a file and through a pipe,
     is read whole, once."""
     read_whole = []
@@ -304,11 +288,11 @@ def test_metrics_matches_the_golden_report_streamed_and_read_whole(
             if scores_path:
                 args += ["--scores", path(scores_path)]
             try:
-                result = runner.invoke(main, args)
+                code, stdout, stderr = run_main(args)
             finally:
                 for read_end in read_ends:
                     os.close(read_end)
-            assert (result.exit_code, result.output) == (0, expected)
+            assert (code, stdout) == (0, expected)
             assert len(read_whole) == 1
 
 
@@ -318,7 +302,7 @@ def test_metrics_matches_the_golden_report_streamed_and_read_whole(
     ("".join(f"q{i // 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t31\t0.5\n", 2),
     ("".join(f"q{i % 4}\t{i % 3}\t0.{i}\n" for i in range(40)) + "q9\t1\t0.5\n", 0),
 ], ids=["malformed", "grade-31", "interleaved"])
-def test_metrics_reads_a_pipe_as_it_reads_a_file(runner, tmp_path, monkeypatch, text,
+def test_metrics_reads_a_pipe_as_it_reads_a_file(tmp_path, monkeypatch, text,
                                                  exit_code):
     """A regular file and a pipe are each read whole, once, over several blocks, and
     give the same report, or the same error with the same line numbers."""
@@ -333,23 +317,21 @@ def test_metrics_reads_a_pipe_as_it_reads_a_file(runner, tmp_path, monkeypatch, 
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
     path = tmp_path / "data.tsv"
     path.write_text(text, encoding="utf-8")
-    from_file = runner.invoke(main, ["metrics", "--input", str(path), "--output", "json"])
+    from_file = run_main(["metrics", "--input", str(path), "--output", "json"])
     assert len(read_whole) == 1
     read_ends = []
     try:
-        piped = runner.invoke(main, ["metrics", "--input", _piped(path, read_ends),
-                                     "--output", "json"])
+        piped = run_main(["metrics", "--input", _piped(path, read_ends), "--output", "json"])
     finally:
         os.close(read_ends[0])
     assert len(read_whole) == 2
-    assert (piped.exit_code, piped.stdout, piped.stderr) == (
-        from_file.exit_code, from_file.stdout, from_file.stderr)
-    assert from_file.exit_code == exit_code
+    assert piped == from_file
+    assert from_file[0] == exit_code
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "svmlight"])
 def test_metrics_reads_a_file_whose_last_row_reopens_its_first_query_once(
-        runner, tmp_path, monkeypatch, fmt):
+        tmp_path, monkeypatch, fmt):
     """Query-contiguous rows whose last row reopens the first query: the data file,
     and a score file, are each read once, over several blocks."""
     reads = []
@@ -373,9 +355,9 @@ def test_metrics_reads_a_file_whose_last_row_reopens_its_first_query_once(
         scores.write_text("".join(f"{s}\n" for _, _, s in rows), encoding="utf-8")
         args += ["--scores", str(scores)]
         paths.append(str(scores))
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    report = json.loads(result.output)
+    code, stdout, stderr = run_main(args)
+    assert code == 0, stderr
+    report = json.loads(stdout)
     assert [row["num_items"] for row in report["queries"]] == [5] + [4] * 9
     assert sorted(reads) == sorted(paths)
 
@@ -388,7 +370,7 @@ def test_metrics_reads_a_file_whose_last_row_reopens_its_first_query_once(
     ("svmlight", b"1 qid:1\n0 qid:1\n", b"0.5\n\xff0.2\n",
      "line 2: score file: invalid UTF-8"),
 ], ids=["tsv", "svmlight", "scores"])
-def test_metrics_reports_invalid_utf8_as_a_malformed_line(runner, tmp_path, fmt, data,
+def test_metrics_reports_invalid_utf8_as_a_malformed_line(tmp_path, fmt, data,
                                                          scores, reason):
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
@@ -396,28 +378,25 @@ def test_metrics_reports_invalid_utf8_as_a_malformed_line(runner, tmp_path, fmt,
     if scores is not None:
         (tmp_path / "bad.scores").write_bytes(scores)
         args += ["--scores", str(tmp_path / "bad.scores")]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)  # not a traceback
-    assert result.stderr == f"error: 1 malformed line(s): {reason}\n"
+    code, stdout, stderr = run_main(args)
+    assert code == 2
+    assert stderr == f"error: 1 malformed line(s): {reason}\n"
 
 
 @pytest.mark.parametrize("grade", [31, 255, 256, 1000])
-def test_metrics_rejects_a_grade_above_the_classical_cap(runner, tmp_path, grade):
+def test_metrics_rejects_a_grade_above_the_classical_cap(tmp_path, grade):
     """Streamed from a file, and read whole from a pipe, where the rows of the blocks
     before the grade wait in arrays that hold a grade in one byte."""
     message = f"error: query 'q1': grade {grade} exceeds the classical-gain cap of 30\n"
     data = tmp_path / "big.tsv"
     data.write_text(f"q0\t1\t0.1\nq1\t{grade}\t0.5\nq1\t0\t0.2\n", encoding="utf-8")
-    result = runner.invoke(main, ["metrics", "--input", str(data)])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)  # not a traceback
-    assert result.stderr == message
+    code, stdout, stderr = run_main(["metrics", "--input", str(data)])
+    assert code == 2
+    assert stderr == message
     # Interleaved rows, more than one 64 Ki-character block of them before the grade.
     interleaved = "".join(f"q{i % 10}\t{i % 3}\t0.{i}\n" for i in range(6000))
     child = subprocess.run(
-        [sys.executable, "-c", "from lindcg.cli import main; main()", "metrics",
-         "--input", "/dev/stdin"],
+        [sys.executable, "-m", "lindcg.cli", "metrics", "--input", "/dev/stdin"],
         input=interleaved + f"q1\t{grade}\t0.5\n", capture_output=True, text=True,
         env=_child_env(), timeout=60)
     assert (child.returncode, child.stdout, child.stderr) == (2, "", message)
@@ -429,18 +408,18 @@ def test_metrics_rejects_a_grade_above_the_classical_cap(runner, tmp_path, grade
     ("q0\t1\t0.1\nq1\t40\t0.5\nq1\t31\t0.2\n",
      "query 'q1': grade 40 exceeds the classical-gain cap of 30"),
 ], ids=["malformed-line-in-a-later-block", "two-grades-above-the-cap"])
-def test_metrics_names_the_cap_only_on_input_without_another_fault(runner, tmp_path,
+def test_metrics_names_the_cap_only_on_input_without_another_fault(tmp_path,
                                                                    monkeypatch, text, message):
     """A malformed line anywhere outranks a grade above the cap, and the cap names
     the first row above it."""
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
     data = tmp_path / "big.tsv"
     data.write_text(text, encoding="utf-8")
-    result = runner.invoke(main, ["metrics", "--input", str(data)])
-    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    code, stdout, stderr = run_main(["metrics", "--input", str(data)])
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
-def test_metrics_never_rebuilds_or_re_ranks_a_group(runner, golden_file, monkeypatch):
+def test_metrics_never_rebuilds_or_re_ranks_a_group(golden_file, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle was called")
 
@@ -450,8 +429,8 @@ def test_metrics_never_rebuilds_or_re_ranks_a_group(runner, golden_file, monkeyp
             for attr, value in list(vars(module).items()):
                 if inspect.isfunction(value) and value.__module__ == "lindcg.oracles":
                     monkeypatch.setattr(module, attr, forbidden)
-    result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", "json"])
-    assert result.exit_code == 0, result.output
+    code, stdout, stderr = run_main(["metrics", "--input", golden_file, "--output", "json"])
+    assert code == 0, stderr
 
 
 def _with_every_check_failed(output, text):
@@ -475,10 +454,10 @@ def _with_every_check_failed(output, text):
 
 
 def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
-        runner, golden_file, monkeypatch):
+        golden_file, monkeypatch):
     formats = ("json", "text", "csv")
-    passing = {output: runner.invoke(main, ["metrics", "--input", golden_file,
-                                            "--output", output]) for output in formats}
+    passing = {output: run_main(["metrics", "--input", golden_file, "--output", output])
+               for output in formats}
     identity_sums = lindcg.metrics.identity_sums
 
     def split_off_by_one(view):
@@ -487,14 +466,14 @@ def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
 
     monkeypatch.setattr(lindcg.metrics, "identity_sums", split_off_by_one)
     for output in formats:
-        result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", output])
-        assert (passing[output].exit_code, result.exit_code) == (0, 1), output
-        expected = _with_every_check_failed(output, passing[output].output)
-        actual = json.loads(result.output) if output == "json" else result.output
+        code, stdout, stderr = run_main(["metrics", "--input", golden_file, "--output", output])
+        assert (passing[output][0], code) == (0, 1), output
+        expected = _with_every_check_failed(output, passing[output][1])
+        actual = json.loads(stdout) if output == "json" else stdout
         assert actual == expected, output
 
 
-def test_metrics_writes_the_golden_reports_without_the_joined_renderers(runner, monkeypatch):
+def test_metrics_writes_the_golden_reports_without_the_joined_renderers(monkeypatch):
     """``lindcg metrics`` hands its writer's pieces to ``_echo_pieces`` as they
     come: an iterator, never the report joined into one text first."""
     echo_pieces = lindcg.cli._echo_pieces
@@ -509,22 +488,23 @@ def test_metrics_writes_the_golden_reports_without_the_joined_renderers(runner, 
     for name, _, output, golden in GOLDEN_RUNS:  # _data_input_args finds the score file
         received.clear()
         args = ["metrics", *_data_input_args(name), "--output", output]
-        result = runner.invoke(main, args)
-        assert (result.exit_code, result.output) == (
+        code, stdout, stderr = run_main(args)
+        assert (code, stdout) == (
             0, (DATA / golden).read_text(encoding="utf-8")), golden
         ((pieces, count),) = received
         assert isinstance(pieces, Iterator), golden
         assert count > 2, golden  # a head, a piece per query and a tail, or more
 
 
-def test_the_output_formats_are_the_writers_of_the_report(runner, golden_file, monkeypatch):
+def test_the_output_formats_are_the_writers_of_the_report(golden_file, monkeypatch):
     """``--output`` offers the names of ``report.WRITERS``, and ``metrics``
     writes through the writer it names there."""
-    (output,) = [param for param in lindcg.cli.metrics_cmd.params if param.name == "output_fmt"]
-    assert tuple(output.type.choices) == tuple(lindcg.report.WRITERS) == ("json", "text", "csv")
-    monkeypatch.setitem(lindcg.report.WRITERS, "csv", lambda report: iter(["written\n"]))
-    result = runner.invoke(main, ["metrics", "--input", golden_file, "--output", "csv"])
-    assert (result.exit_code, result.output) == (0, "written\n")
+    assert tuple(lindcg.report.WRITERS) == ("json", "text", "csv")
+    code, stdout, stderr = run_main(["metrics", "--help"])
+    assert (code, "--output {json,text,csv}" in stdout) == (0, True)
+    monkeypatch.setitem(lindcg.report.WRITERS, "xml", lambda report: iter(["written\n"]))
+    assert run_main(["metrics", "--input", golden_file, "--output", "xml"]) == (
+        0, "written\n", "")
 
 
 def _child_env():
@@ -735,10 +715,9 @@ def test_a_usage_message_writes_at_most_forty_characters_of_a_number(args, messa
     assert (code, stdout) == (2, b"")
     assert len(stderr) < 1024
     cut = max(args, key=len)[:40] + "..."
-    assert stderr.decode("utf-8") == (
-        f"Usage: python -m lindcg.cli {args[0]} [OPTIONS]\n"
-        f"Try 'python -m lindcg.cli {args[0]} --help' for help.\n\n"
-        f"Error: {message.replace('{cut}', cut)}\n")
+    usage, error = stderr.decode("utf-8").split(f"\nlindcg {args[0]}: error: ")
+    assert usage.startswith(f"usage: lindcg {args[0]} [-h] ")
+    assert error == f"{message.replace('{cut}', cut)}\n"
 
 
 # Each integer option, after the arguments its command needs.
@@ -753,43 +732,66 @@ INTEGER_OPTIONS = [
 
 
 @pytest.mark.parametrize("args", INTEGER_OPTIONS, ids=lambda args: args[-1][2:])
-def test_an_integer_option_quotes_at_most_forty_characters_of_a_value_int_refuses(
-        runner, args):
-    """``int`` refuses a string of more than 4,300 digits, and click's own
+def test_an_integer_option_quotes_at_most_forty_characters_of_a_value_int_refuses(args):
+    """``int`` refuses a string of more than 4,300 digits, and argparse's own
     message would write all of it."""
     nines = "9" * 5000
-    result = runner.invoke(main, [*args, nines])
-    assert result.exit_code == 2
-    assert len(result.stderr.encode()) < 1024
-    assert result.stderr.endswith(
-        f"Error: Invalid value for '{args[-1]}': '{nines[:40]}'... is not a valid integer.\n")
+    code, stdout, stderr = run_main([*args, nines])
+    assert code == 2
+    assert len(stderr.encode()) < 1024
+    assert stderr.endswith(f"lindcg {args[0]}: error: argument {args[-1]}:"
+                           f" '{nines[:40]}'... is not a valid integer\n")
 
 
-def _modules_loaded_by_metrics(path):
-    """The exit code and stdout of ``metrics --output json`` on path in a child
-    process, and the names of the modules the child had loaded."""
+def _modules_loaded_by(*args):
+    """The exit code and stdout of ``lindcg args`` in a child process, and the
+    names of the modules that importing and running ``lindcg.cli`` loaded,
+    beyond those the interpreter had loaded at start-up."""
     code = ("import sys\n"
+            "started = set(sys.modules)\n"
             "from lindcg.cli import main\n"
             "try:\n"
-            "    main(sys.argv[1:])\n"
+            "    sys.exit(main(sys.argv[1:]))\n"
             "finally:\n"
-            "    print(*sorted(sys.modules), file=sys.stderr)\n")
-    child = subprocess.run(
-        [sys.executable, "-c", code, "metrics", "--input", str(path), "--output", "json"],
-        capture_output=True, text=True, env=_child_env(), timeout=60)
+            "    print(*sorted(set(sys.modules) - started), file=sys.stderr)\n")
+    child = subprocess.run([sys.executable, "-c", code, *args],
+                           capture_output=True, text=True, env=_child_env(), timeout=60)
     return child.returncode, child.stdout, child.stderr.split()
 
 
 def test_metrics_never_imports_the_oracles():
     """The test oracles, and any module the run does not use, stay out of the
     start-up of a ``metrics`` run."""
-    exit_code, stdout, loaded = _modules_loaded_by_metrics(DATA / "metrics_fine.tsv")
+    exit_code, stdout, loaded = _modules_loaded_by(
+        "metrics", "--input", str(DATA / "metrics_fine.tsv"), "--output", "json")
     assert (exit_code, stdout) == (0, (DATA / "metrics_fine.json").read_text(encoding="utf-8"))
     assert "lindcg.report" in loaded
     assert "lindcg.oracles" not in loaded
     assert {name for name in loaded if name.partition(".")[0] == "lindcg"} == {
         "lindcg", "lindcg.cli", "lindcg.core", "lindcg.errors", "lindcg.io", "lindcg.metrics",
         "lindcg.report"}
+
+
+FINE = str(DATA / "metrics_fine.tsv")
+
+
+@pytest.mark.parametrize("args", [
+    ("metrics", "--input", FINE, "--output", "json"),
+    ("metrics", "--input", FINE, "--output", "text"),
+    ("metrics", "--input", FINE, "--output", "csv"),
+    ("verify", "--trials", "5", "--exhaustive-limit", "2"),
+    ("oracle", "--grades", "1,0"),
+    ("--help",),
+    ("metrics", "--help"),
+], ids=["metrics-json", "metrics-text", "metrics-csv", "verify", "oracle", "help",
+        "metrics-help"])
+def test_a_run_loads_no_module_it_does_not_use(args):
+    """No command loads click, which lindcg does not depend on, and only a CSV
+    report loads the csv module."""
+    exit_code, _, loaded = _modules_loaded_by(*args)
+    assert exit_code == 0
+    assert "click" not in loaded
+    assert ("csv" in loaded) == (args[-1] == "csv")
 
 
 VERIFY_ARGS = [
@@ -802,38 +804,33 @@ VERIFY_ARGS = [
 ]
 
 
-def test_verify_passes_and_reports_counts(runner):
-    result = runner.invoke(main, VERIFY_ARGS)
-    assert result.exit_code == 0, result.output
-    assert "exhaustive: multisets=" in result.output
-    assert "failures=0" in result.output
-    assert "random: groups=25 identity_failures=0 decomposition_failures=0" in result.output
-    assert result.output.rstrip().endswith("result: PASS")
+def test_verify_passes_and_reports_counts():
+    code, stdout, stderr = run_main(VERIFY_ARGS)
+    assert code == 0, stderr
+    assert "exhaustive: multisets=" in stdout
+    assert "failures=0" in stdout
+    assert "random: groups=25 identity_failures=0 decomposition_failures=0" in stdout
+    assert stdout.rstrip().endswith("result: PASS")
 
 
-def test_verify_output_is_deterministic_for_a_seed(runner):
-    first = runner.invoke(main, VERIFY_ARGS)
-    second = runner.invoke(main, VERIFY_ARGS)
-    assert first.output == second.output
-    different = runner.invoke(main, VERIFY_ARGS[:-4] + ["--seed", "8", "--exhaustive-limit", "3"])
-    assert different.exit_code == 0
+def test_verify_output_is_deterministic_for_a_seed():
+    assert run_main(VERIFY_ARGS) == run_main(VERIFY_ARGS)
+    assert run_main(VERIFY_ARGS[:-4] + ["--seed", "8", "--exhaustive-limit", "3"])[0] == 0
 
 
-def test_verify_checks_the_status_that_metrics_reports(runner, monkeypatch):
+def test_verify_checks_the_status_that_metrics_reports(monkeypatch):
     """A fault in the per-query status fails ``verify``, though the records would pass."""
     monkeypatch.setattr(lindcg.cli, "identity_status", lambda view, sums: "failed")
-    result = runner.invoke(main, ["verify", "--trials", "3", "--exhaustive-limit", "0"])
-    assert result.exit_code == 1, result.output
-    assert "random: groups=3 identity_failures=3 decomposition_failures=0" in result.output
+    code, stdout, stderr = run_main(["verify", "--trials", "3", "--exhaustive-limit", "0"])
+    assert code == 1, stderr
+    assert "random: groups=3 identity_failures=3 decomposition_failures=0" in stdout
 
 
-def test_verify_accepts_zero_trials(runner):
-    result = runner.invoke(
-        main, ["verify", "--trials", "0", "--exhaustive-limit", "4"]
-    )
-    assert result.exit_code == 0
-    assert "random: groups=0" in result.output
-    assert "result: PASS" in result.output
+def test_verify_accepts_zero_trials():
+    code, stdout, stderr = run_main(["verify", "--trials", "0", "--exhaustive-limit", "4"])
+    assert code == 0
+    assert "random: groups=0" in stdout
+    assert "result: PASS" in stdout
 
 
 def _permutations(num_grades, limit):
@@ -843,65 +840,64 @@ def _permutations(num_grades, limit):
                for size in range(1, limit + 1))
 
 
-def test_exhaustive_pass_checks_the_counted_permutations(runner):
-    result = runner.invoke(main, ["verify", "--trials", "0", "--max-grades", "4",
-                                  "--exhaustive-limit", "3"])
-    assert result.exit_code == 0
-    assert f"permutations={_permutations(4, 3)} " in result.output
+def test_exhaustive_pass_checks_the_counted_permutations():
+    code, stdout, stderr = run_main(["verify", "--trials", "0", "--max-grades", "4",
+                                    "--exhaustive-limit", "3"])
+    assert code == 0
+    assert f"permutations={_permutations(4, 3)} " in stdout
 
 
-def test_verify_runs_a_pass_of_millions_of_permutations_but_few_rankings(runner):
+def test_verify_runs_a_pass_of_millions_of_permutations_but_few_rankings():
     """4 + 16 + ... + 4**8 = 87,380 distinct rankings stand for 7,325,784 permutations."""
-    result = runner.invoke(main, ["verify", "--trials", "0", "--max-grades", "4",
-                                  "--exhaustive-limit", "8"])
-    assert result.exit_code == 0, result.output
-    assert result.output.startswith(
+    code, stdout, stderr = run_main(["verify", "--trials", "0", "--max-grades", "4",
+                                    "--exhaustive-limit", "8"])
+    assert code == 0, stderr
+    assert stdout.startswith(
         f"exhaustive: multisets={math.comb(12, 8) - 1} permutations={_permutations(4, 8)}"
         " failures=0\n")
 
 
 @pytest.mark.parametrize(("budget", "exit_code"), [(84, 0), (83, 2)])
-def test_the_exhaustive_budget_counts_distinct_rankings(runner, monkeypatch, budget, exit_code):
+def test_the_exhaustive_budget_counts_distinct_rankings(monkeypatch, budget, exit_code):
     """--max-grades 4 with --exhaustive-limit 3 makes 4 + 16 + 64 rankings."""
     monkeypatch.setattr(lindcg.cli, "MAX_EXHAUSTIVE_RANKINGS", budget)
-    result = runner.invoke(main, ["verify", "--trials", "0", "--max-grades", "4",
-                                  "--exhaustive-limit", "3"])
-    assert result.exit_code == exit_code
+    code, stdout, stderr = run_main(["verify", "--trials", "0", "--max-grades", "4",
+                                    "--exhaustive-limit", "3"])
+    assert code == exit_code
     if exit_code:
-        assert result.stderr.endswith(
-            "Error: --max-grades 4 with --exhaustive-limit 3 makes 84 rankings, more than 83"
-            " (about 20 s); lower --max-grades or --exhaustive-limit\n")
+        assert stderr.endswith(
+            "lindcg verify: error: --max-grades 4 with --exhaustive-limit 3 makes 84 rankings,"
+            " more than 83 (about 20 s); lower --max-grades or --exhaustive-limit\n")
 
 
-def test_verify_rejects_an_exhaustive_pass_over_the_budget_unstarted(runner, monkeypatch):
+def test_verify_rejects_an_exhaustive_pass_over_the_budget_unstarted(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("the exhaustive pass started")
 
     monkeypatch.setattr(lindcg.oracles, "brute_force_oracle", started)
     assert sum(300**size for size in range(1, 6)) > MAX_EXHAUSTIVE_RANKINGS
-    result = runner.invoke(main, ["verify", "--max-grades", "300"])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)  # not a traceback
-    assert "--max-grades" in result.stderr
-    assert "--exhaustive-limit" in result.stderr
+    code, stdout, stderr = run_main(["verify", "--max-grades", "300"])
+    assert code == 2
+    assert "--max-grades" in stderr
+    assert "--exhaustive-limit" in stderr
 
 
 @pytest.mark.parametrize(("budget", "trials", "exit_code"), [(120, 3, 0), (119, 3, 2), (119, 0, 0)])
-def test_the_random_budget_counts_items_times_distinct_grades(runner, monkeypatch, budget,
+def test_the_random_budget_counts_items_times_distinct_grades(monkeypatch, budget,
                                                               trials, exit_code):
     """--max-items 30 with --max-grades 4 makes groups of up to 30 items over
     4 grades; a run that draws no group is not refused."""
     monkeypatch.setattr(lindcg.cli, "MAX_RANDOM_ITEM_GRADES", budget)
-    result = runner.invoke(main, ["verify", "--trials", str(trials), "--max-items", "30",
-                                  "--max-grades", "4", "--exhaustive-limit", "0"])
-    assert result.exit_code == exit_code
+    code, stdout, stderr = run_main(["verify", "--trials", str(trials), "--max-items", "30",
+                                    "--max-grades", "4", "--exhaustive-limit", "0"])
+    assert code == exit_code
     if exit_code:
-        assert result.stderr.endswith(
-            "Error: --max-items 30 with --max-grades 4 makes groups of up to 120 item-grades,"
-            " more than 119 (about 20 s); lower --max-items or --max-grades\n")
+        assert stderr.endswith(
+            "lindcg verify: error: --max-items 30 with --max-grades 4 makes groups of up to"
+            " 120 item-grades, more than 119 (about 20 s); lower --max-items or --max-grades\n")
 
 
-def test_verify_rejects_a_random_group_over_the_budget_undrawn(runner, monkeypatch):
+def test_verify_rejects_a_random_group_over_the_budget_undrawn(monkeypatch):
     """A group of a trillion items would take memory until none is left; the
     run exits 2 before the first draw, and before any output."""
     def drawn(*args):
@@ -909,18 +905,17 @@ def test_verify_rejects_a_random_group_over_the_budget_undrawn(runner, monkeypat
 
     monkeypatch.setattr(lindcg.cli, "_random_tie_free_group", drawn)
     assert 10**12 * 5 > MAX_RANDOM_ITEM_GRADES
-    result = runner.invoke(main, ["verify", "--trials", "1", "--max-items", str(10**12),
-                                  "--exhaustive-limit", "0"])
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert isinstance(result.exception, SystemExit)  # not a traceback
-    assert len(result.stderr.encode()) < 1024
-    assert result.stderr.endswith(
-        "Error: --max-items 1000000000000 with --max-grades 5 makes groups of up to"
+    code, stdout, stderr = run_main(["verify", "--trials", "1", "--max-items", str(10**12),
+                                    "--exhaustive-limit", "0"])
+    assert (code, stdout) == (2, "")
+    assert len(stderr.encode()) < 1024
+    assert stderr.endswith(
+        "lindcg verify: error: --max-items 1000000000000 with --max-grades 5 makes groups of up to"
         " 5000000000000 item-grades, more than 8,000,000 (about 20 s); lower --max-items or"
         " --max-grades\n")
 
 
-def test_verify_counts_a_failed_ranking_once_per_permutation(runner, monkeypatch):
+def test_verify_counts_a_failed_ranking_once_per_permutation(monkeypatch):
     """Each distinct ranking the permutation oracle gets wrong fails for every
     permutation that gives it: here (0, 0) and (1, 1), two each."""
     brute_force_oracle = lindcg.oracles.brute_force_oracle
@@ -930,15 +925,15 @@ def test_verify_counts_a_failed_ranking_once_per_permutation(runner, monkeypatch
             yield ranking, count, dcg_error, loss + (count > 1)
 
     monkeypatch.setattr(lindcg.oracles, "brute_force_oracle", wrong_where_grades_repeat)
-    result = runner.invoke(main, ["verify", "--trials", "0", "--max-grades", "2",
-                                  "--exhaustive-limit", "2"])
-    assert (result.exit_code, result.stdout) == (1, (
+    code, stdout, stderr = run_main(["verify", "--trials", "0", "--max-grades", "2",
+                                    "--exhaustive-limit", "2"])
+    assert (code, stdout) == (1, (
         "exhaustive: multisets=5 permutations=8 failures=4\n"
         "random: groups=0 identity_failures=0 decomposition_failures=0\n"
         "result: FAIL (4 failures)\n"))
 
 
-def test_verify_counts_each_random_group_whose_decomposition_disagrees(runner, monkeypatch):
+def test_verify_counts_each_random_group_whose_decomposition_disagrees(monkeypatch):
     threshold_run_losses = lindcg.oracles.threshold_run_losses
 
     def one_more_on_even_trials(group):
@@ -946,61 +941,60 @@ def test_verify_counts_each_random_group_whose_decomposition_disagrees(runner, m
         return (*runs, (1, 1)) if int(group.query_id.removeprefix("trial-")) % 2 == 0 else runs
 
     monkeypatch.setattr(lindcg.oracles, "threshold_run_losses", one_more_on_even_trials)
-    result = runner.invoke(main, ["verify", "--trials", "5", "--exhaustive-limit", "0"])
-    assert (result.exit_code, result.stdout) == (1, (
+    code, stdout, stderr = run_main(["verify", "--trials", "5", "--exhaustive-limit", "0"])
+    assert (code, stdout) == (1, (
         "exhaustive: multisets=0 permutations=0 failures=0\n"
         "random: groups=5 identity_failures=0 decomposition_failures=3\n"
         "result: FAIL (3 failures)\n"))
 
 
-def test_verify_rejects_a_max_grades_of_a_thousand_digits_in_a_short_message(runner):
+def test_verify_rejects_a_max_grades_of_a_thousand_digits_in_a_short_message():
     """The count of such a pass has more digits than ``str`` writes; the
     message gives its first 40 digits, and the option's."""
-    result = runner.invoke(main, ["verify", "--max-grades", "1" + "0" * 1000])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)  # not a traceback
-    assert len(result.stderr.encode()) < 1024
-    assert result.stderr.endswith(
-        f"Error: --max-grades 1{'0' * 39}... with --exhaustive-limit 5 makes 1{'0' * 39}..."
-        " rankings, more than 5,000,000 (about 20 s); lower --max-grades or"
-        " --exhaustive-limit\n")
+    code, stdout, stderr = run_main(["verify", "--max-grades", "1" + "0" * 1000])
+    assert code == 2
+    assert len(stderr.encode()) < 1024
+    assert stderr.endswith(
+        f"lindcg verify: error: --max-grades 1{'0' * 39}... with --exhaustive-limit 5"
+        f" makes 1{'0' * 39}... rankings, more than 5,000,000 (about 20 s); lower"
+        " --max-grades or --exhaustive-limit\n")
 
 
-def test_verify_cost_does_not_follow_max_grades(runner, monkeypatch):
+def test_verify_cost_does_not_follow_max_grades(monkeypatch):
     # A decomposition with one entry per threshold would need about 8 TB here.
     def expanded(group):
         raise AssertionError("the decomposition was expanded threshold by threshold")
 
     monkeypatch.setattr(lindcg.oracles, "threshold_decomposition", expanded)
-    result = runner.invoke(main, ["verify", "--max-grades", str(10**12), "--trials", "20",
-                                  "--max-items", "5", "--exhaustive-limit", "0", "--seed", "1"])
-    assert result.exit_code == 0, result.output
-    assert "random: groups=20 identity_failures=0 decomposition_failures=0" in result.output
+    code, stdout, stderr = run_main(["verify", "--max-grades", str(10**12), "--trials", "20",
+                                    "--max-items", "5", "--exhaustive-limit", "0", "--seed", "1"])
+    assert code == 0, stderr
+    assert "random: groups=20 identity_failures=0 decomposition_failures=0" in stdout
 
 
-def test_verify_memory_does_not_follow_max_grades_in_the_exhaustive_pass(runner, monkeypatch):
+def test_verify_memory_does_not_follow_max_grades_in_the_exhaustive_pass(monkeypatch):
     """The size-1 multisets come lazily: a pool of 100,000 grades, copied
     into a tuple, would hold about 4 MB."""
     one_ranking = ((None, 1, 0, 0),)
     monkeypatch.setattr(lindcg.oracles, "brute_force_oracle", lambda multiset: one_ranking)
     tracemalloc.start()
     try:
-        result = runner.invoke(main, ["verify", "--trials", "0", "--exhaustive-limit", "1",
-                                      "--max-grades", "100000"])
+        code, stdout, stderr = run_main(["verify", "--trials", "0", "--exhaustive-limit", "1",
+                                        "--max-grades", "100000"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.exit_code == 0, result.output
-    assert result.output.startswith(
+    assert code == 0, stderr
+    assert stdout.startswith(
         "exhaustive: multisets=100000 permutations=100000 failures=0\n")
     assert peak < 2**20
 
 
-def test_verify_rejects_bad_option_values(runner):
-    assert runner.invoke(main, ["verify", "--max-grades", "1"]).exit_code == 2
-    assert runner.invoke(main, ["verify", "--trials", "-5"]).exit_code == 2
-    assert runner.invoke(main, ["verify", "--max-items", "0"]).exit_code == 2
-    assert runner.invoke(main, ["verify", "--exhaustive-limit", "9"]).exit_code == 2
+def test_verify_rejects_bad_option_values():
+    assert run_main(["verify", "--max-grades", "1"])[0] == 2
+    assert run_main(["verify", "--trials", "-5"])[0] == 2
+    assert run_main(["verify", "--max-items", "0"])[0] == 2
+    assert run_main(["verify", "--exhaustive-limit", "9"])[0] == 2
 
 
 @pytest.mark.parametrize("args, golden", [
@@ -1008,24 +1002,24 @@ def test_verify_rejects_bad_option_values(runner):
     (["verify", "--seed", "42", "--trials", "500", "--max-items", "100", "--max-grades", "5"],
      "verify_seed42.txt"),
 ], ids=["oracle", "verify"])
-def test_oracle_and_verify_match_their_golden_output(runner, args, golden):
-    result = runner.invoke(main, args)
-    assert (result.exit_code, result.stdout, result.stderr) == (
+def test_oracle_and_verify_match_their_golden_output(args, golden):
+    code, stdout, stderr = run_main(args)
+    assert (code, stdout, stderr) == (
         0, (DATA / golden).read_text(encoding="utf-8"), "")
 
 
-def test_oracle_tabulates_distinct_patterns(runner):
-    result = runner.invoke(main, ["oracle", "--grades", "2,1,1,0"])
-    assert result.exit_code == 0, result.output
-    assert "permutations=24 distinct=12 failures=0" in result.output
-    lines = result.output.splitlines()
+def test_oracle_tabulates_distinct_patterns():
+    code, stdout, stderr = run_main(["oracle", "--grades", "2,1,1,0"])
+    assert code == 0, stderr
+    assert "permutations=24 distinct=12 failures=0" in stdout
+    lines = stdout.splitlines()
     assert lines[0].split() == ["ranking", "perms", "dcg_error", "pair_loss", "ok"]
     assert lines[1].startswith("2,1,1,0")
     assert lines[1].split()[1] == "2"  # the two grade-1 items are interchangeable
     assert all(line.rstrip().endswith("yes") for line in lines[1:-1])
 
 
-def test_oracle_marks_a_disagreeing_ranking_and_exits_1(runner, monkeypatch):
+def test_oracle_marks_a_disagreeing_ranking_and_exits_1(monkeypatch):
     brute_force_oracle = lindcg.oracles.brute_force_oracle
 
     def wrong_when_the_top_grade_is_last(grades):
@@ -1033,8 +1027,8 @@ def test_oracle_marks_a_disagreeing_ranking_and_exits_1(runner, monkeypatch):
             yield ranking, count, dcg_error, loss + (ranking[-1] == max(ranking))
 
     monkeypatch.setattr(lindcg.oracles, "brute_force_oracle", wrong_when_the_top_grade_is_last)
-    result = runner.invoke(main, ["oracle", "--grades", "1,0,0"])
-    assert (result.exit_code, result.stdout) == (1, (
+    code, stdout, stderr = run_main(["oracle", "--grades", "1,0,0"])
+    assert (code, stdout) == (1, (
         "ranking  perms  dcg_error  pair_loss  ok\n"
         "1,0,0      2          0          0  yes\n"
         "0,1,0      2          1          1  yes\n"
@@ -1042,36 +1036,91 @@ def test_oracle_marks_a_disagreeing_ranking_and_exits_1(runner, monkeypatch):
         "permutations=6 distinct=3 failures=2\n"))
 
 
-def test_oracle_on_binary_pair(runner):
-    result = runner.invoke(main, ["oracle", "--grades", "1,0"])
-    assert result.exit_code == 0
-    assert "permutations=2 distinct=2 failures=0" in result.output
+def test_oracle_on_binary_pair():
+    code, stdout, stderr = run_main(["oracle", "--grades", "1,0"])
+    assert code == 0
+    assert "permutations=2 distinct=2 failures=0" in stdout
 
 
-def test_oracle_rejects_garbage_grades(runner):
-    assert runner.invoke(main, ["oracle", "--grades", "a,b"]).exit_code == 2
-    assert runner.invoke(main, ["oracle", "--grades", "1,-2"]).exit_code == 2
+def test_oracle_rejects_garbage_grades():
+    assert run_main(["oracle", "--grades", "a,b"])[0] == 2
+    assert run_main(["oracle", "--grades", "1,-2"])[0] == 2
     # The file readers reject digit separators and non-ASCII digits, and so does --grades.
-    assert runner.invoke(main, ["oracle", "--grades", "1_0,0"]).exit_code == 2
-    assert runner.invoke(main, ["oracle", "--grades", "\u0661,0"]).exit_code == 2
+    assert run_main(["oracle", "--grades", "1_0,0"])[0] == 2
+    assert run_main(["oracle", "--grades", "\u0661,0"])[0] == 2
 
 
-def test_oracle_quotes_at_most_forty_characters_of_its_grades(runner):
+def test_oracle_quotes_at_most_forty_characters_of_its_grades():
     grades = "-" + "9" * 4000
-    result = runner.invoke(main, ["oracle", "--grades", grades])
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert len(result.stderr.encode()) < 16 * 1024
-    assert result.stderr.endswith(
-        f"Error: --grades '{grades[:40]}'...: negative grade {grades[:40]}...\n")
+    code, stdout, stderr = run_main(["oracle", "--grades", grades])
+    assert (code, stdout) == (2, "")
+    assert len(stderr.encode()) < 16 * 1024
+    assert stderr.endswith(f"lindcg oracle: error: --grades '{grades[:40]}'...:"
+                           f" negative grade {grades[:40]}...\n")
 
 
-def test_oracle_rejects_oversized_multisets(runner):
-    result = runner.invoke(main, ["oracle", "--grades", "0,0,0,0,0,0,0,0,0"])
-    assert result.exit_code == 2
+def test_oracle_rejects_oversized_multisets():
+    code, stdout, stderr = run_main(["oracle", "--grades", "0,0,0,0,0,0,0,0,0"])
+    assert code == 2
 
 
-def test_help_lists_all_subcommands(runner):
-    result = runner.invoke(main, ["--help"])
-    assert result.exit_code == 0
+def test_help_lists_all_subcommands():
+    code, stdout, stderr = run_main(["--help"])
+    assert code == 0
     for name in ("metrics", "verify", "oracle"):
-        assert name in result.output
+        assert name in stdout
+
+
+# Runs whose exit codes stay fixed: 0 after --help, 2 for each usage error.
+EXIT_CODES = [
+    pytest.param((), 2, id="no-command"),
+    pytest.param(("--help",), 0, id="help"),
+    pytest.param(("metrics", "--help"), 0, id="metrics-help"),
+    pytest.param(("nosuch",), 2, id="unknown-command"),
+    pytest.param(("metrics",), 2, id="no-input"),
+    pytest.param(("metrics", "--input", str(DATA / "absent.tsv")), 2, id="missing-input"),
+    pytest.param(("metrics", "--input", "."), 2, id="directory-input"),
+    pytest.param(("metrics", "--input", FINE, "--output", "xml"), 2, id="unknown-output"),
+    pytest.param(("metrics", "--input", FINE, "--num-grades", "x"), 2, id="word-integer"),
+    pytest.param(("verify", "--trials", "-1"), 2, id="negative-trials"),
+    pytest.param(("oracle",), 2, id="no-grades"),
+    pytest.param(("--bogus",), 2, id="unknown-option"),
+]
+
+
+@pytest.mark.parametrize("args, exit_code", EXIT_CODES)
+def test_each_run_keeps_its_exit_code_and_a_short_stderr(args, exit_code):
+    code, stdout, stderr = run_main(list(args))
+    assert code == exit_code, stderr
+    assert len(stderr.encode()) < 1024
+    assert bool(stdout) == (exit_code == 0)  # only --help writes to stdout
+
+
+def test_an_option_prefix_is_no_abbreviation_of_the_option():
+    """``--inp`` is not ``--input``, nor ``--trial`` ``--trials``: each exits 2."""
+    assert run_main(["metrics", "--inp", FINE])[0] == 2
+    assert run_main(["metrics", "--input", FINE, "--out", "json"])[0] == 2
+    assert run_main(["verify", "--trial", "5"])[0] == 2
+
+
+@pytest.mark.parametrize("output", ["text", "csv"])
+def test_an_ascii_stdout_writes_a_query_id_outside_ascii_as_utf8(tmp_path, output):
+    """An ASCII stdout, as under PYTHONIOENCODING=ascii, is written through its
+    binary buffer as UTF-8: the report is the bytes of any other stdout."""
+    data = tmp_path / "accented.tsv"
+    data.write_text("q\u00e9\t1\t0.5\nq\u00e9\t0\t0.2\n", encoding="utf-8")
+    args = ["metrics", "--input", str(data), "--output", output]
+    child = subprocess.run([sys.executable, "-m", "lindcg.cli", *args], capture_output=True,
+                           env={**_child_env(), "PYTHONIOENCODING": "ascii"}, timeout=60)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert b"q\303\251" in child.stdout
+    assert run_main(args) == (0, child.stdout.decode("utf-8"), "")
+
+
+def test_the_benchmark_entry_point_exits_with_the_code_of_main(capsys):
+    """``main.main(args, standalone_mode=False)``, as perfbench/run.py calls it,
+    runs ``main(args)`` and exits with its code."""
+    with pytest.raises(SystemExit) as exited:
+        lindcg.cli.main.main(["oracle", "--grades", "1,0"], standalone_mode=False)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == run_main(["oracle", "--grades", "1,0"])[1]

@@ -232,7 +232,7 @@ _VIEW_INTEGERS = {"grades": 0, "levels": 1, "counts": 0, "discount_mass": 0,
 @given(st.one_of(tie_free_groups(), tied_groups(), wide_grade_groups()),
        st.sampled_from([None, *_VIEW_INTEGERS]), st.integers(0, 39),
        st.sampled_from([-2, -1, 1, 2]), st.integers(1, 30))
-# Level 29 + 2 would pass the cap of 30 below the top level, which the cap check never reads.
+# Level 29 + 2 would pass the cap of 30 below the top level, which compute_report refuses.
 @example(make_group([29, 30, 0], [3.0, 2.0, 1.0]), "levels", 1, 2, 1)
 def test_kept_status_is_the_records_verdict_on_any_view(group, field, position, change, shift):
     """The status compares every integer the records do: on the true view and
