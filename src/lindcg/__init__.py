@@ -22,13 +22,7 @@ from .errors import (
     ScoreCountMismatchError,
 )
 from .io import parse_svmlight, parse_tsv
-from .metrics import (
-    MetricReport,
-    VerificationRecord,
-    bipartite_ideal_dcg,
-    compute_report,
-    verify_multipartite_identity,
-)
+from .metrics import MetricReport, bipartite_ideal_dcg, compute_report
 from .report import (
     AggregateReport,
     VerificationSummary,
@@ -53,7 +47,6 @@ __all__ = [
     "QueryGroup",
     "RankedView",
     "ScoreCountMismatchError",
-    "VerificationRecord",
     "VerificationSummary",
     "bipartite_ideal_dcg",
     "build_aggregate_report",
@@ -64,5 +57,4 @@ __all__ = [
     "parse_tsv",
     "rank_view",
     "text_pieces",
-    "verify_multipartite_identity",
 ]

@@ -10,10 +10,11 @@ that ``metrics`` reports for each query.
 
 ``main(argv)`` parses the command line with the standard library's
 ``argparse`` and returns the exit code.  No option takes a prefix of its
-name.  A message about an integer option's value or a path quotes at most
-40 characters of it.  A usage fault that a
-subcommand finds after parsing goes through that subcommand's parser, as
-the parser's own faults do: a usage line and one message line on stderr.
+name.  A message about a value, whether an integer option's, a path, a
+refused choice or a stray argument, quotes at most 40 characters of it.  A
+usage fault that a subcommand finds after parsing goes through that
+subcommand's parser, as the parser's own faults do: a usage line and one
+message line on stderr.
 
 Every subcommand writes its stdout through ``_echo_pieces``.  Every
 report format writes query ids as they were read: JSON escapes their
@@ -21,8 +22,13 @@ control characters, and text and CSV keep them as they are, on a pipe and
 on a terminal alike, so a terminal interprets an escape sequence in an id.
 
 Exit codes: 0 on success / all checks passed, 1 when any identity check
-failed, 2 for usage or parse errors.  A reader that closes stdout early,
-as ``| head`` does, changes no exit code.
+failed, 2 for usage or parse errors.  A ``metrics`` run that exits 1
+writes one line to stderr after its report.  It names the first unequal
+pair of each failed query's check, for the first 20 queries by id, and
+counts the rest:
+``identity check failed: 'm': error 9 != loss 3; 'n'[k=0..2]: error 4 != loss 5; and 9980 more``.
+A passing run writes nothing to stderr.  A reader that closes stdout
+early, as ``| head`` does, changes no exit code.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ import sys
 from typing import Iterable
 
 from .core import QueryGroup, rank_view
-from .errors import LindcgError
-from .io import _grouped, _parse_grade, _quoted, _rows, _shortened
+from .errors import LindcgError, _listed
+from .io import _KEPT_FAULTS, _grouped, _parse_grade, _quoted, _rows, _shortened
 from .metrics import identity_status, identity_sums
 from .report import WRITERS, build_aggregate_report
 
@@ -133,7 +139,12 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _echo_pieces(WRITERS[output_fmt](report))
-    return EXIT_CHECK_FAILED if report.verification_summary.failed else 0
+    failures = report.failures
+    if not failures:
+        return 0
+    print("identity check failed: " + _listed(failures[:_KEPT_FAULTS], len(failures)),
+          file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 def _random_tie_free_group(rng: random.Random, max_items: int,
@@ -254,6 +265,25 @@ def oracle_cmd(grades_spec: str) -> int:
     return EXIT_CHECK_FAILED if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose messages quote at most 40 characters of a
+    value: argparse's own would echo a refused choice or a stray argument whole.
+    Each subcommand's parser is one too."""
+
+    def _check_value(self, action, value):
+        # argparse checks every choice here, the subcommand's name included.
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_quoted(value)} (choose from {choices})")
+
+    def parse_args(self, args=None, namespace=None):
+        options, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_listed([_quoted(extras[0])], len(extras))}")
+        return options
+
+
 def _subcommand(commands, command, name: str) -> argparse.ArgumentParser:
     """The parser of subcommand ``name``, which runs ``command``."""
     doc = command.__doc__
@@ -264,7 +294,7 @@ def _subcommand(commands, command, name: str) -> argparse.ArgumentParser:
 
 def _parser() -> argparse.ArgumentParser:
     """The parser of ``lindcg``.  No option takes a prefix of its name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lindcg", allow_abbrev=False,
         description="Ranking metrics and exact identity checks for graded ranking data.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)

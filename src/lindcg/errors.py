@@ -1,10 +1,13 @@
 """Exception types shared across the package, and how their messages quote values.
 
 A message quotes a cell or a number through ``_quoted`` or ``_shortened``,
-so a long value makes it no longer than a short one.
+so a long value makes it no longer than a short one.  A message about many
+faults names the first through ``_listed`` and counts the rest.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 _QUOTED_CHARS = 40  # the most of a cell or a number that a message writes
 # Decimal digits per bit; an int of b bits has at least int(b * this) digits.
@@ -30,6 +33,13 @@ def _shortened(value: object) -> str:
     cut = max(0, int(abs(value).bit_length() * _LOG10_2) - 2 * _QUOTED_CHARS)
     text = "-" * (value < 0) + str(abs(value) // 10**cut)
     return f"{text[:_QUOTED_CHARS]}..." if cut or len(text) > _QUOTED_CHARS else text
+
+
+def _listed(parts: Sequence[str], count: int) -> str:
+    """``parts``, the first of ``count`` items, joined by "; " and followed by
+    how many more there are."""
+    more = count - len(parts)
+    return "; ".join(parts) + (f"; and {more} more" if more else "")
 
 
 class LindcgError(Exception):
@@ -80,10 +90,8 @@ class ParseError(LindcgError):
         self.errors = list(errors)
         self.accepted_count = accepted_count
         self.rejected_count = len(self.errors) if rejected_count is None else rejected_count
-        detail = "; ".join(f"line {n}: {reason}" for n, reason in self.errors)
-        more = self.rejected_count - len(self.errors)
-        if more:
-            detail += f"; and {more} more"
+        detail = _listed([f"line {n}: {reason}" for n, reason in self.errors],
+                         self.rejected_count)
         super().__init__(f"{self.rejected_count} malformed line(s): {detail}")
 
 

@@ -14,13 +14,13 @@ the references in ``lindcg.oracles``.
 the DCG summed over ranked positions, the ideal DCG and weighted loss that
 ``compute_report`` reports, and the run and split sums of the identity
 check, whose split compares that DCG with its sum over grade thresholds.
-``compute_report`` asks ``identity_status`` for the query's ``identity``
-from those same integers.  The library call ``verify_multipartite_identity``
-names each of them in a ``VerificationRecord``, defined here, whose
-``passed`` is read off its two integers; the report builds the records
-only for a failed check.  ``IdentitySums``, ``VerificationRecord`` and
-``MetricReport`` are NamedTuples: immutable, hashable and compared by
-value, so each also equals the plain tuple of its fields and unpacks.
+``compute_report`` ranks the group, and asks ``identity_status`` for the
+query's ``identity`` from those same integers.  For a failed check,
+``_first_mismatch`` names its first unequal pair in one line: the query,
+the part (the total, a run of thresholds or the split) and both integers.
+``IdentitySums`` and ``MetricReport`` are NamedTuples: immutable, hashable
+and compared by value, so each also equals the plain tuple of its fields
+and unpacks.
 
 The weighted pairwise loss is the ``loss`` of ``identity_sums``.  A pair
 of items with grades a < b is misranked when the higher-graded item
@@ -54,8 +54,8 @@ exchange construction and the permutation oracle, which confirm the
 identity independently, are test oracles in ``lindcg.oracles``.
 
 Score ties break the identity (the pairwise indicator is strict while a
-realized ranking has to place tied items somewhere), so records carry a
-``tie_afflicted`` flag and tied instances are exempt from hard assertions.
+realized ranking has to place tied items somewhere), so a tied query's
+status is ``tie_flagged`` and it cannot fail the check.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 from .core import QueryGroup, RankedView, rank_view
-from .errors import GradeTooLargeError, InvalidGradeError, _shortened
+from .errors import GradeTooLargeError, InvalidGradeError, _quoted, _shortened
 
 # 2**grade must stay exactly representable in a double.
 MAX_CLASSIC_GRADE = 30
@@ -154,9 +154,8 @@ def identity_status(view: RankedView, sums: IdentitySums) -> str:
     """The query's status, ``passed``, ``failed`` or ``tie_flagged``, from its
     view's ``identity_sums``.
 
-    A tied query is ``tie_flagged`` whatever its integers, as its record
-    is.  Otherwise the status is the records' verdict: every pair of the
-    sums must be equal.
+    A tied query is ``tie_flagged`` whatever its integers.  Otherwise every
+    pair of the sums must be equal for it to pass.
     """
     if view.has_score_ties:
         return "tie_flagged"
@@ -164,81 +163,6 @@ def identity_status(view: RankedView, sums: IdentitySums) -> str:
             and sums.dcg == sums.split_rhs):
         return "passed"
     return "failed"
-
-
-class VerificationRecord(NamedTuple):
-    """Outcome of one identity check: two integers that must be equal.
-
-    ``passed`` is derived, ``lhs == rhs``, so no record can disagree with
-    its own integers.  ``tie_afflicted`` marks instances with exact score
-    ties, which are exempt from hard pass requirements.  ``details`` carries
-    per-threshold sub-checks for multipartite instances.
-    """
-
-    instance_id: str
-    check_name: str
-    lhs: int
-    rhs: int
-    tie_afflicted: bool = False
-    details: tuple[VerificationRecord, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def verify_multipartite_identity(
-    group: QueryGroup, view: RankedView | None = None
-) -> VerificationRecord:
-    """Check DCG error == weighted pairwise loss for any grade alphabet.
-
-    Detail records cover the per-threshold identity and the DCG split.
-    Every threshold k of the run ``levels[j] <= k < levels[j + 1]`` between
-    two consecutive grades of the query splits it alike: the m items of
-    grade > k form a bipartite group whose DCG error, the closed-form ideal
-    minus their discount mass, must equal the swept loss of the run.  One
-    ``threshold_identity`` record stands for the whole run, so it passes
-    exactly when each per-k check would; it is named ``q[k=K]`` for a run
-    of one threshold and ``q[k=A..B]`` for a wider one.  Thresholds at or
-    above the top grade have no item above them (0 = 0) and no record, so
-    a query of d distinct grades costs O(|S|*d + |S| log |S|) and at most
-    d + 1 detail records, whatever the grade values.  The split compares
-    the observed DCG, summed over positions, with the sum over thresholds
-    of the above-k discount masses, each run counted once per threshold.
-    ``view`` is the group's rank_view when the caller already holds it.
-    """
-    if view is None:
-        view = rank_view(group)
-    sums = identity_sums(view)
-    query_id, ties, levels = group.query_id, view.has_score_ties, view.levels
-    details = []
-    for first, end, sub_lhs, loss in zip(levels, levels[1:], sums.run_lhs, sums.run_losses):
-        run = f"k={first}" if end - first == 1 else f"k={first}..{end - 1}"
-        details.append(
-            VerificationRecord(
-                instance_id=f"{query_id}[{run}]",
-                check_name="threshold_identity",
-                lhs=sub_lhs,
-                rhs=loss,
-                tie_afflicted=ties,
-            )
-        )
-    details.append(
-        VerificationRecord(
-            instance_id=f"{query_id}[split]",
-            check_name="dcg_split",
-            lhs=sums.dcg,
-            rhs=sums.split_rhs,
-        )
-    )
-    return VerificationRecord(
-        instance_id=query_id,
-        check_name="multipartite_identity",
-        lhs=sums.ideal_dcg - sums.dcg,
-        rhs=sums.loss,
-        tie_afflicted=ties,
-        details=tuple(details),
-    )
 
 
 class MetricReport(NamedTuple):
@@ -269,13 +193,10 @@ class MetricReport(NamedTuple):
     identity: str
 
 
-def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricReport:
-    """Evaluate both DCG families, the pairwise loss and the identity check for one group.
-
-    ``view`` is the group's rank_view when the caller already holds it.
-    """
-    if view is None:
-        view = rank_view(group)
+def compute_report(group: QueryGroup) -> MetricReport:
+    """Rank one group and evaluate both DCG families, the pairwise loss and
+    the identity check."""
+    view = rank_view(group)
     _check_classic_cap(view)
     # Zero grades add nothing and sort last, so the ideal list can stop before them.
     ideal_grades = list(
@@ -306,3 +227,25 @@ def compute_report(group: QueryGroup, view: RankedView | None = None) -> MetricR
         degenerate_classic=cls_ideal == 0.0,
         identity=identity_status(view, sums),
     )
+
+
+def _first_mismatch(group: QueryGroup) -> str:
+    """The first unequal pair of a failed check, as ``lindcg metrics`` names it.
+
+    The group is ranked again, which happens only for a failed query.  The
+    pairs are read in order: the DCG error against the weighted loss, then
+    each run of thresholds, ``[k=K]`` or ``[k=A..B]`` from the view's
+    levels, and last the ``[split]`` of the DCG over thresholds, which must
+    differ once the others are equal.
+    """
+    view = rank_view(group)
+    sums = identity_sums(view)
+    levels = view.levels
+    runs = (f"[k={a}]" if b - a == 1 else f"[k={a}..{b - 1}]" for a, b in zip(levels, levels[1:]))
+    name = _quoted(group.query_id)
+    for part, error, loss in chain([("", sums.ideal_dcg - sums.dcg, sums.loss)],
+                                   zip(runs, sums.run_lhs, sums.run_losses)):
+        if error != loss:
+            return f"{name}{part}: error {_shortened(error)} != loss {_shortened(loss)}"
+    return (f"{name}[split]: dcg {_shortened(sums.dcg)}"
+            f" != sum over thresholds {_shortened(sums.split_rhs)}")

@@ -5,7 +5,7 @@ slow and obvious way: a double loop over item pairs, every distinct
 ranking of a grade multiset, explicit position swaps, one bipartite count
 per threshold.  The module shares no code with the path it checks
 (``core.rank_view`` and the ``metrics`` kernels, ``metrics.identity_sums``
-and ``metrics.verify_multipartite_identity`` among them); from the rest of
+and ``metrics.identity_status`` among them); from the rest of
 the package it takes only the errors and the ``core`` data type
 ``QueryGroup``, and it returns plain integers and tuples, besides
 ``ExchangeSequence``, a plain slotted class that checks its swaps when

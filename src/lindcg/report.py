@@ -10,7 +10,7 @@ object and the CSV header, in order.  ``VerificationSummary`` and
 ``AggregateReport`` are NamedTuples too.
 
 The aggregate keeps each query's ``MetricReport``, its status included,
-and a ``VerificationRecord`` only for a query whose check failed.  Each
+and one line naming the first unequal pair of each failed check.  Each
 format has one writer, a generator that yields its text in pieces: the
 head, one piece per query and the tail.  ``WRITERS`` maps each format's
 name to its writer, ``json_pieces``, ``text_pieces`` or ``csv_pieces``;
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import QueryGroup, rank_view
-from .metrics import (MetricReport, VerificationRecord, compute_report,
-                      verify_multipartite_identity)
+from .core import QueryGroup
+from .metrics import MetricReport, _first_mismatch, compute_report
 
 
 class VerificationSummary(NamedTuple):
@@ -50,14 +49,16 @@ class VerificationSummary(NamedTuple):
 class AggregateReport(NamedTuple):
     """Per-query reports plus dataset-level aggregates.
 
-    ``failures`` holds the full record of each query whose ``identity`` is
-    ``failed``, in the order of ``per_query``.  Means are arithmetic over
+    ``failures`` holds one line for each query whose ``identity`` is
+    ``failed``, in the order of ``per_query``: its quoted id, the first
+    unequal part of its check and that part's two integers, such as
+    ``'q'[k=0..2]: error 4 != loss 5``.  Means are arithmetic over
     all queries, degenerate ones included (they contribute their
     conventional 1.0).
     """
 
     per_query: tuple[MetricReport, ...]
-    failures: tuple[VerificationRecord, ...]
+    failures: tuple[str, ...]
     mean_ndcg_linear: float
     mean_ndcg_classic: float
     total_pairwise_loss: int
@@ -67,28 +68,28 @@ class AggregateReport(NamedTuple):
 def build_aggregate_report(groups: Iterable[QueryGroup]) -> AggregateReport:
     """Evaluate metrics and identity checks for every group, sorted by query id.
 
-    Each group is evaluated as it arrives and ranked once; its view serves
-    its report, status included, and the records of a failed check.  Only
-    the per-query results are kept, so a generator of groups, such as
-    ``io._grouped``'s, is held one group at a time, and an input error that
-    it raises while it is consumed propagates from here.  The results are sorted by query id at the end,
-    stably, so groups of one id keep their order.
+    Each group is evaluated as it arrives and ranked once, for its report,
+    status included; only a failed check ranks it again, to name its first
+    unequal pair.  Only the per-query results are kept, so a generator of
+    groups, such as ``io._grouped``'s, is held one group at a time, and an
+    input error that it raises while it is consumed propagates from here.
+    The results are sorted by query id at the end, stably, so groups of one
+    id keep their order.
     """
     per_query = []
     failures = []
     for group in groups:
-        view = rank_view(group)
-        per_query.append(report := compute_report(group, view))
+        per_query.append(report := compute_report(group))
         if report.identity == "failed":
-            failures.append(verify_multipartite_identity(group, view))
+            failures.append((group.query_id, _first_mismatch(group)))
     per_query.sort(key=attrgetter("query_id"))
-    failures.sort(key=attrgetter("instance_id"))
+    failures.sort(key=itemgetter(0))
     identities = [r.identity for r in per_query]
 
     n = len(per_query)
     return AggregateReport(
         per_query=tuple(per_query),
-        failures=tuple(failures),
+        failures=tuple(line for _, line in failures),
         mean_ndcg_linear=sum(r.ndcg_linear for r in per_query) / n if n else 0.0,
         mean_ndcg_classic=sum(r.ndcg_classic for r in per_query) / n if n else 0.0,
         total_pairwise_loss=sum(r.pairwise_loss for r in per_query),

@@ -9,16 +9,10 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 
 from lindcg.cli import main
-from lindcg.core import QueryGroup
+from lindcg.core import QueryGroup, RankedView
 from lindcg.errors import EmptyFileError, ParseError, ScoreCountMismatchError
-from lindcg.metrics import VerificationRecord
-from lindcg.oracles import (
-    binarize,
-    dcg_linear,
-    has_score_ties,
-    pairwise_loss_naive,
-    rank_by_score,
-)
+from lindcg.metrics import identity_sums
+from lindcg.oracles import binarize, dcg_linear, pairwise_loss_naive, rank_by_score
 
 # A ParseError counts every rejected line of its file and names the first 20.
 KEPT_FAULTS = 20
@@ -90,46 +84,38 @@ def random_group(rng: random.Random, max_items=50, max_grades=5,
     return make_group(grades, scores, query_id)
 
 
-def rebuilt_multipartite_record(group: QueryGroup) -> VerificationRecord:
-    """The multipartite check assembled from binarized copies of the group.
+def rebuilt_multipartite_record(group: QueryGroup):
+    """The multipartite check's integers, assembled from binarized copies of the group.
 
-    Each threshold check builds the group binarized at k, ranks it again
-    and counts its loss over every item pair; the split binarizes the
-    observed ranking once per threshold.  An oracle for the ranked-view
-    check, which reads one sweep of the full grades instead.
+    Returns ``(per_threshold, split, total)``: the ``(DCG error, loss)`` pair
+    of each threshold k from 0 below the top grade, the ``(DCG, sum over
+    thresholds)`` pair of the split and the ``(DCG error, weighted loss)``
+    pair of the whole group.  Each threshold pair builds the group binarized
+    at k, ranks it again and counts its loss over every item pair; the split
+    binarizes the observed ranking once per threshold.  An oracle for the
+    ranked-view check, which reads one sweep of the full grades instead.
     """
     observed = rank_by_score(group)
-    ties = has_score_ties(group)
-    details = []
-    for k in range(max(group.grades)):
+    thresholds = range(max(group.grades))
+    per_threshold = []
+    for k in thresholds:
         sub = binarize(group, k)
-        sub_lhs = dcg_error(sub)
-        sub_rhs, _ = pairwise_loss_naive(sub)
-        details.append(VerificationRecord(
-            f"{group.query_id}[k={k}]", "threshold_identity",
-            sub_lhs, sub_rhs, ties,
-        ))
-    split_lhs = dcg_linear(observed)
-    split_rhs = sum(
-        dcg_linear(1 if g > k else 0 for g in observed) for k in range(max(group.grades))
-    )
-    details.append(VerificationRecord(
-        f"{group.query_id}[split]", "dcg_split", split_lhs, split_rhs,
-    ))
-    lhs = dcg_error(group)
-    rhs, _ = pairwise_loss_naive(group)
-    return VerificationRecord(
-        group.query_id, "multipartite_identity", lhs, rhs, ties, tuple(details),
-    )
+        per_threshold.append((dcg_error(sub), pairwise_loss_naive(sub)[0]))
+    split = (dcg_linear(observed),
+             sum(dcg_linear(1 if g > k else 0 for g in observed) for k in thresholds))
+    total = (dcg_error(group), pairwise_loss_naive(group)[0])
+    return tuple(per_threshold), split, total
 
 
-_RUN_ID = re.compile(r"\[k=(\d+)(?:\.\.(\d+))?\]$")
-
-
-def run_thresholds(instance_id: str) -> range:
-    """The thresholds k named by a ``q[k=K]`` or ``q[k=A..B]`` record id."""
-    first, last = _RUN_ID.search(instance_id).groups()
-    return range(int(first), int(last or first) + 1)
+def view_integers(view: RankedView):
+    """The view's ``identity_sums`` laid out as ``rebuilt_multipartite_record``
+    lays out the oracle's: each run's pair repeated once for every threshold
+    of the run, then the split and the total pairs."""
+    sums = identity_sums(view)
+    per_threshold = tuple(pair for width, pair in zip(view.run_widths,
+                                                      zip(sums.run_lhs, sums.run_losses))
+                          for _ in range(width))
+    return per_threshold, (sums.dcg, sums.split_rhs), (sums.ideal_dcg - sums.dcg, sums.loss)
 
 
 def _data_lines_by_line(text: str, errors: list):

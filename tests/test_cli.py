@@ -292,7 +292,7 @@ def test_metrics_matches_the_golden_report_streamed_and_read_whole(
             finally:
                 for read_end in read_ends:
                     os.close(read_end)
-            assert (code, stdout) == (0, expected)
+            assert (code, stdout, stderr) == (0, expected, "")
             assert len(read_whole) == 1
 
 
@@ -471,6 +471,81 @@ def test_metrics_exits_1_after_writing_a_report_with_a_failed_check(
         expected = _with_every_check_failed(output, passing[output][1])
         actual = json.loads(stdout) if output == "json" else stdout
         assert actual == expected, output
+        assert stderr == (
+            "identity check failed: 'a'[split]: dcg 0 != sum over thresholds 1;"
+            " 'g'[split]: dcg 8 != sum over thresholds 9\n"), output
+
+
+def _ranked_as(monkeypatch, field, index, change):
+    """Make every group rank as its view with ``view.<field>[index]`` changed by ``change``."""
+    rank_view = lindcg.metrics.rank_view
+
+    def corrupted(group):
+        view = rank_view(group)
+        values = list(getattr(view, field))
+        values[index] += change
+        return view._replace(**{field: tuple(values)})
+
+    monkeypatch.setattr(lindcg.metrics, "rank_view", corrupted)
+
+
+def _sums_off_by_one(monkeypatch, field):
+    """Make every check read its ``identity_sums`` with ``field`` one too large."""
+    identity_sums = lindcg.metrics.identity_sums
+
+    def off_by_one(view):
+        sums = identity_sums(view)
+        return sums._replace(**{field: getattr(sums, field) + 1})
+
+    monkeypatch.setattr(lindcg.metrics, "identity_sums", off_by_one)
+
+
+@pytest.mark.parametrize("corrupt, line", [
+    # The top item's grade: the DCG of the total and of the split.
+    (partial(_ranked_as, field="grades", index=0, change=-1), "'m': error 9 != loss 3"),
+    # The discount mass of grade 1, which the run k=0 and the split read.
+    (partial(_ranked_as, field="discount_mass", index=1, change=1),
+     "'m'[k=0]: error 2 != loss 3"),
+    (partial(_sums_off_by_one, field="split_rhs"),
+     "'m'[split]: dcg 18 != sum over thresholds 19"),
+], ids=["total", "run", "split"])
+@pytest.mark.parametrize("output", ["json", "text", "csv"])
+def test_a_failed_check_names_its_first_unequal_pair_on_stderr(
+        tmp_path, monkeypatch, corrupt, line, output):
+    data = tmp_path / "m.tsv"
+    data.write_text("".join(f"m\t{grade}\t{7 - rank}\n"
+                            for rank, grade in enumerate([2, 0, 1, 0, 1, 0, 0])),
+                    encoding="utf-8")
+    corrupt(monkeypatch)
+    code, stdout, stderr = run_main(["metrics", "--input", str(data), "--output", output])
+    assert (code, stderr) == (1, f"identity check failed: {line}\n")
+    assert "failed" in stdout or "FAIL" in stdout
+
+
+def test_ten_thousand_failed_checks_write_one_short_line(tmp_path, monkeypatch):
+    """The line names the first 20 failed queries by id and counts the rest."""
+    data = tmp_path / "many.tsv"
+    data.write_text("".join(f"q{i:05d}\t1\t0.5\nq{i:05d}\t0\t0.25\n" for i in range(10_000)),
+                    encoding="utf-8")
+    _sums_off_by_one(monkeypatch, "split_rhs")
+    code, stdout, stderr = run_main(["metrics", "--input", str(data), "--output", "json"])
+    assert code == 1
+    assert json.loads(stdout)["verification"]["failed"] == 10_000
+    assert len(stderr.encode()) < 2048
+    assert stderr.count("\n") == 1
+    assert stderr == "identity check failed: " + "; ".join(
+        f"'q{i:05d}'[split]: dcg 1 != sum over thresholds 2" for i in range(20)
+    ) + "; and 9980 more\n"
+
+
+def test_a_failed_check_quotes_forty_characters_of_a_long_query_id(tmp_path, monkeypatch):
+    query_id = "z" * 100_000
+    data = tmp_path / "long.tsv"
+    data.write_text(f"{query_id}\t1\t0.5\n{query_id}\t0\t0.25\n", encoding="utf-8")
+    _sums_off_by_one(monkeypatch, "loss")
+    code, stdout, stderr = run_main(["metrics", "--input", str(data), "--output", "csv"])
+    assert (code, stderr) == (
+        1, f"identity check failed: '{'z' * 40}'...: error 0 != loss 1\n")
 
 
 def test_metrics_writes_the_golden_reports_without_the_joined_renderers(monkeypatch):
@@ -1094,6 +1169,24 @@ def test_each_run_keeps_its_exit_code_and_a_short_stderr(args, exit_code):
     assert code == exit_code, stderr
     assert len(stderr.encode()) < 1024
     assert bool(stdout) == (exit_code == 0)  # only --help writes to stdout
+
+
+LONG_VALUE = "z" * 100_000
+
+
+@pytest.mark.parametrize("args", [
+    ("metrics", "--input", FINE, "--output", LONG_VALUE),
+    ("metrics", "--input", FINE, "--format", LONG_VALUE),
+    (LONG_VALUE,),
+    ("metrics", "--input", FINE, LONG_VALUE),
+], ids=["output", "format", "command", "stray-argument"])
+def test_a_usage_message_quotes_at_most_forty_characters_of_a_value(args):
+    """argparse's own messages for a refused choice and a stray argument would
+    write the whole value."""
+    code, stdout, stderr = run_main(list(args))
+    assert (code, stdout) == (2, "")
+    assert len(stderr.encode()) < 1024
+    assert f"'{'z' * 40}'..." in stderr
 
 
 def test_an_option_prefix_is_no_abbreviation_of_the_option():

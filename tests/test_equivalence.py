@@ -5,14 +5,15 @@ import tracemalloc
 
 import pytest
 
-from helpers import dcg_error, group_from_ranking, make_group, random_group, run_thresholds
+from helpers import dcg_error, group_from_ranking, make_group, random_group, view_integers
+from lindcg.core import rank_view
 from lindcg.errors import (
     EmptyGroupError,
     InvalidGradeError,
     NonBipartiteError,
     TooLargeError,
 )
-from lindcg.metrics import compute_report, verify_multipartite_identity
+from lindcg.metrics import compute_report, identity_status, identity_sums
 from lindcg.oracles import (
     ORACLE_SIZE_CAP,
     ExchangeSequence,
@@ -85,73 +86,69 @@ def test_exchange_replay_reproduces_every_bipartite_arrangement():
                 assert all(d >= 1 for d in exchange_decrements(ex))
 
 
+def _checked(group):
+    """The group's check: its status and its integers as ``view_integers`` lays them out."""
+    view = rank_view(group)
+    return identity_status(view, identity_sums(view)), view_integers(view)
+
+
 def test_bipartite_identity_on_golden_arrangement():
-    record = verify_multipartite_identity(group_from_ranking([1, 0, 0, 1, 1, 0], query_id="g"))
-    assert record.passed
-    assert (record.lhs, record.rhs) == (4, 4)
-    assert record.check_name == "multipartite_identity"
-    assert record.instance_id == "g"
-    assert not record.tie_afflicted
-    threshold, _ = record.details
-    assert (threshold.instance_id, threshold.lhs, threshold.rhs) == ("g[k=0]", 4, 4)
-    assert record._replace(rhs=record.rhs + 1).passed is False
+    group = group_from_ranking([1, 0, 0, 1, 1, 0], query_id="g")
+    status, (per_k, split, total) = _checked(group)
+    assert status == "passed"
+    assert total == (4, 4)
+    assert per_k == ((4, 4),)
+    assert split == (8, 8)
+    # One integer off fails the check.
+    view = rank_view(group)
+    sums = identity_sums(view)
+    assert identity_status(view, sums._replace(loss=sums.loss + 1)) == "failed"
 
 
 def test_bipartite_identity_on_ideal_and_reversed_arrangements():
-    assert verify_multipartite_identity(group_from_ranking([1, 1, 0, 0])).lhs == 0
-    reversed_record = verify_multipartite_identity(group_from_ranking([0, 0, 0, 1, 1]))
-    assert reversed_record.passed
-    assert reversed_record.lhs == 6  # 2*3 cross pairs, each inverted
+    assert _checked(group_from_ranking([1, 1, 0, 0])) == ("passed", (((0, 0),), (5, 5), (0, 0)))
+    status, (_, _, total) = _checked(group_from_ranking([0, 0, 0, 1, 1]))
+    assert status == "passed"
+    assert total == (6, 6)  # 2*3 cross pairs, each inverted
 
 
 def test_score_ties_break_the_identity_but_only_flag_the_record():
     group = make_group([0, 1], [0.5, 0.5])
-    record = verify_multipartite_identity(group)
-    assert record.tie_afflicted
-    assert not record.passed
-    assert (record.lhs, record.rhs) == (1, 0)
+    status, (_, _, total) = _checked(group)
+    assert status == "tie_flagged"
+    assert total == (1, 0)
+    assert compute_report(group).identity == "tie_flagged"
 
 
 def test_multipartite_identity_on_golden_arrangement():
-    record = verify_multipartite_identity(group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m"))
-    assert record.passed
-    assert (record.lhs, record.rhs) == (3, 3)
-    assert record.check_name == "multipartite_identity"
-    by_name = {}
-    for detail in record.details:
-        by_name.setdefault(detail.check_name, []).append(detail)
-    thresholds = by_name["threshold_identity"]
-    assert [d.instance_id for d in thresholds] == ["m[k=0]", "m[k=1]"]
-    assert [(d.lhs, d.rhs) for d in thresholds] == [(3, 3), (0, 0)]
-    (split,) = by_name["dcg_split"]
-    assert split.passed
-    assert split.instance_id == "m[split]"
+    status, (per_k, split, total) = _checked(
+        group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m"))
+    assert status == "passed"
+    assert total == (3, 3)
+    assert per_k == ((3, 3), (0, 0))  # k=0 and k=1
+    assert split == (18, 18)
 
 
 def test_multipartite_identity_on_random_tie_free_groups():
     rng = random.Random(1234)
     for _ in range(150):
         group = random_group(rng, max_items=50, allow_ties=False)
-        record = verify_multipartite_identity(group)
-        assert record.passed, f"{record.instance_id}: {record.lhs} != {record.rhs}"
-        assert all(d.passed for d in record.details)
-        assert not record.tie_afflicted
+        status, (per_k, split, total) = _checked(group)
+        assert status == "passed", f"{group.query_id}: {total}"
+        assert all(a == b for a, b in (*per_k, split, total))
 
 
 def test_multipartite_details_stay_consistent_under_ties():
     rng = random.Random(4321)
     for _ in range(150):
         group = random_group(rng, max_items=40, allow_ties=True)
-        record = verify_multipartite_identity(group)
+        _, (per_k, split, total) = _checked(group)
         # The per-threshold losses always sum to the weighted loss, and the
         # per-threshold DCG errors always sum to the full DCG error, with or
-        # without ties; the split record never depends on scores at all.
-        # A run record stands for each threshold of its run.
-        runs = [d for d in record.details if d.check_name == "threshold_identity"]
-        assert sum(d.rhs * len(run_thresholds(d.instance_id)) for d in runs) == record.rhs
-        assert sum(d.lhs * len(run_thresholds(d.instance_id)) for d in runs) == record.lhs
-        split = next(d for d in record.details if d.check_name == "dcg_split")
-        assert split.passed
+        # without ties; the split never depends on scores at all.
+        assert sum(loss for _, loss in per_k) == total[1]
+        assert sum(error for error, _ in per_k) == total[0]
+        assert split[0] == split[1]
 
 
 def test_oracle_on_smallest_binary_multiset():

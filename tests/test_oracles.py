@@ -51,10 +51,8 @@ def test_the_import_check_catches_the_view_path():
     assert violations("from .core import QueryGroup, rank_view") == ["core.rank_view"]
     assert violations("from .pairwise import _as_loss_value") == ["pairwise._as_loss_value"]
     assert violations("from lindcg.metrics import compute_report") == ["metrics.compute_report"]
-    assert violations("from .metrics import verify_multipartite_identity") == [
-        "metrics.verify_multipartite_identity"]
-    assert violations("from .metrics import VerificationRecord") == [
-        "metrics.VerificationRecord"]
+    assert violations("from .metrics import identity_sums") == ["metrics.identity_sums"]
+    assert violations("from .metrics import IdentitySums") == ["metrics.IdentitySums"]
     assert violations("from . import core") == [".core"]
     assert violations("from lindcg import rank_view") == [".rank_view"]
     assert violations("import lindcg.report") == ["lindcg.report.*"]

@@ -12,8 +12,8 @@ def test_library_use_block_runs_with_the_values_its_comments_state():
     assert len(blocks) == 1
     namespace: dict = {}
     exec(blocks[0], namespace)
-    report, record = namespace["report"], namespace["record"]
+    report, aggregate = namespace["report"], namespace["aggregate"]
     assert (report.dcg_linear, report.ideal_dcg_linear, report.pairwise_loss) == (8, 12, 4)
     assert report.identity == "passed"
-    assert record.passed
+    assert aggregate.failures == ()
     assert json.loads(namespace["text"])["queries"][0]["query_id"] == "q1"

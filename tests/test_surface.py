@@ -20,7 +20,6 @@ PUBLIC = [
     "QueryGroup",
     "RankedView",
     "ScoreCountMismatchError",
-    "VerificationRecord",
     "VerificationSummary",
     "bipartite_ideal_dcg",
     "build_aggregate_report",
@@ -31,7 +30,6 @@ PUBLIC = [
     "parse_tsv",
     "rank_view",
     "text_pieces",
-    "verify_multipartite_identity",
 ]
 
 
@@ -46,11 +44,6 @@ def test_each_report_format_has_one_writer():
         "json": lindcg.json_pieces, "text": lindcg.text_pieces, "csv": lindcg.csv_pieces}
     twins = {"render_json", "render_text", "render_csv", "to_json_dict"}
     assert twins & (set(vars(lindcg)) | set(vars(lindcg.report))) == set()
-
-
-def test_verification_record_is_defined_beside_its_only_producer():
-    assert lindcg.VerificationRecord.__module__ == "lindcg.metrics"
-    assert lindcg.verify_multipartite_identity.__module__ == "lindcg.metrics"
 
 
 def dataclasses_imports(source: str) -> list[int]:

@@ -16,10 +16,10 @@ from helpers import (
     ideal,
     make_group,
     rebuilt_multipartite_record,
-    run_thresholds,
+    view_integers,
 )
 from lindcg.core import RankedView, rank_view
-from lindcg.metrics import MAX_CLASSIC_GRADE, compute_report, verify_multipartite_identity
+from lindcg.metrics import MAX_CLASSIC_GRADE, _first_mismatch, compute_report, identity_sums
 from lindcg.oracles import (
     dcg_classic,
     dcg_linear,
@@ -78,35 +78,32 @@ def test_view_and_check_follow_the_grades_present_not_the_alphabet():
     # Runs 0..2 and 3..6: the 0, and then also the 3, outscore the second 7 and
     # the 30; run 7..29: all four others outscore the 30.
     assert view.threshold_losses == (2, 4, 4)
-    report = compute_report(group, view)
+    report = compute_report(group)
     assert (report.pairwise_loss, report.normalizer_z) == pairwise_loss_naive(group)
-    record = verify_multipartite_identity(group, view)
-    assert [d.instance_id for d in record.details] == [
-        "q[k=0..2]", "q[k=3..6]", "q[k=7..29]", "q[split]"]
-    assert record.passed and all(d.passed for d in record.details)
+    assert report.identity == "passed"
+    # One pair per run, k=0..2, 3..6 and 7..29, and each pair is equal.
+    sums = identity_sums(view)
+    assert view.run_widths == (3, 4, 23)
+    assert sums.run_lhs == sums.run_losses == (2, 4, 4)
     assert len(view.levels) <= len(set(grades)) + 1
-    assert len(record.details) <= len(set(grades)) + 1
+    # A failed run is named from the levels, as the run it stands for.
+    off = sums._replace(run_lhs=(2, 4, 5))
+    with mock.patch.object(lindcg.metrics, "identity_sums", lambda _: off):
+        assert _first_mismatch(group) == "'q'[k=7..29]: error 5 != loss 4"
 
 
 @settings(max_examples=200)
 @given(tied_groups())
 def test_identity_check_equals_the_rebuild_path_record_by_record(group):
-    record = verify_multipartite_identity(group)
-    oracle = rebuilt_multipartite_record(group)
-    assert record == oracle._replace(details=record.details)
-    *runs, split = record.details
-    *per_k, oracle_split = oracle.details
-    assert split == oracle_split
-    # Each run record is the oracle's record at every threshold of its run,
-    # and the runs end at the top grade, as the oracle's thresholds do.
-    expanded = [
-        run._replace(instance_id=f"{group.query_id}[k={k}]")
-        for run in runs for k in run_thresholds(run.instance_id)
-    ]
-    assert expanded == per_k
-    assert len(expanded) == max(group.grades)
-    assert record.rhs == pairwise_loss_naive(group)[0]
-    assert tuple(d.rhs for d in expanded) == threshold_decomposition(group)
+    """The check's integers equal the rebuilt oracle's, pair by pair: each
+    run's pair is the oracle's at every threshold of the run, and the runs
+    end at the top grade, as the oracle's thresholds do."""
+    per_k, split, total = view_integers(rank_view(group))
+    oracle_per_k, oracle_split, oracle_total = rebuilt_multipartite_record(group)
+    assert (per_k, split, total) == (oracle_per_k, oracle_split, oracle_total)
+    assert len(per_k) == max(group.grades)
+    assert total[1] == pairwise_loss_naive(group)[0]
+    assert tuple(loss for _, loss in per_k) == threshold_decomposition(group)
 
 
 @settings(max_examples=200)
@@ -148,7 +145,7 @@ def test_aggregate_ranks_each_group_once(monkeypatch):
         built.append(group.query_id)
         return rank_view(group)
 
-    monkeypatch.setattr(lindcg.report, "rank_view", counted)
+    monkeypatch.setattr(lindcg.metrics, "rank_view", counted)
     groups = [make_group([1, 0, 2], [0.3, 0.2, 0.1], query_id=q) for q in ("b", "a")]
     report = lindcg.report.build_aggregate_report(groups)
     assert built == ["b", "a"]  # once each, as the groups arrive
@@ -207,16 +204,19 @@ def wide_grade_groups(draw):
     return make_group(grades, scores)
 
 
-def _records_status(record):
-    """The status the records give: what the report showed when it kept them."""
-    if record.tie_afflicted:
+def _oracle_status(view):
+    """The status read off the view's integers as the rebuilt oracle lays them
+    out: ``tie_flagged`` for a tied view, else ``passed`` exactly when every
+    pair, each threshold's, the split's and the total's, is equal."""
+    if view.has_score_ties:
         return "tie_flagged"
-    return "passed" if record.passed and all(d.passed for d in record.details) else "failed"
+    per_k, split, total = view_integers(view)
+    return "passed" if all(a == b for a, b in (*per_k, split, total)) else "failed"
 
 
 def _kept(group, view):
-    """The status and failure records ``build_aggregate_report`` keeps when ``group`` ranks as ``view``."""
-    with mock.patch.object(lindcg.report, "rank_view", lambda _: view):
+    """The statuses and failure lines ``build_aggregate_report`` keeps when ``group`` ranks as ``view``."""
+    with mock.patch.object(lindcg.metrics, "rank_view", lambda _: view):
         report = lindcg.report.build_aggregate_report([group])
     return tuple(r.identity for r in report.per_query), report.failures
 
@@ -235,9 +235,10 @@ _VIEW_INTEGERS = {"grades": 0, "levels": 1, "counts": 0, "discount_mass": 0,
 # Level 29 + 2 would pass the cap of 30 below the top level, which compute_report refuses.
 @example(make_group([29, 30, 0], [3.0, 2.0, 1.0]), "levels", 1, 2, 1)
 def test_kept_status_is_the_records_verdict_on_any_view(group, field, position, change, shift):
-    """The status compares every integer the records do: on the true view and
-    on one with any one integer changed, at ``position`` modulo the indices it
-    may be changed at, by ``change``, or, for a grade, by ``shift`` modulo 31."""
+    """The status compares every integer the oracle lays out: on the true view
+    and on one with any one integer changed, at ``position`` modulo the indices
+    it may be changed at, by ``change``, or, for a grade, by ``shift`` modulo 31.
+    A failed status comes with one failure line, which names the query."""
     view = rank_view(group)
     if field is not None and len(getattr(view, field)) > _VIEW_INTEGERS[field]:
         values = list(getattr(view, field))
@@ -249,45 +250,63 @@ def test_kept_status_is_the_records_verdict_on_any_view(group, field, position, 
         else:
             values[index] += change
         view = view._replace(**{field: tuple(values)})
-    record = verify_multipartite_identity(group, view)
-    status = _records_status(record)
-    assert _kept(group, view) == ((status,), (record,) if status == "failed" else ())
+    status = _oracle_status(view)
+    statuses, failures = _kept(group, view)
+    assert statuses == (status,)
+    assert len(failures) == (status == "failed")
+    assert all(line.startswith("'q'") for line in failures)
+
+
+def _corrupted(field, index, change):
+    """The group of grades 2, 0, 1, 0, 1, 0, 0 by rank, and its view with
+    ``view.<field>[index]`` changed by ``change``."""
+    group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
+    view = rank_view(group)
+    values = list(getattr(view, field))
+    values[index] += change
+    return group, view._replace(**{field: tuple(values)})
 
 
 def test_a_corrupted_ranked_grade_fails_the_total_and_the_split():
-    group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
-    view = rank_view(group)
-    grades = list(view.grades)
-    grades[0] = 1  # the top item's grade; the levels, counts and masses stay
-    statuses, (record,) = _kept(group, view._replace(grades=tuple(grades)))
-    assert statuses == ("failed",)
+    # The top item's grade; the levels, counts and masses stay.
+    group, view = _corrupted("grades", 0, -1)
+    sums = identity_sums(view)
     # The position sum is the DCG both the total and the split read.
-    assert (record.passed, record.lhs, record.rhs) == (False, 9, 3)
-    assert [d.instance_id for d in record.details if not d.passed] == ["m[split]"]
+    assert (sums.ideal_dcg - sums.dcg, sums.loss) == (9, 3)
+    assert (sums.run_lhs == sums.run_losses, sums.dcg == sums.split_rhs) == (True, False)
+    assert _kept(group, view) == (("failed",), ("'m': error 9 != loss 3",))
 
 
 def test_a_corrupted_discount_mass_fails_the_runs_and_the_split_but_not_the_total():
-    group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
-    view = rank_view(group)
-    masses = list(view.discount_mass)
-    masses[1] += 1  # the mass of grade 1, which the runs k=0 and the split read
-    statuses, (record,) = _kept(group, view._replace(discount_mass=tuple(masses)))
-    assert statuses == ("failed",)
+    # The mass of grade 1, which the run k=0 and the split read.
+    group, view = _corrupted("discount_mass", 1, 1)
+    sums = identity_sums(view)
     # The total reads the position sum and the closed-form ideal, not the masses.
-    assert (record.passed, record.lhs, record.rhs) == (True, 3, 3)
-    assert [d.instance_id for d in record.details if not d.passed] == ["m[k=0]", "m[split]"]
+    assert (sums.ideal_dcg - sums.dcg, sums.loss) == (3, 3)
+    assert (sums.run_lhs, sums.run_losses) == ((2, 0), (3, 0))
+    assert (sums.dcg, sums.split_rhs) == (18, 19)
+    assert _kept(group, view) == (("failed",), ("'m'[k=0]: error 2 != loss 3",))
 
 
 def test_a_corrupted_run_loss_fails_that_run_and_the_total():
-    group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
-    view = rank_view(group)
-    losses = list(view.threshold_losses)
-    losses[1] += 1  # the loss of the run k=1
-    statuses, (record,) = _kept(group, view._replace(threshold_losses=tuple(losses)))
-    assert statuses == ("failed",)
+    group, view = _corrupted("threshold_losses", 1, 1)  # the loss of the run k=1
+    sums = identity_sums(view)
     # The total is the runs' losses weighted by their widths, so it fails with the run.
-    assert (record.passed, record.lhs, record.rhs) == (False, 3, 4)
-    assert [d.instance_id for d in record.details if not d.passed] == ["m[k=1]"]
+    assert (sums.ideal_dcg - sums.dcg, sums.loss) == (3, 4)
+    assert (sums.run_lhs, sums.run_losses) == ((3, 0), (3, 1))
+    assert sums.dcg == sums.split_rhs
+    assert _kept(group, view) == (("failed",), ("'m': error 3 != loss 4",))
+
+
+# The failure line of each changed integer, named by its first unequal pair.
+_FIRST_MISMATCH = {
+    "dcg": "'m': error 2 != loss 3",
+    "ideal_dcg": "'m': error 4 != loss 3",
+    "loss": "'m': error 3 != loss 4",
+    "run_lhs": "'m'[k=0]: error 4 != loss 3",
+    "run_losses": "'m'[k=1]: error 0 != loss 1",
+    "split_rhs": "'m'[split]: dcg 18 != sum over thresholds 19",
+}
 
 
 @pytest.mark.parametrize("field, index, failing", [
@@ -301,7 +320,9 @@ def test_a_corrupted_run_loss_fails_that_run_and_the_total():
 def test_each_integer_of_the_check_decides_the_status(field, index, failing):
     """No view change fails the top level alone: its two sides differ by the
     width-weighted sum of the runs' differences, whatever the view holds.  So
-    each integer is changed in the check's sums instead, one at a time."""
+    each integer is changed in the check's sums instead, one at a time.
+    ``failing`` names the parts whose pairs become unequal; the failure line
+    names the first of them."""
     group = group_from_ranking([2, 0, 1, 0, 1, 0, 0], query_id="m")
     identity_sums = lindcg.metrics.identity_sums
 
@@ -314,10 +335,14 @@ def test_each_integer_of_the_check_decides_the_status(field, index, failing):
             value += 1
         return sums._replace(**{field: value})
 
-    # The report's status and the failed query's records read the sums alike.
+    sums = off_by_one(rank_view(group))
+    pairs = {"m": (sums.ideal_dcg - sums.dcg, sums.loss),
+             "m[k=0]": (sums.run_lhs[0], sums.run_losses[0]),
+             "m[k=1]": (sums.run_lhs[1], sums.run_losses[1]),
+             "m[split]": (sums.dcg, sums.split_rhs)}
+    assert [part for part, (a, b) in pairs.items() if a != b] == failing.split(",")
+    # The report's status and the failure line read the sums alike.
     with mock.patch.object(lindcg.metrics, "identity_sums", off_by_one):
         report = lindcg.report.build_aggregate_report([group])
     assert tuple(r.identity for r in report.per_query) == ("failed",)
-    (record,) = report.failures
-    names = [r.instance_id for r in (record, *record.details) if not r.passed]
-    assert names == failing.split(",")
+    assert report.failures == (_FIRST_MISMATCH[field],)
