@@ -10,8 +10,7 @@ that ``metrics`` reports for each query.
 
 ``main(argv)`` parses the command line with the standard library's
 ``argparse`` and returns the exit code.  No option takes a prefix of its
-name.  A message about a value, whether an integer option's, a path, a
-refused choice or a stray argument, quotes at most 40 characters of it.  A
+name.  A message about any value quotes at most 40 characters of it.  A
 usage fault that a subcommand finds after parsing goes through that
 subcommand's parser, as the parser's own faults do: a usage line and one
 message line on stderr.
@@ -40,6 +39,7 @@ import itertools
 import math
 import os
 import random
+import re
 import sys
 from typing import Iterable
 
@@ -267,8 +267,7 @@ def oracle_cmd(grades_spec: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose messages quote at most 40 characters of a
-    value: argparse's own would echo a refused choice or a stray argument whole.
-    Each subcommand's parser is one too."""
+    value, which argparse's own echo whole.  Each subcommand's parser is one too."""
 
     def _check_value(self, action, value):
         # argparse checks every choice here, the subcommand's name included.
@@ -282,6 +281,14 @@ class _Parser(argparse.ArgumentParser):
         if extras:
             self.error(f"unrecognized arguments: {_listed([_quoted(extras[0])], len(extras))}")
         return options
+
+    def error(self, message):
+        # --help=V or -hV: raised deep in argparse, with V's repr.
+        ignored = re.fullmatch(r"(argument [^:]+: ignored explicit argument )(.*)", message, re.S)
+        if ignored:
+            import ast
+            message = ignored[1] + _quoted(ast.literal_eval(ignored[2]))
+        super().error(message)
 
 
 def _subcommand(commands, command, name: str) -> argparse.ArgumentParser:

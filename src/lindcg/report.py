@@ -17,20 +17,20 @@ name to its writer, ``json_pieces``, ``text_pieces`` or ``csv_pieces``;
 ``lindcg metrics`` offers those names and writes the pieces as they come,
 and ``"".join(json_pieces(report))`` is the whole report as one string.
 
-The JSON report is exactly ``json.dumps`` of the report's object with
-``indent=2``, plus a newline, but only its small head, which holds the
-means, goes through the indenting encoder, which is pure Python.  Each
-query's flat dict is encoded by the C encoder with ``",\n      "`` between
-items, which puts every key on its own line six spaces in, as ``indent=2``
-does at that depth; the fixed outer layout, ``"    {\n      "`` before each
-query, ``"\n    }"`` after it and ``",\n"`` between queries, is added
-around it.
+The JSON report is exactly ``json.dumps(obj, indent=2)`` of the report's
+object plus a newline, but only its head goes through ``json.dumps``.
+Each query's object fills one ``%`` template, built from
+``MetricReport._fields`` in that layout: strings through
+``json.encoder.encode_basestring_ascii``, floats rounded by ``_sig6``,
+flags as ``true`` or ``false``, ints as they are.  That is about twice as
+fast as the C encoder on a dict per query, which it replaced.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -104,15 +104,18 @@ def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def _query_dict(report: MetricReport) -> dict:
-    """The report's ``_asdict()``, with every float rounded by ``_sig6``."""
-    return {name: _sig6(value) if isinstance(value, float) else value
-            for name, value in zip(MetricReport._fields, report)}
+_FLAGS = ("false", "true")
 
 
-# A flat query dict encoded by the C encoder in the layout indent=2 gives it
-# at depth 3: each key on its own line, six spaces in.
-_QUERY_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+def _cells(r: MetricReport, quote) -> tuple:
+    """The report's fields as JSON and CSV write them: the strings through
+    ``quote``, floats rounded by ``_sig6`` and flags as ``true`` or ``false``."""
+    return (quote(r[0]), *r[1:4], *map(_sig6, r[4:8]), *r[8:11], _sig6(r[11]),
+            _FLAGS[r[12]], _FLAGS[r[13]], quote(r[14]))
+
+
+# A query's object as indent=2 lays it out at depth 3.  %s of a float is its repr.
+_QUERY_JSON = "    {\n%s\n    }" % ",\n".join(f'      "{name}": %s' for name in MetricReport._fields)
 
 
 def json_pieces(report: AggregateReport) -> Iterator[str]:
@@ -131,7 +134,7 @@ def json_pieces(report: AggregateReport) -> Iterator[str]:
     yield head.removesuffix("[]\n}") + "[\n"
     separator = ""
     for r in report.per_query:
-        yield separator + "    {\n      " + _QUERY_ENCODER.encode(_query_dict(r))[1:-1] + "\n    }"
+        yield separator + _QUERY_JSON % _cells(r, encode_basestring_ascii)
         separator = ",\n"
     yield "\n  ]\n}\n"
 
@@ -152,10 +155,7 @@ def csv_pieces(report: AggregateReport) -> Iterator[str]:
     writer = csv.writer(_Line(), lineterminator="\n")
     yield writer.writerow(MetricReport._fields)
     for r in report.per_query:
-        yield writer.writerow(
-            ["true" if v is True else "false" if v is False else v
-             for v in _query_dict(r).values()]
-        )
+        yield writer.writerow(_cells(r, str))
 
 
 # The text report's columns up to its identity and flags: (header, MetricReport field).

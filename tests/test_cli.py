@@ -218,6 +218,7 @@ GOLDEN_RUNS = [
     ("metrics_fine.tsv", None, "text", "metrics_fine.txt"),
     ("metrics_inline.svmlight", None, "json", "metrics_inline.json"),
     ("metrics_scored.svmlight", "metrics_scored.scores", "json", "metrics_scored.json"),
+    ("metrics_escape.tsv", None, "json", "metrics_escape.json"),
 ]
 
 
@@ -1179,10 +1180,12 @@ LONG_VALUE = "z" * 100_000
     ("metrics", "--input", FINE, "--format", LONG_VALUE),
     (LONG_VALUE,),
     ("metrics", "--input", FINE, LONG_VALUE),
-], ids=["output", "format", "command", "stray-argument"])
+    ("--help=" + LONG_VALUE,),
+    ("metrics", "--help=" + LONG_VALUE),
+], ids=["output", "format", "command", "stray-argument", "help", "subcommand-help"])
 def test_a_usage_message_quotes_at_most_forty_characters_of_a_value(args):
-    """argparse's own messages for a refused choice and a stray argument would
-    write the whole value."""
+    """argparse's own messages for a refused choice, a stray argument and a value
+    given to an option that takes none would write the whole value."""
     code, stdout, stderr = run_main(list(args))
     assert (code, stdout) == (2, "")
     assert len(stderr.encode()) < 1024

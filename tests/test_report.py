@@ -9,6 +9,7 @@ from lindcg.io import parse_tsv
 from lindcg.metrics import MetricReport
 from lindcg.report import (
     VerificationSummary,
+    _sig6,
     build_aggregate_report,
     csv_pieces,
     json_pieces,
@@ -124,3 +125,24 @@ def test_render_json_equals_json_dumps_with_indent_2(groups):
     object at ``indent=2``, with a newline."""
     text = "".join(json_pieces(build_aggregate_report(groups)))
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _typed(fields):
+    """(key, type, value) of each item, in order: ``True == 1`` and ``1.0 == 1``
+    in Python, but not in JSON."""
+    return [(key, type(value), value) for key, value in fields.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_GROUPS, max_size=8))
+@example([GOLDEN, SINGLETON, TIED])
+def test_json_writes_each_field_of_each_querys_report(groups):
+    """Each query's JSON object reads back as its report's ``_asdict()``, with every
+    float rounded by ``_sig6``: a writer that put two values under each other's
+    keys would still pass the layout test above."""
+    report = build_aggregate_report(groups)
+    queries = json.loads("".join(json_pieces(report)))["queries"]
+    assert [_typed(query) for query in queries] == [
+        _typed({key: _sig6(value) if isinstance(value, float) else value
+                for key, value in r._asdict().items()})
+        for r in report.per_query]
