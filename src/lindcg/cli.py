@@ -21,10 +21,13 @@ control characters, and text and CSV keep them as they are, on a pipe and
 on a terminal alike, so a terminal interprets an escape sequence in an id.
 
 Exit codes: 0 on success / all checks passed, 1 when any identity check
-failed, 2 for usage or parse errors.  A ``metrics`` run that exits 1
-writes one line to stderr after its report.  It names the first unequal
-pair of each failed query's check, for the first 20 queries by id, and
-counts the rest:
+failed, 2 for usage or parse errors and for an input that cannot be
+opened or read.  ``metrics`` checks a path only by reading it: the
+reader's ``OSError`` becomes one stderr line, such as ``error: cannot read
+'run.txt': No such file or directory``, and nothing on stdout.  A
+``metrics`` run that exits 1 writes one line to stderr after its report.
+It names the first unequal pair of each failed query's check, for the
+first 20 queries by id, and counts the rest:
 ``identity check failed: 'm': error 9 != loss 3; 'n'[k=0..2]: error 4 != loss 5; and 9980 more``.
 A passing run writes nothing to stderr.  A reader that closes stdout
 early, as ``| head`` does, changes no exit code.
@@ -81,15 +84,6 @@ def _integer(value: str) -> int:
         raise argparse.ArgumentTypeError(f"{_quoted(value)} is not a valid integer") from None
 
 
-def _existing_file(path: str) -> str:
-    """A path that exists and is no directory: a file, or a pipe such as /dev/stdin."""
-    if os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"{_quoted(path)} is a directory")
-    if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"{_quoted(path)} does not exist")
-    return path
-
-
 def _is_ascii(encoding: str | None) -> bool:
     try:
         return codecs.lookup(encoding or "ascii").name == "ascii"
@@ -137,6 +131,9 @@ def metrics_cmd(input_path: str, fmt: str, scores_path: str | None,
         report = build_aggregate_report(_grouped(_rows(input_path, fmt, scores_path, num_grades)))
     except LindcgError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # the reader's open or read, which names the path
+        print(f"error: cannot read {_quoted(exc.filename)}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     _echo_pieces(WRITERS[output_fmt](report))
     failures = report.failures
@@ -307,11 +304,11 @@ def _parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
     metrics = _subcommand(commands, metrics_cmd, "metrics")
-    metrics.add_argument("--input", dest="input_path", required=True, type=_existing_file,
-                         metavar="PATH", help="Dataset file to evaluate.")
+    metrics.add_argument("--input", dest="input_path", required=True, metavar="PATH",
+                         help="Dataset file to evaluate.")
     metrics.add_argument("--format", dest="fmt", choices=("tsv", "svmlight"), default="tsv",
                          help="Input file format (default: %(default)s).")
-    metrics.add_argument("--scores", dest="scores_path", type=_existing_file, metavar="PATH",
+    metrics.add_argument("--scores", dest="scores_path", metavar="PATH",
                          help="Companion score file (svmlight format only).")
     metrics.add_argument("--num-grades", type=_integer, metavar="N",
                          help="Reject any grade at or above this grade-alphabet size.")

@@ -122,6 +122,7 @@ def _read_blocks(source):
     that runs on past the end of a block is collected piece by piece until
     a line break ends it, so a line costs time linear in its length.  A
     block is handed on as soon as it is read, never after the next one.
+    This is the only code that opens a path; its ``OSError`` names the path.
     """
     stream = source if hasattr(source, "read") else open(
         source, encoding="utf-8", errors="surrogateescape", newline="")
@@ -140,6 +141,9 @@ def _read_blocks(source):
             block = stream.read(_BLOCK_CHARS)
         if pieces:  # the last line, with no line break after it or a "\r" held back
             yield _handed_on("".join(pieces))
+    except OSError as exc:  # a read error names no file
+        exc.filename = exc.filename or getattr(stream, "name", None)
+        raise
     finally:
         if stream is not source:
             stream.close()

@@ -14,10 +14,10 @@ the references in ``lindcg.oracles``.
 the DCG summed over ranked positions, the ideal DCG and weighted loss that
 ``compute_report`` reports, and the run and split sums of the identity
 check, whose split compares that DCG with its sum over grade thresholds.
-``compute_report`` ranks the group, and asks ``identity_status`` for the
-query's ``identity`` from those same integers.  For a failed check,
-``_first_mismatch`` names its first unequal pair in one line: the query,
-the part (the total, a run of thresholds or the split) and both integers.
+``compute_report`` ranks the group, reads the cap from the view's top
+level, and asks ``identity_status`` for the query's ``identity``.  The
+check's pairs are walked in one place, ``_unequal_pair``, which gives the
+status and, for a failed check, the line ``_first_mismatch`` writes.
 ``IdentitySums`` and ``MetricReport`` are NamedTuples: immutable, hashable
 and compared by value, so each also equals the plain tuple of its fields
 and unpacks.
@@ -66,23 +66,10 @@ from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 from .core import QueryGroup, RankedView, rank_view
-from .errors import GradeTooLargeError, InvalidGradeError, _quoted, _shortened
+from .errors import GradeTooLargeError, _quoted, _shortened
 
 # 2**grade must stay exactly representable in a double.
 MAX_CLASSIC_GRADE = 30
-
-
-def _check_classic_cap(view: RankedView) -> None:
-    """Refuse a view with a level outside 0..``MAX_CLASSIC_GRADE``, which the
-    classical sums would index ``_GAINS`` by.  Every level is read: a view
-    built by hand need not hold its largest grade last."""
-    low, high = min(view.levels), max(view.levels)
-    if low < 0:
-        raise InvalidGradeError(f"grade must be a non-negative integer, got {_shortened(low)}")
-    if high > MAX_CLASSIC_GRADE:
-        raise GradeTooLargeError(
-            f"grade {_shortened(high)} exceeds the classical-gain cap of {MAX_CLASSIC_GRADE}"
-        )
 
 
 _GAINS = tuple(2**g - 1 for g in range(MAX_CLASSIC_GRADE + 1))
@@ -152,6 +139,25 @@ def identity_sums(view: RankedView) -> IdentitySums:
     )
 
 
+def _unequal_pair(view: RankedView, sums: IdentitySums) -> str | None:
+    """The check's first unequal pair as text, such as ``[k=0..2]: error 4 !=
+    loss 5``, or None.  The pairs, in order: the DCG error against the loss,
+    each run of thresholds ``[k=K]`` or ``[k=A..B]``, and the ``[split]``."""
+    error = sums.ideal_dcg - sums.dcg
+    if error != sums.loss:
+        return f": error {_shortened(error)} != loss {_shortened(sums.loss)}"
+    if sums.run_lhs != sums.run_losses:
+        for a, b, error, loss in zip(view.levels, view.levels[1:], sums.run_lhs,
+                                     sums.run_losses):
+            if error != loss:
+                run = f"[k={a}]" if b - a == 1 else f"[k={a}..{b - 1}]"
+                return f"{run}: error {_shortened(error)} != loss {_shortened(loss)}"
+    if sums.dcg != sums.split_rhs:
+        return (f"[split]: dcg {_shortened(sums.dcg)}"
+                f" != sum over thresholds {_shortened(sums.split_rhs)}")
+    return None
+
+
 def identity_status(view: RankedView, sums: IdentitySums) -> str:
     """The query's status, ``passed``, ``failed`` or ``tie_flagged``, from its
     view's ``identity_sums``.
@@ -161,10 +167,7 @@ def identity_status(view: RankedView, sums: IdentitySums) -> str:
     """
     if view.has_score_ties:
         return "tie_flagged"
-    if (sums.ideal_dcg - sums.dcg == sums.loss and sums.run_lhs == sums.run_losses
-            and sums.dcg == sums.split_rhs):
-        return "passed"
-    return "failed"
+    return "passed" if _unequal_pair(view, sums) is None else "failed"
 
 
 class MetricReport(NamedTuple):
@@ -197,9 +200,13 @@ class MetricReport(NamedTuple):
 
 def compute_report(group: QueryGroup) -> MetricReport:
     """Rank one group and evaluate both DCG families, the pairwise loss and
-    the identity check."""
+    the identity check.  A grade above ``MAX_CLASSIC_GRADE`` raises
+    ``GradeTooLargeError``; ``rank_view`` sorts the levels, so only the last is read."""
     view = rank_view(group)
-    _check_classic_cap(view)
+    top = view.levels[-1]
+    if top > MAX_CLASSIC_GRADE:
+        raise GradeTooLargeError(
+            f"grade {_shortened(top)} exceeds the classical-gain cap of {MAX_CLASSIC_GRADE}")
     # Zero grades add nothing and sort last, so the ideal list can stop before them.
     ideal_grades = list(
         chain.from_iterable(map(repeat, view.levels[:0:-1], view.counts[:0:-1]))
@@ -222,22 +229,7 @@ def compute_report(group: QueryGroup) -> MetricReport:
 
 
 def _first_mismatch(group: QueryGroup) -> str:
-    """The first unequal pair of a failed check, as ``lindcg metrics`` names it.
-
-    The group is ranked again, which happens only for a failed query.  The
-    pairs are read in order: the DCG error against the weighted loss, then
-    each run of thresholds, ``[k=K]`` or ``[k=A..B]`` from the view's
-    levels, and last the ``[split]`` of the DCG over thresholds, which must
-    differ once the others are equal.
-    """
+    """A failed check's first unequal pair after the quoted query id, as
+    ``lindcg metrics`` names it.  Only a failed query is ranked again."""
     view = rank_view(group)
-    sums = identity_sums(view)
-    levels = view.levels
-    runs = (f"[k={a}]" if b - a == 1 else f"[k={a}..{b - 1}]" for a, b in zip(levels, levels[1:]))
-    name = _quoted(group.query_id)
-    for part, error, loss in chain([("", sums.ideal_dcg - sums.dcg, sums.loss)],
-                                   zip(runs, sums.run_lhs, sums.run_losses)):
-        if error != loss:
-            return f"{name}{part}: error {_shortened(error)} != loss {_shortened(loss)}"
-    return (f"{name}[split]: dcg {_shortened(sums.dcg)}"
-            f" != sum over thresholds {_shortened(sums.split_rhs)}")
+    return _quoted(group.query_id) + _unequal_pair(view, identity_sums(view))

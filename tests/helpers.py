@@ -6,7 +6,8 @@ import io
 import math
 import random
 import re
-from contextlib import redirect_stderr, redirect_stdout
+import socket
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 from lindcg.cli import main
 from lindcg.core import QueryGroup, RankedView
@@ -32,6 +33,16 @@ def run_main(argv):
         except SystemExit as exc:
             code = exc.code
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+@contextmanager
+def unix_socket(path):
+    """A UNIX socket bound at ``path`` while the block runs: a path that exists,
+    and that ``open`` refuses with ENXIO.  A socket's path must be short,
+    about 100 bytes at most."""
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.bind(str(path))
+        yield str(path)
 
 
 def ideal(grades):

@@ -19,7 +19,7 @@ import lindcg.io
 import lindcg.metrics
 import lindcg.oracles
 import lindcg.report
-from helpers import run_main
+from helpers import run_main, unix_socket
 from lindcg.cli import MAX_EXHAUSTIVE_RANKINGS, MAX_RANDOM_ITEM_GRADES
 
 DATA = Path(__file__).parent / "data"
@@ -104,6 +104,43 @@ def test_metrics_rejects_comment_only_input(tmp_path):
 def test_metrics_rejects_missing_file(tmp_path):
     code, stdout, stderr = run_main(["metrics", "--input", str(tmp_path / "absent.tsv")])
     assert code == 2
+    assert stderr.endswith(": No such file or directory\n")
+
+
+SCORED = str(DATA / "metrics_scored.svmlight")
+# The arguments of `metrics` that read a path as its input, and as its scores.
+PATH_ARGS = [
+    lambda path: ["--input", path],
+    lambda path: ["--input", SCORED, "--format", "svmlight", "--scores", path],
+]
+
+
+def _assert_cannot_read(run, path):
+    """``run``, a ``run_main`` result, exited 2 with no stdout and one short
+    stderr line that names ``path``."""
+    code, stdout, stderr = run
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"error: cannot read {path!r}: "), stderr
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+    assert len(stderr.encode()) < 1024
+
+
+@pytest.mark.parametrize("make_args", PATH_ARGS, ids=["input", "scores"])
+def test_a_socket_path_exits_2_with_one_line_naming_it(tmp_path, monkeypatch, make_args):
+    """A socket exists and is no directory, but ``open`` refuses it (ENXIO)."""
+    monkeypatch.chdir(tmp_path)
+    with unix_socket("in.sock") as path:
+        _assert_cannot_read(run_main(["metrics", *make_args(path)]), path)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/mem")
+@pytest.mark.parametrize("make_args", PATH_ARGS, ids=["input", "scores"])
+def test_a_read_error_exits_2_with_one_line_naming_the_path(make_args):
+    """/proc/self/mem opens, and its first read fails with EIO, an error that
+    names no file: the reader names the path."""
+    run = run_main(["metrics", *make_args("/proc/self/mem")])
+    _assert_cannot_read(run, "/proc/self/mem")
+    assert run[2].endswith(": Input/output error\n")
 
 
 def test_metrics_num_grades_must_cover_observed_grades(golden_file):

@@ -1,5 +1,7 @@
+import errno
 import io
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -230,6 +232,18 @@ def test_svmlight_score_file_path(tmp_path):
     preds.write_text("0.8\n0.6\n", encoding="utf-8")
     (group,) = parse_svmlight(data, scores=preds)
     assert group.scores == (0.8, 0.6)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/mem")
+def test_a_read_error_names_the_path_that_failed():
+    """/proc/self/mem opens, and its first read fails with an error that names
+    no file: the reader sets the path on it, as on an error of ``open``."""
+    with pytest.raises(OSError) as raised:
+        parse_tsv("/proc/self/mem")
+    assert (raised.value.errno, raised.value.filename) == (errno.EIO, "/proc/self/mem")
+    with pytest.raises(OSError) as raised:
+        parse_svmlight(io.StringIO("1 qid:1 1:0.2\n"), scores="/proc/self/mem")
+    assert raised.value.filename == "/proc/self/mem"
 
 
 @pytest.mark.parametrize("scores", ["0.1\n", "0.1\n0.2\n0.3\n0.4\n"])

@@ -1,16 +1,14 @@
 import itertools
 import math
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import lindcg.metrics
 from helpers import dcg_error, group_from_ranking, ideal, make_group, random_group
 from lindcg.core import rank_view
-from lindcg.errors import GradeTooLargeError, InvalidGradeError
+from lindcg.errors import GradeTooLargeError
 from lindcg.metrics import bipartite_ideal_dcg, compute_report
 from lindcg.oracles import dcg_classic, dcg_linear, rank_by_score
 
@@ -76,33 +74,6 @@ def test_the_cap_message_writes_forty_digits_of_a_huge_grade(digits):
     with pytest.raises(GradeTooLargeError) as raised:
         compute_report(make_group([10 ** (digits - 1)], [0.5]))
     assert str(raised.value) == f"grade 1{'0' * 39}... exceeds the classical-gain cap of 30"
-
-
-def _report_of_hand_built_view(levels):
-    """The report of the group of grades 29, 30 and 0 when it ranks as its view
-    with ``levels`` in place of (0, 29, 30)."""
-    group = make_group([29, 30, 0], [3.0, 2.0, 1.0])
-    view = rank_view(group)
-    assert view.levels == (0, 29, 30)
-    with mock.patch.object(lindcg.metrics, "rank_view", lambda _: view._replace(levels=levels)):
-        return compute_report(group)
-
-
-def test_the_cap_reads_every_level_of_a_view_not_only_the_last():
-    # Read only at the top level, 30, the 31 below it raised IndexError in the classical sum.
-    with pytest.raises(GradeTooLargeError) as raised:
-        _report_of_hand_built_view((0, 31, 30))
-    assert str(raised.value) == "grade 31 exceeds the classical-gain cap of 30"
-
-
-def test_a_negative_level_is_refused_as_the_group_refuses_a_negative_grade():
-    # Unchecked, a level of -1 read the gain of grade 30 from the end of the gain table.
-    with pytest.raises(InvalidGradeError) as raised:
-        _report_of_hand_built_view((-1, 29, 30))
-    with pytest.raises(InvalidGradeError) as from_group:
-        make_group([-1], [0.5])
-    assert str(raised.value) == str(from_group.value) == (
-        "grade must be a non-negative integer, got -1")
 
 
 def test_compute_report_takes_no_view():
