@@ -1,3 +1,4 @@
+import errno
 import inspect
 import io
 import itertools
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections.abc import Iterator
 from functools import partial
@@ -367,6 +369,42 @@ def test_metrics_reads_a_pipe_as_it_reads_a_file(tmp_path, monkeypatch, text,
     assert from_file[0] == exit_code
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+def test_metrics_waits_for_a_fifo_writer_and_reports_what_it_writes(tmp_path):
+    """A FIFO's reader that opens before its writer waits for it, as ``cat`` does, so
+    ``mkfifo p; lindcg metrics --input p & producer > p`` reports the producer's rows."""
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lindcg.cli", "metrics", "--input", str(fifo), "--output", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    try:
+        # A non-blocking open for writing fails with ENXIO until the child has opened
+        # the FIFO for reading, so the writer comes second and the test cannot hang.
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                break
+            except OSError as exc:
+                if exc.errno != errno.ENXIO or time.monotonic() > deadline:
+                    raise
+                assert child.poll() is None, child.communicate()
+                time.sleep(0.01)
+        try:
+            data = (DATA / "metrics_mixed.tsv").read_bytes()
+            assert os.write(writer, data) == len(data)  # it fits the FIFO's buffer
+        finally:
+            os.close(writer)
+        stdout, stderr = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert (child.returncode, stdout, stderr) == (
+        0, (DATA / "metrics_mixed.json").read_bytes(), b"")
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "svmlight"])
 def test_metrics_reads_a_file_whose_last_row_reopens_its_first_query_once(
         tmp_path, monkeypatch, fmt):
@@ -375,9 +413,9 @@ def test_metrics_reads_a_file_whose_last_row_reopens_its_first_query_once(
     reads = []
     read_blocks = lindcg.io._read_blocks
 
-    def counted(source):
+    def counted(source, *scale):
         reads.append(source)
-        return read_blocks(source)
+        return read_blocks(source, *scale)
 
     monkeypatch.setattr(lindcg.io, "_read_blocks", counted)
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
@@ -431,7 +469,7 @@ def test_metrics_rejects_a_grade_above_the_classical_cap(tmp_path, grade):
     code, stdout, stderr = run_main(["metrics", "--input", str(data)])
     assert code == 2
     assert stderr == message
-    # Interleaved rows, more than one 64 Ki-character block of them before the grade.
+    # Interleaved rows, more than four 16 Ki-character blocks of them before the grade.
     interleaved = "".join(f"q{i % 10}\t{i % 3}\t0.{i}\n" for i in range(6000))
     child = subprocess.run(
         [sys.executable, "-m", "lindcg.cli", "metrics", "--input", "/dev/stdin"],
