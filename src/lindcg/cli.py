@@ -233,7 +233,7 @@ def oracle_cmd(grades_spec: str) -> int:
     grades = []
     for part in grades_spec.split(","):
         # The file readers' rule: ASCII digits only, no "_" separators, not negative.
-        grade, reason = _parse_grade(part.strip(), None)
+        grade, reason = _parse_grade(part.strip(), None, capped=False)
         if reason:
             raise _UsageError(f"--grades {_quoted(grades_spec)}: {reason}")
         grades.append(grade)

@@ -17,7 +17,7 @@ import math
 from operator import sub
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError, _shortened
+from .errors import EmptyGroupError, InvalidGradeError, InvalidScoreError, _quoted, _shortened
 
 
 # isinstance(value, int) as a one-argument function, for map().
@@ -35,10 +35,10 @@ class QueryGroup:
         self.scores = scores = tuple(scores)
         if len(grades) != len(scores):
             raise ValueError(
-                f"{len(grades)} grades vs {len(scores)} scores for query {query_id!r}"
+                f"{len(grades)} grades vs {len(scores)} scores for query {_quoted(query_id)}"
             )
         if not grades:
-            raise EmptyGroupError(f"query {query_id!r} has no items")
+            raise EmptyGroupError(f"query {_quoted(query_id)} has no items")
         # Whole-column passes; the offending value is looked up only on failure.
         if not all(map(_is_int, grades)) or min(grades) < 0:
             bad = next(g for g in grades if not _is_int(g) or g < 0)

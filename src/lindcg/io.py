@@ -30,9 +30,10 @@ Each block is first read a column at a time, with whole-block checks:
   text it is and any other block joined from its lines: the text is
   ASCII with no ``#``, every line has exactly two tabs, no stripped query
   id is empty, the grade and score cells hold no ``_``, ``int`` and
-  ``float`` read every cell, no grade is negative or at or above a
-  declared ``num_grades``, and every score is finite.  A block that
-  passes is split into its three columns.
+  ``float`` read every cell, no grade is negative, at or above a declared
+  ``num_grades`` or above the classical-gain cap ``MAX_CLASSIC_GRADE``,
+  and every score is finite.  A block that passes is split into its three
+  columns.
 * A clean score-file block is split at ``\n``: it holds no ``_``, every
   line is one number that ``float`` reads, and every score is finite.
 * With a score file, a clean SVMLight block is read head-only: one match
@@ -54,8 +55,6 @@ end before any fault is raised, so accepted + rejected always accounts
 for every non-comment, non-blank line.  A fault message quotes at most
 the first 40 characters of a cell, followed by ``...``, and writes a
 number of more than 40 characters as its first 40 and ``...``, unquoted.
-A grade above the classical-gain cap ``MAX_CLASSIC_GRADE`` is rejected
-too, but only on input with no other fault.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ from itertools import chain, islice
 from .core import QueryGroup
 from .errors import (
     EmptyFileError,
-    GradeTooLargeError,
     ParseError,
     ScoreCountMismatchError,
     _quoted,
@@ -225,7 +223,7 @@ def _grouped(chunks):
     by_query: dict[str, tuple[array, array]] = {}
     for chunk_ids, chunk_grades, chunk_scores in chunks:
         for query_id, grade, score in zip(chunk_ids, chunk_grades, chunk_scores, strict=True):
-            # "B" holds 0 to 255: _rows yields no negative grade and none above
+            # "B" holds 0 to 255: the readers reject a negative grade and one above
             # MAX_CLASSIC_GRADE, so no grade can overflow it.
             columns = by_query.get(query_id) or by_query.setdefault(
                 query_id, (array("B"), array("d")))
@@ -235,7 +233,8 @@ def _grouped(chunks):
         yield QueryGroup._from_checked(query_id, *by_query.pop(query_id))
 
 
-def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | None]:
+def _parse_grade(text: str, declared: int | None,
+                 capped: bool = True) -> tuple[int | None, str | None]:
     try:
         # int() would also read '_' digit separators and non-ASCII digits.
         if not text.isascii() or "_" in text:
@@ -248,6 +247,9 @@ def _parse_grade(text: str, declared: int | None) -> tuple[int | None, str | Non
     if declared is not None and grade >= declared:
         return None, (f"grade {_shortened(grade)} outside declared alphabet"
                       f" of {_shortened(declared)}")
+    if capped and grade > MAX_CLASSIC_GRADE:
+        return None, (f"grade {_shortened(grade)} exceeds the classical-gain cap"
+                      f" of {MAX_CLASSIC_GRADE}")
     return grade, None
 
 
@@ -264,7 +266,7 @@ def _parse_score(text: str) -> tuple[float | None, str | None]:
     return score, None
 
 
-def _tsv_columns(block, num_grades: int | None, seen: dict[str, str]):
+def _tsv_columns(block, bound: int, seen: dict[str, str]):
     """The query-id, grade and score columns of a block, or None if a line needs the line rules.
 
     Every check runs over the whole block at once.  A clean block is checked
@@ -275,7 +277,7 @@ def _tsv_columns(block, num_grades: int | None, seen: dict[str, str]):
     line's query-id cell, where stripping removes it.  ASCII text keeps
     ``int`` and ``float`` to ASCII digits, and the whitespace they skip is
     whitespace ``str.strip`` removes, so a cell reads as its stripped text
-    would.
+    would.  Every grade must lie in ``0 <= grade < bound``.
     """
     text = block if isinstance(block, str) else "\n".join(block) + "\n"
     if not text.isascii() or "#" in text:
@@ -297,7 +299,7 @@ def _tsv_columns(block, num_grades: int | None, seen: dict[str, str]):
         scores = list(map(float, score_cells))
     except ValueError:
         return None
-    if grades and (min(grades) < 0 or num_grades is not None and max(grades) >= num_grades):
+    if grades and (min(grades) < 0 or max(grades) >= bound):
         return None
     if not all(map(math.isfinite, scores)):
         return None
@@ -331,7 +333,7 @@ def _tsv_lines(first: int, lines: list[str], num_grades: int | None, seen: dict[
     return query_ids, grades, scores
 
 
-def _tsv_chunks(source, num_grades: int | None, errors: _Faults):
+def _tsv_chunks(source, num_grades: int | None, bound: int, errors: _Faults):
     """Yield the query-id, grade and score columns of each block of a TSV source.
 
     Each block is read a column at a time; a block that fails a whole-block
@@ -340,7 +342,7 @@ def _tsv_chunks(source, num_grades: int | None, errors: _Faults):
     # One string per distinct query id, shared by its rows, so a block's query-id
     # column holds one string per query, not one per row.
     seen: dict[str, str] = {}
-    return _read_chunks(source, partial(_tsv_columns, num_grades=num_grades, seen=seen),
+    return _read_chunks(source, partial(_tsv_columns, bound=bound, seen=seen),
                         partial(_tsv_lines, num_grades=num_grades, seen=seen, errors=errors))
 
 
@@ -383,11 +385,11 @@ def _score_lines(first: int, lines: list[str], errors: _Faults):
     return (scores,)
 
 
-def _svmlight_heads(block, num_grades: int | None, seen: dict[str, str]):
+def _svmlight_heads(block, bound: int, seen: dict[str, str]):
     """The query-id and grade columns of a clean block, or None if a line needs the line rules.
 
     Only each line's ``grade qid:ID`` head is matched; the features after
-    it are skipped unread.
+    it are skipped unread.  Every grade must lie in ``0 <= grade < bound``.
     """
     if not isinstance(block, str):
         return None
@@ -407,7 +409,7 @@ def _svmlight_heads(block, num_grades: int | None, seen: dict[str, str]):
         grades = list(map(int, grade_cells))
     except ValueError:
         return None
-    if min(grades) < 0 or num_grades is not None and max(grades) >= num_grades:
+    if min(grades) < 0 or max(grades) >= bound:
         return None
     return list(map(seen.setdefault, query_ids, query_ids)), grades
 
@@ -450,7 +452,7 @@ def _svmlight_lines(first: int, lines: list[str], num_grades: int | None, seen: 
     return (query_ids, grades, scores) if inline else (query_ids, grades)
 
 
-def _svmlight_chunks(source, scores, num_grades: int | None, errors: _Faults,
+def _svmlight_chunks(source, scores, num_grades: int | None, bound: int, errors: _Faults,
                      score_errors: _Faults):
     """Yield the query-id, grade and score columns of each block of an SVMLight source.
 
@@ -470,7 +472,7 @@ def _svmlight_chunks(source, scores, num_grades: int | None, errors: _Faults,
     score_column = chain.from_iterable(
         column for column, in _read_chunks(
             scores, _score_column, partial(_score_lines, errors=score_errors)))
-    read_block = partial(_svmlight_heads, num_grades=num_grades, seen=seen)
+    read_block = partial(_svmlight_heads, bound=bound, seen=seen)
     for query_ids, grades in _read_chunks(source, read_block, read_lines, _SVMLIGHT_SCALE):
         yield query_ids, grades, list(islice(score_column, len(grades)))
     yield [], [], list(score_column)
@@ -498,30 +500,29 @@ def _rows(source, fmt: str, scores=None, num_grades: int | None = None):
 
     ``fmt`` is "tsv" or "svmlight"; a ``scores`` file of an SVMLight source
     is read in step with the data.  From the first block with a fault on,
-    nothing is yielded.  A fault is a rejected line of either file, score
-    and grade columns of different lengths, or a grade above the
-    classical-gain cap ``MAX_CLASSIC_GRADE``.  Both files are still read to their end, and
-    then one error is raised, the first of: an error in the score file, a
-    score count that does not match the data rows, the malformed data
-    lines, no rows at all, and the first row whose grade is above the cap.
-    A ``ParseError`` counts every malformed line of its file and names the
-    first ``_KEPT_FAULTS``.
+    nothing is yielded.  A fault is a rejected line of either file, or
+    score and grade columns of different lengths.  Both files are still
+    read to their end, and then one error is raised, the first of: an
+    error in the score file, a score count that does not match the data
+    rows, the malformed data lines, and no rows at all.  A ``ParseError``
+    counts every malformed line of its file and names the first
+    ``_KEPT_FAULTS``.  A grade is malformed when it is negative, at or above
+    ``num_grades`` or above ``MAX_CLASSIC_GRADE``, so the whole-block checks
+    compare it with one bound, ``min(num_grades, MAX_CLASSIC_GRADE + 1)``.
     """
     errors, score_errors = _Faults(), _Faults()
+    bound = (MAX_CLASSIC_GRADE + 1 if num_grades is None
+             else min(num_grades, MAX_CLASSIC_GRADE + 1))
     if fmt == "tsv":
-        chunks = _tsv_chunks(source, num_grades, errors)
+        chunks = _tsv_chunks(source, num_grades, bound, errors)
     else:
-        chunks = _svmlight_chunks(source, scores, num_grades, errors, score_errors)
+        chunks = _svmlight_chunks(source, scores, num_grades, bound, errors, score_errors)
     rows = scored = 0
-    too_large = None  # the query id and grade of the first row above the cap
     for query_ids, grades, row_scores in chunks:
         rows += len(grades)
         scored += len(row_scores)
-        if too_large is None and max(grades, default=0) > MAX_CLASSIC_GRADE:
-            too_large = next((query_id, grade) for query_id, grade in zip(query_ids, grades)
-                             if grade > MAX_CLASSIC_GRADE)
         # Counts once apart stay apart: the score file ran out, or its extras came last.
-        if not (errors or score_errors or too_large) and rows == scored:
+        if not (errors or score_errors) and rows == scored:
             yield query_ids, grades, row_scores
     if score_errors:
         kept = [(lineno, f"score file: {reason}") for lineno, reason in score_errors.kept]
@@ -536,8 +537,3 @@ def _rows(source, fmt: str, scores=None, num_grades: int | None = None):
         raise ParseError(errors.kept, accepted_count=rows, rejected_count=len(errors))
     if not rows:
         raise EmptyFileError("no records after discarding comments and blank lines")
-    if too_large:
-        raise GradeTooLargeError(
-            f"query {_quoted(too_large[0])}: grade {_shortened(too_large[1])} exceeds "
-            f"the classical-gain cap of {MAX_CLASSIC_GRADE}"
-        )

@@ -201,12 +201,14 @@ class MetricReport(NamedTuple):
 def compute_report(group: QueryGroup) -> MetricReport:
     """Rank one group and evaluate both DCG families, the pairwise loss and
     the identity check.  A grade above ``MAX_CLASSIC_GRADE`` raises
-    ``GradeTooLargeError``; ``rank_view`` sorts the levels, so only the last is read."""
+    ``GradeTooLargeError``, naming the query, which only a group built by hand
+    can hold; ``rank_view`` sorts the levels, so only the last is read."""
     view = rank_view(group)
     top = view.levels[-1]
     if top > MAX_CLASSIC_GRADE:
         raise GradeTooLargeError(
-            f"grade {_shortened(top)} exceeds the classical-gain cap of {MAX_CLASSIC_GRADE}")
+            f"query {_quoted(group.query_id)}: grade {_shortened(top)} exceeds the"
+            f" classical-gain cap of {MAX_CLASSIC_GRADE}")
     # Zero grades add nothing and sort last, so the ideal list can stop before them.
     ideal_grades = list(
         chain.from_iterable(map(repeat, view.levels[:0:-1], view.counts[:0:-1]))

@@ -161,6 +161,8 @@ def _grade_by_line(text: str, num_grades):
     if num_grades is not None and grade >= num_grades:
         return None, (f"grade {_number_by_line(grade)} outside declared alphabet"
                       f" of {_number_by_line(num_grades)}")
+    if grade > 30:  # 2**grade - 1, the classical gain, is exact in a double up to 30
+        return None, f"grade {_number_by_line(grade)} exceeds the classical-gain cap of 30"
     return grade, None
 
 

@@ -30,6 +30,16 @@ def test_only_the_metrics_and_the_readers_read_the_cap():
             if uses and module not in CAP_MODULES} == {}
 
 
+def test_only_the_metrics_import_the_cap_error():
+    """The readers refuse a grade above the cap as a malformed line, so only
+    ``compute_report``, for a group built by hand, raises ``GradeTooLargeError``.
+    ``errors`` defines it, and the package exports it."""
+    importers = {path.stem for path in PACKAGE.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.alias) and node.name == "GradeTooLargeError"}
+    assert importers == {"metrics", "__init__"}
+
+
 def test_the_cap_check_catches_each_use():
     assert cap_uses("from .metrics import MAX_CLASSIC_GRADE") == ["line 1: import"]
     assert cap_uses("from .metrics import MAX_CLASSIC_GRADE as CAP") == ["line 1: import"]

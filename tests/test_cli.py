@@ -461,33 +461,36 @@ def test_metrics_reports_invalid_utf8_as_a_malformed_line(tmp_path, fmt, data,
 
 @pytest.mark.parametrize("grade", [31, 255, 256, 1000])
 def test_metrics_rejects_a_grade_above_the_classical_cap(tmp_path, grade):
-    """Streamed from a file, and read whole from a pipe, where the rows of the blocks
-    before the grade wait in arrays that hold a grade in one byte."""
-    message = f"error: query 'q1': grade {grade} exceeds the classical-gain cap of 30\n"
+    """As a malformed line with its number, from a file, and from a pipe, where the
+    rows of the blocks before the grade wait in arrays that hold a grade in one byte."""
+    reason = f"grade {grade} exceeds the classical-gain cap of 30"
     data = tmp_path / "big.tsv"
     data.write_text(f"q0\t1\t0.1\nq1\t{grade}\t0.5\nq1\t0\t0.2\n", encoding="utf-8")
     code, stdout, stderr = run_main(["metrics", "--input", str(data)])
-    assert code == 2
-    assert stderr == message
+    assert (code, stdout, stderr) == (2, "", f"error: 1 malformed line(s): line 2: {reason}\n")
     # Interleaved rows, more than four 16 Ki-character blocks of them before the grade.
     interleaved = "".join(f"q{i % 10}\t{i % 3}\t0.{i}\n" for i in range(6000))
     child = subprocess.run(
         [sys.executable, "-m", "lindcg.cli", "metrics", "--input", "/dev/stdin"],
         input=interleaved + f"q1\t{grade}\t0.5\n", capture_output=True, text=True,
         env=_child_env(), timeout=60)
-    assert (child.returncode, child.stdout, child.stderr) == (2, "", message)
+    assert (child.returncode, child.stdout, child.stderr) == (
+        2, "", f"error: 1 malformed line(s): line 6001: {reason}\n")
 
 
 @pytest.mark.parametrize("text, message", [
     ("q0\t31\t0.1\n" + "".join(f"q{i}\t1\t0.{i}\n" for i in range(1, 20)) + "q20\t1\n",
-     "1 malformed line(s): line 21: expected 3 tab-separated fields, got 2"),
+     "2 malformed line(s): line 1: grade 31 exceeds the classical-gain cap of 30;"
+     " line 21: expected 3 tab-separated fields, got 2"),
     ("q0\t1\t0.1\nq1\t40\t0.5\nq1\t31\t0.2\n",
-     "query 'q1': grade 40 exceeds the classical-gain cap of 30"),
+     "2 malformed line(s): line 2: grade 40 exceeds the classical-gain cap of 30;"
+     " line 3: grade 31 exceeds the classical-gain cap of 30"),
 ], ids=["malformed-line-in-a-later-block", "two-grades-above-the-cap"])
 def test_metrics_names_the_cap_only_on_input_without_another_fault(tmp_path,
                                                                    monkeypatch, text, message):
-    """A malformed line anywhere outranks a grade above the cap, and the cap names
-    the first row above it."""
+    """The test keeps its name from when the cap was named only on input with no
+    other fault.  A grade above the cap is now a malformed line like any other:
+    every one is counted and named in file order, beside the other faults."""
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
     data = tmp_path / "big.tsv"
     data.write_text(text, encoding="utf-8")
@@ -793,9 +796,6 @@ LONG_CELLS = [
                  "error: 30 malformed line(s): "
                  + "; ".join(f"line {n}: score {{cut}} is not a number" for n in range(1, 21))
                  + "; and 10 more\n", id="score"),
-    pytest.param("tsv", "{cell}\t31\t0.5\n", None, (), "q" * 10**6,
-                 "error: query {cut}: grade 31 exceeds the classical-gain cap of 30\n",
-                 id="query-id"),
     pytest.param("svmlight", "1 {cell} 1:0.5 # score=0.5\n", None, (), "x" * 500_000,
                  "error: 1 malformed line(s): line 1: second token {cut} is not 'qid:ID'\n",
                  id="second-token"),
@@ -811,11 +811,11 @@ LONG_CELLS = [
                  "error: 1 malformed line(s): line 1: grade {number} outside declared"
                  " alphabet of 5\n", id="declared-alphabet"),
     pytest.param("tsv", "q1\t{cell}\t0.5\n", None, (), "9" * 4000,
-                 "error: query 'q1': grade {number} exceeds the classical-gain cap of 30\n",
-                 id="cap-tsv"),
+                 "error: 1 malformed line(s): line 1: grade {number} exceeds the"
+                 " classical-gain cap of 30\n", id="cap-tsv"),
     pytest.param("svmlight", "{cell} qid:1 1:0.5 # score=0.5\n", None, (), "9" * 4000,
-                 "error: query '1': grade {number} exceeds the classical-gain cap of 30\n",
-                 id="cap-svmlight"),
+                 "error: 1 malformed line(s): line 1: grade {number} exceeds the"
+                 " classical-gain cap of 30\n", id="cap-svmlight"),
 ]
 
 

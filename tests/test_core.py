@@ -116,6 +116,19 @@ def test_bad_grades_are_rejected():
         make_group([0, -3, -5], [0.5, 0.2, 0.1])  # the first offender is named
 
 
+@pytest.mark.parametrize("error, grades, scores, message", [
+    (ValueError, (1, 0), (0.5,), "2 grades vs 1 scores for query {cut}"),
+    (EmptyGroupError, (), (), "query {cut} has no items"),
+], ids=["lengths", "empty"])
+def test_a_group_message_quotes_forty_characters_of_a_long_query_id(error, grades, scores,
+                                                                    message):
+    query_id = "q" * 100_000
+    with pytest.raises(error) as raised:
+        QueryGroup(query_id, grades, scores)
+    assert str(raised.value) == message.replace("{cut}", f"'{'q' * 40}'...")
+    assert len(str(raised.value)) < 200
+
+
 @pytest.mark.parametrize("digits", [100, 5000])
 def test_a_bad_grade_message_writes_forty_characters_of_a_huge_grade(digits):
     # str() refuses an int of more than 4,300 digits.

@@ -11,7 +11,6 @@ import lindcg.io
 from helpers import KEPT_FAULTS, grouped, parse_svmlight_by_line, parse_tsv_by_line
 from lindcg.errors import (
     EmptyFileError,
-    GradeTooLargeError,
     LindcgError,
     ParseError,
     ScoreCountMismatchError,
@@ -272,6 +271,9 @@ _ABOVE_THE_CAP = {
 @pytest.mark.parametrize("fmt", _ABOVE_THE_CAP)
 def test_a_grade_above_the_cap_is_rejected_unless_a_line_is_malformed(monkeypatch, fmt,
                                                                       block_chars):
+    """The test keeps its name from when the cap was checked only on input with no
+    malformed line.  A grade above the cap is now a malformed line itself, named
+    with its line number in file order, with or without another malformed line."""
     text, scores, malformed = _ABOVE_THE_CAP[fmt]
 
     def parse(lines, score_lines):
@@ -282,14 +284,20 @@ def test_a_grade_above_the_cap_is_rejected_unless_a_line_is_malformed(monkeypatc
 
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", block_chars)
     lines, score_lines = text.splitlines(True), scores and scores.splitlines(True)
-    with pytest.raises(GradeTooLargeError) as info:
+    with pytest.raises(ParseError) as info:
         parse(lines, score_lines)
-    assert str(info.value) == "query 'q1': grade 40 exceeds the classical-gain cap of 30"
+    cap = "exceeds the classical-gain cap of 30"
+    assert info.value.errors == [(2, f"grade 40 {cap}"), (3, f"grade 31 {cap}")]
+    assert (info.value.accepted_count, info.value.rejected_count) == (2, 2)
     for at in range(len(lines) + 1):  # before, between and after the grades above the cap
         with pytest.raises(ParseError) as info:
             parse(lines[:at] + [malformed] + lines[at:],
                   score_lines and score_lines[:at] + ["0.5\n"] + score_lines[at:])
-        assert [lineno for lineno, _ in info.value.errors] == [at + 1]
+        # The grades above the cap were lines 2 and 3; a line inserted at or before them
+        # moves them down one.
+        expected = sorted([at + 1, 2 + (at <= 1), 3 + (at <= 2)])
+        assert [lineno for lineno, _ in info.value.errors] == expected
+        assert (info.value.accepted_count, info.value.rejected_count) == (2, 3)
 
 
 def test_lines_end_where_str_splitlines_ends_them(tmp_path):
@@ -379,11 +387,13 @@ def test_only_the_first_byte_order_mark_is_dropped():
 
 
 # Rows whose cells int() and float() read, so that a block of them reaches
-# every whole-block check; a few are out of range or not finite.
+# every whole-block check; a few are out of range, above the classical-gain cap
+# of 30 among them, or not finite.
 _NUMERIC_ROWS = st.builds(
     "\t".join,
     st.tuples(st.sampled_from(["q1", "q2", " q3 ", "q_4"]),
-              st.sampled_from(["0", "1", " 2", "3 ", "+3", "-0", "5", "-1"]),
+              st.sampled_from(["0", "1", " 2", "3 ", "+3", "-0", "5", "-1", "30", "31",
+                               "9" * 41]),
               st.sampled_from(["0.5", " -1.25", "3", "1e3 ", "+2", "-0.0", "nan", "-inf"])),
 )
 _ROWS = st.builds(
@@ -434,6 +444,9 @@ _BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85"])
 @example(lines=[("q1\t-" + "9" * 40 + "\t0.5", "\n"), ("q1\t-" + "9" * 39 + "\t0.5", "\n"),
                 ("q1\t" + "8" * 41 + "\t0.5", "\n"), ("q1\t" + "8" * 40 + "\t0.5", "\n")],
          block_chars=64, num_grades=5)
+# A grade at the classical-gain cap and one above it, in one block.
+@example(lines=[("q1\t30\t0.5", "\n"), ("q1\t31\t0.5", "\n")], block_chars=64,
+         num_grades=None)
 # More malformed lines than a ParseError names.
 @example(lines=[("q1\t1", "\n")] * 12 + [("q1\t1\t0.5", "\n")] + [("q1", "\n")] * 12,
          block_chars=64, num_grades=None)
@@ -506,12 +519,13 @@ def _outcome(parse, *args):
 
 # SVMLight lines whose heads the head-only block read takes, so that a block
 # of them with a score file reaches every whole-block check; a few grades
-# are out of range, negative, hold a "_", are not integers or are no number.
+# are out of range, above the classical-gain cap of 30 among them, negative,
+# hold a "_", are not integers or are no number.
 _HEADS = st.builds(
     "".join,
     st.tuples(st.sampled_from(["", "", " ", "\t"]),
               st.sampled_from(["0", "1", "2", "3", "4", "-0", "+3", "7", "-1", "1_0", "x", "2.0",
-                               "+", ".", "-e1"]),
+                               "+", ".", "-e1", "30", "31", "9" * 41]),
               st.sampled_from([" ", "\t", "  "]),
               st.sampled_from(["qid:1", "qid:a7", "qid:Q_9"]),
               st.sampled_from(["", " 1:0.5", " 1:0.5 2:3", "\t1:2 "])),
@@ -598,6 +612,9 @@ _SVMLIGHT_BREAKS = st.sampled_from(["\n"] * 8 + ["", "\r\n", "\r", "\x0b", "\x0c
 @example(rows=[("-" + "9" * 45 + " qid:1", "\n", "0.5", "\n"),
                ("7" * 45 + " qid:1", "\n", "0.5", "\n")],
          extra_scores=0, block_chars=64, num_grades=5)
+# A grade at the classical-gain cap and one above it, in one head-only block.
+@example(rows=[("30 qid:1", "\n", "0.5", "\n"), ("31 qid:1", "\n", "0.5", "\n")],
+         extra_scores=0, block_chars=64, num_grades=None)
 # More malformed lines than a ParseError names, in the data and in the score file.
 @example(rows=[("1", "\n", "0.5", "\n")] * 25, extra_scores=0, block_chars=64, num_grades=None)
 @example(rows=[("1 qid:1", "\n", "x", "\n")] * 25, extra_scores=0, block_chars=64,

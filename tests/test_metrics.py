@@ -68,12 +68,19 @@ def test_dcg_classic_grade_cap():
         compute_report(make_group([31], [0.5]))
 
 
-@pytest.mark.parametrize("digits", [100, 5000])
-def test_the_cap_message_writes_forty_digits_of_a_huge_grade(digits):
+# Grades of 100 and 5,000 digits, and a grade of 31 in a query of a 1,000,000-character id.
+@pytest.mark.parametrize("grade, query_id, message", [
+    pytest.param(10**99, "q1", f"query 'q1': grade 1{'0' * 39}...", id="100"),
+    pytest.param(10**4999, "q1", f"query 'q1': grade 1{'0' * 39}...", id="5000"),
+    pytest.param(31, "q" * 10**6, f"query '{'q' * 40}'...: grade 31", id="long-query-id"),
+])
+def test_the_cap_message_writes_forty_digits_of_a_huge_grade(grade, query_id, message):
+    """The message names the query, so a report over many groups says which one
+    failed, and quotes at most forty characters of its id and of its grade."""
     # str() refuses an int of more than 4,300 digits.
     with pytest.raises(GradeTooLargeError) as raised:
-        compute_report(make_group([10 ** (digits - 1)], [0.5]))
-    assert str(raised.value) == f"grade 1{'0' * 39}... exceeds the classical-gain cap of 30"
+        compute_report(make_group([grade], [0.5], query_id))
+    assert str(raised.value) == f"{message} exceeds the classical-gain cap of 30"
 
 
 def test_compute_report_takes_no_view():
