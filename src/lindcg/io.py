@@ -29,11 +29,12 @@ Each block is first read a column at a time, with whole-block checks:
 * A TSV block is checked in whole-block passes, a clean block as the
   text it is and any other block joined from its lines: the text is
   ASCII with no ``#``, every line has exactly two tabs, no stripped query
-  id is empty, the grade and score cells hold no ``_``, ``int`` and
-  ``float`` read every cell, no grade is negative, at or above a declared
-  ``num_grades`` or above the classical-gain cap ``MAX_CLASSIC_GRADE``,
-  and every score is finite.  A block that passes is split into its three
-  columns.
+  id is empty, the grade and score cells hold no ``_``, ``float`` reads
+  every score, and every score is finite.  No grade is negative, at or
+  above a declared ``num_grades`` or above the classical-gain cap
+  ``MAX_CLASSIC_GRADE``.  A grade column of canonical cells (``2``, not
+  ``02`` or ``+2``) is looked up in a table, any other read by ``int``.
+  A block that passes is split into its three columns.
 * A clean score-file block is split at ``\n``: it holds no ``_``, every
   line is one number that ``float`` reads, and every score is finite.
 * With a score file, a clean SVMLight block is read head-only: one match
@@ -266,7 +267,30 @@ def _parse_score(text: str) -> tuple[float | None, str | None]:
     return score, None
 
 
-def _tsv_columns(block, bound: int, seen: dict[str, str]):
+def _grade_column(cells, table: dict[str, int]):
+    """The grades of a column of cells, or None if a cell needs the line rules.
+
+    ``table`` maps the canonical cell of each grade in range to the grade.
+    Any other column is read by ``int``: no ``_``, no "\n" of a misaligned
+    line, and every grade in ``range(len(table))``.
+    """
+    try:
+        return list(map(table.__getitem__, cells))
+    except KeyError:
+        pass
+    joined = "".join(cells)
+    if "_" in joined or "\n" in joined:
+        return None
+    try:
+        grades = list(map(int, cells))
+    except ValueError:
+        return None
+    if min(grades) < 0 or max(grades) >= len(table):  # the lookup took an empty column
+        return None
+    return grades
+
+
+def _tsv_columns(block, table: dict[str, int], seen: dict[str, str]):
     """The query-id, grade and score columns of a block, or None if a line needs the line rules.
 
     Every check runs over the whole block at once.  A clean block is checked
@@ -277,7 +301,7 @@ def _tsv_columns(block, bound: int, seen: dict[str, str]):
     line's query-id cell, where stripping removes it.  ASCII text keeps
     ``int`` and ``float`` to ASCII digits, and the whitespace they skip is
     whitespace ``str.strip`` removes, so a cell reads as its stripped text
-    would.  Every grade must lie in ``0 <= grade < bound``.
+    would.  ``_grade_column`` reads the grades.
     """
     text = block if isinstance(block, str) else "\n".join(block) + "\n"
     if not text.isascii() or "#" in text:
@@ -287,19 +311,16 @@ def _tsv_columns(block, bound: int, seen: dict[str, str]):
         return None
     del cells[-1]  # the "\n" after the last line
     query_ids = list(map(str.strip, cells[0::3]))
-    grade_cells, score_cells = cells[1::3], cells[2::3]
+    score_cells = cells[2::3]
     if not all(query_ids):
         return None
-    for column in (grade_cells, score_cells):
-        joined = "".join(column)
-        if "_" in joined or "\n" in joined:
-            return None
+    grades = _grade_column(cells[1::3], table)
+    joined = "".join(score_cells)
+    if grades is None or "_" in joined or "\n" in joined:
+        return None
     try:
-        grades = list(map(int, grade_cells))
         scores = list(map(float, score_cells))
     except ValueError:
-        return None
-    if grades and (min(grades) < 0 or max(grades) >= bound):
         return None
     if not all(map(math.isfinite, scores)):
         return None
@@ -333,7 +354,7 @@ def _tsv_lines(first: int, lines: list[str], num_grades: int | None, seen: dict[
     return query_ids, grades, scores
 
 
-def _tsv_chunks(source, num_grades: int | None, bound: int, errors: _Faults):
+def _tsv_chunks(source, num_grades: int | None, table: dict[str, int], errors: _Faults):
     """Yield the query-id, grade and score columns of each block of a TSV source.
 
     Each block is read a column at a time; a block that fails a whole-block
@@ -342,7 +363,7 @@ def _tsv_chunks(source, num_grades: int | None, bound: int, errors: _Faults):
     # One string per distinct query id, shared by its rows, so a block's query-id
     # column holds one string per query, not one per row.
     seen: dict[str, str] = {}
-    return _read_chunks(source, partial(_tsv_columns, bound=bound, seen=seen),
+    return _read_chunks(source, partial(_tsv_columns, table=table, seen=seen),
                         partial(_tsv_lines, num_grades=num_grades, seen=seen, errors=errors))
 
 
@@ -385,11 +406,11 @@ def _score_lines(first: int, lines: list[str], errors: _Faults):
     return (scores,)
 
 
-def _svmlight_heads(block, bound: int, seen: dict[str, str]):
+def _svmlight_heads(block, table: dict[str, int], seen: dict[str, str]):
     """The query-id and grade columns of a clean block, or None if a line needs the line rules.
 
     Only each line's ``grade qid:ID`` head is matched; the features after
-    it are skipped unread.  Every grade must lie in ``0 <= grade < bound``.
+    it are skipped unread.  ``_grade_column`` reads the grades.
     """
     if not isinstance(block, str):
         return None
@@ -403,13 +424,8 @@ def _svmlight_heads(block, bound: int, seen: dict[str, str]):
         heads.append(head.groups())
         pos = find("\n", head.end()) + 1
     grade_cells, query_ids = zip(*heads)
-    if "_" in "".join(grade_cells):
-        return None
-    try:
-        grades = list(map(int, grade_cells))
-    except ValueError:
-        return None
-    if min(grades) < 0 or max(grades) >= bound:
+    grades = _grade_column(grade_cells, table)
+    if grades is None:
         return None
     return list(map(seen.setdefault, query_ids, query_ids)), grades
 
@@ -452,8 +468,8 @@ def _svmlight_lines(first: int, lines: list[str], num_grades: int | None, seen: 
     return (query_ids, grades, scores) if inline else (query_ids, grades)
 
 
-def _svmlight_chunks(source, scores, num_grades: int | None, bound: int, errors: _Faults,
-                     score_errors: _Faults):
+def _svmlight_chunks(source, scores, num_grades: int | None, table: dict[str, int],
+                     errors: _Faults, score_errors: _Faults):
     """Yield the query-id, grade and score columns of each block of an SVMLight source.
 
     With a score file, each block's scores are pulled from it as the block
@@ -472,7 +488,7 @@ def _svmlight_chunks(source, scores, num_grades: int | None, bound: int, errors:
     score_column = chain.from_iterable(
         column for column, in _read_chunks(
             scores, _score_column, partial(_score_lines, errors=score_errors)))
-    read_block = partial(_svmlight_heads, bound=bound, seen=seen)
+    read_block = partial(_svmlight_heads, table=table, seen=seen)
     for query_ids, grades in _read_chunks(source, read_block, read_lines, _SVMLIGHT_SCALE):
         yield query_ids, grades, list(islice(score_column, len(grades)))
     yield [], [], list(score_column)
@@ -513,10 +529,11 @@ def _rows(source, fmt: str, scores=None, num_grades: int | None = None):
     errors, score_errors = _Faults(), _Faults()
     bound = (MAX_CLASSIC_GRADE + 1 if num_grades is None
              else min(num_grades, MAX_CLASSIC_GRADE + 1))
+    table = {str(grade): grade for grade in range(bound)}
     if fmt == "tsv":
-        chunks = _tsv_chunks(source, num_grades, bound, errors)
+        chunks = _tsv_chunks(source, num_grades, table, errors)
     else:
-        chunks = _svmlight_chunks(source, scores, num_grades, bound, errors, score_errors)
+        chunks = _svmlight_chunks(source, scores, num_grades, table, errors, score_errors)
     rows = scored = 0
     for query_ids, grades, row_scores in chunks:
         rows += len(grades)

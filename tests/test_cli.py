@@ -486,11 +486,7 @@ def test_metrics_rejects_a_grade_above_the_classical_cap(tmp_path, grade):
      "2 malformed line(s): line 2: grade 40 exceeds the classical-gain cap of 30;"
      " line 3: grade 31 exceeds the classical-gain cap of 30"),
 ], ids=["malformed-line-in-a-later-block", "two-grades-above-the-cap"])
-def test_metrics_names_the_cap_only_on_input_without_another_fault(tmp_path,
-                                                                   monkeypatch, text, message):
-    """The test keeps its name from when the cap was named only on input with no
-    other fault.  A grade above the cap is now a malformed line like any other:
-    every one is counted and named in file order, beside the other faults."""
+def test_metrics_names_the_cap_beside_other_faults(tmp_path, monkeypatch, text, message):
     monkeypatch.setattr(lindcg.io, "_BLOCK_CHARS", 32)
     data = tmp_path / "big.tsv"
     data.write_text(text, encoding="utf-8")

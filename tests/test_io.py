@@ -269,11 +269,7 @@ _ABOVE_THE_CAP = {
 
 @pytest.mark.parametrize("block_chars", [8, 1 << 16])  # tiny blocks, and one for the whole input
 @pytest.mark.parametrize("fmt", _ABOVE_THE_CAP)
-def test_a_grade_above_the_cap_is_rejected_unless_a_line_is_malformed(monkeypatch, fmt,
-                                                                      block_chars):
-    """The test keeps its name from when the cap was checked only on input with no
-    malformed line.  A grade above the cap is now a malformed line itself, named
-    with its line number in file order, with or without another malformed line."""
+def test_a_grade_above_the_cap_is_a_malformed_line(monkeypatch, fmt, block_chars):
     text, scores, malformed = _ABOVE_THE_CAP[fmt]
 
     def parse(lines, score_lines):
@@ -392,8 +388,8 @@ def test_only_the_first_byte_order_mark_is_dropped():
 _NUMERIC_ROWS = st.builds(
     "\t".join,
     st.tuples(st.sampled_from(["q1", "q2", " q3 ", "q_4"]),
-              st.sampled_from(["0", "1", " 2", "3 ", "+3", "-0", "5", "-1", "30", "31",
-                               "9" * 41]),
+              st.sampled_from(["0", "1", " 2", "3 ", "+3", "-0", "03", "00", "5", "-1", "30",
+                               "31", "9" * 41]),
               st.sampled_from(["0.5", " -1.25", "3", "1e3 ", "+2", "-0.0", "nan", "-inf"])),
 )
 _ROWS = st.builds(
@@ -450,6 +446,11 @@ _BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85"])
 # More malformed lines than a ParseError names.
 @example(lines=[("q1\t1", "\n")] * 12 + [("q1\t1\t0.5", "\n")] + [("q1", "\n")] * 12,
          block_chars=64, num_grades=None)
+# Canonical grade cells and other spellings of grades in one block.
+@example(lines=[(f"q1\t{grade}\t0.5", "\n") for grade in ["1", "03", "+3", "-0", " 2"]],
+         block_chars=64, num_grades=None)
+# A canonical grade cell equal to a declared alphabet.
+@example(lines=[("q1\t1\t0.5", "\n"), ("q1\t5\t0.5", "\n")], block_chars=64, num_grades=5)
 def test_block_parse_matches_a_line_by_line_parse(lines, block_chars, num_grades):
     text = "".join(line + end for line, end in lines)
     query_ids, grades, scores, errors = parse_tsv_by_line(text, num_grades)
@@ -506,6 +507,21 @@ def test_valid_svmlight_and_score_blocks_are_never_read_line_by_line(monkeypatch
     assert by_line == []
     assert groups == parse_svmlight_by_line(text, scores)
     assert len(set(map(id, query_ids))) == 7
+
+
+@pytest.mark.parametrize("num_grades", [None, 5])
+def test_canonical_grade_cells_are_read_without_int(monkeypatch, num_grades):
+    def forbidden(*args):
+        raise AssertionError("int was called")
+
+    text = "".join(f"q{i % 7}\t{i % 5}\t{i / 8}\n" for i in range(300))
+    heads = "".join(f"{i % 5} qid:q{i % 7} 1:{i / 8}\n" for i in range(300))
+    scores = "".join(f"{i / 16}\n" for i in range(300))
+    # Blocks of canonical grade cells are read by table lookup alone.
+    monkeypatch.setattr(lindcg.io, "int", forbidden, raising=False)
+    assert parse_tsv(io.StringIO(text), num_grades) == grouped(*parse_tsv_by_line(text)[:3])
+    assert (parse_svmlight(io.StringIO(heads), io.StringIO(scores), num_grades)
+            == parse_svmlight_by_line(heads, scores))
 
 
 def _outcome(parse, *args):
@@ -615,6 +631,12 @@ _SVMLIGHT_BREAKS = st.sampled_from(["\n"] * 8 + ["", "\r\n", "\r", "\x0b", "\x0c
 # A grade at the classical-gain cap and one above it, in one head-only block.
 @example(rows=[("30 qid:1", "\n", "0.5", "\n"), ("31 qid:1", "\n", "0.5", "\n")],
          extra_scores=0, block_chars=64, num_grades=None)
+# Canonical grade cells and other spellings of grades in one head-only block.
+@example(rows=[(f"{grade} qid:1", "\n", "0.5", "\n") for grade in ["1", "03", "+3", "-0", "00"]],
+         extra_scores=0, block_chars=64, num_grades=None)
+# A canonical grade cell equal to a declared alphabet.
+@example(rows=[("1 qid:1", "\n", "0.5", "\n"), ("5 qid:1", "\n", "0.5", "\n")],
+         extra_scores=0, block_chars=64, num_grades=5)
 # More malformed lines than a ParseError names, in the data and in the score file.
 @example(rows=[("1", "\n", "0.5", "\n")] * 25, extra_scores=0, block_chars=64, num_grades=None)
 @example(rows=[("1 qid:1", "\n", "x", "\n")] * 25, extra_scores=0, block_chars=64,
